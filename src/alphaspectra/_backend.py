@@ -1,10 +1,4 @@
-"""Hot numeric kernels with two interchangeable implementations.
-
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-version with identical semantics.  The numba path is the default; setting
-the environment variable ``SPECTRA_NO_NUMBA`` to anything but ``0`` (or
-running without numba installed) selects the numpy path.  ``SPECTRA_THREADS``
-caps the numba thread pool.
+"""Hot numeric kernels, implemented in numpy.
 
 Kernels:
 
@@ -22,39 +16,15 @@ Kernels:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("SPECTRA_NO_NUMBA", "").strip()
-_DISABLE_NUMBA = _flag not in ("", "0")
-
+#: kept for run records that log the active backend
+BACKEND = "numpy"
 HAVE_NUMBA = False
-if not _DISABLE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - mirror-installed in normal envs
-        HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-if HAVE_NUMBA:
-    _threads = os.environ.get("SPECTRA_THREADS", "").strip()
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except ValueError:
-            pass
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def power_iteration_py(m: np.ndarray, tol: float, max_iter: int):
+def power_iteration(m: np.ndarray, tol: float, max_iter: int):
     """Iterate x <- Mx/|Mx| from the flat start vector until the spread of
     the quotients (Mx)_i/x_i is at most tol.  M must be nonnegative with a
     strictly positive diagonal so the iterate stays positive."""
@@ -75,7 +45,7 @@ def power_iteration_py(m: np.ndarray, tol: float, max_iter: int):
     return x, lo, hi, it
 
 
-def det_via_lu_py(a: np.ndarray) -> float:
+def det_via_lu(a: np.ndarray) -> float:
     """Determinant by elimination with partial pivoting; a is overwritten."""
     n = a.shape[0]
     det = 1.0
@@ -93,7 +63,7 @@ def det_via_lu_py(a: np.ndarray) -> float:
     return float(det)
 
 
-def sc_filter_py(rows: np.ndarray, n: int) -> np.ndarray:
+def sc_filter(rows: np.ndarray, n: int) -> np.ndarray:
     """Strong-connectivity flags for a batch of bitmask adjacency rows.
 
     rows[t, i] holds the out-neighbour set of vertex i of digraph t as an
@@ -115,7 +85,7 @@ def sc_filter_py(rows: np.ndarray, n: int) -> np.ndarray:
     return (reach == full).all(axis=1)
 
 
-def perm_min_py(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
+def perm_min(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Minimum over relabelings of packed adjacency masks.
 
     table[p, b] is the destination bit of source bit b under permutation p.
@@ -128,144 +98,3 @@ def perm_min_py(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
             acc |= ((masks >> b) & 1) << np.int64(table[p, b])
         np.minimum(best, acc, out=best)
     return best
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _power_iteration_nb(m, tol, max_iter):
-        n = m.shape[0]
-        x = np.full(n, 1.0 / math.sqrt(n))
-        y = np.empty(n)
-        lo = 0.0
-        hi = 1e300
-        it = 0
-        while it < max_iter:
-            it += 1
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    acc += m[i, j] * x[j]
-                y[i] = acc
-            lo = 1e300
-            hi = -1e300
-            nrm = 0.0
-            for i in range(n):
-                q = y[i] / x[i]
-                if q < lo:
-                    lo = q
-                if q > hi:
-                    hi = q
-                nrm += y[i] * y[i]
-            nrm = math.sqrt(nrm)
-            for i in range(n):
-                x[i] = y[i] / nrm
-            if hi - lo <= tol:
-                break
-        return x, lo, hi, it
-
-    @njit(cache=True)
-    def _det_via_lu_nb(a):
-        n = a.shape[0]
-        det = 1.0
-        for k in range(n):
-            piv = k
-            big = abs(a[k, k])
-            for i in range(k + 1, n):
-                v = abs(a[i, k])
-                if v > big:
-                    big = v
-                    piv = i
-            if a[piv, k] == 0.0:
-                return 0.0
-            if piv != k:
-                for j in range(n):
-                    t = a[k, j]
-                    a[k, j] = a[piv, j]
-                    a[piv, j] = t
-                det = -det
-            akk = a[k, k]
-            det *= akk
-            for i in range(k + 1, n):
-                f = a[i, k] / akk
-                for j in range(k + 1, n):
-                    a[i, j] -= f * a[k, j]
-        return det
-
-    @njit(cache=True, parallel=True)
-    def _sc_filter_nb(rows, n):
-        m = rows.shape[0]
-        out = np.zeros(m, dtype=np.bool_)
-        full = (np.int64(1) << n) - 1
-        for t in prange(m):
-            reach = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                reach[i] = rows[t, i] | (np.int64(1) << i)
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    r = reach[i]
-                    acc = r
-                    for j in range(n):
-                        if (r >> j) & 1:
-                            acc |= reach[j]
-                    if acc != r:
-                        reach[i] = acc
-                        changed = True
-            ok = True
-            for i in range(n):
-                if reach[i] != full:
-                    ok = False
-                    break
-            out[t] = ok
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _perm_min_nb(masks, table):
-        m = masks.shape[0]
-        nperm = table.shape[0]
-        nbits = table.shape[1]
-        out = np.empty(m, dtype=np.int64)
-        for t in prange(m):
-            mask = masks[t]
-            best = np.int64(1) << 62
-            for p in range(nperm):
-                acc = np.int64(0)
-                for b in range(nbits):
-                    if (mask >> b) & 1:
-                        acc |= np.int64(1) << np.int64(table[p, b])
-                if acc < best:
-                    best = acc
-            out[t] = best
-        return out
-
-    def power_iteration_nb(m, tol, max_iter):
-        return _power_iteration_nb(m, tol, max_iter)
-
-    def det_via_lu_nb(a):
-        return _det_via_lu_nb(a)
-
-    def sc_filter_nb(rows, n):
-        return _sc_filter_nb(rows, n)
-
-    def perm_min_nb(masks, table):
-        return _perm_min_nb(masks, table)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if HAVE_NUMBA:
-    power_iteration = power_iteration_nb
-    det_via_lu = det_via_lu_nb
-    sc_filter = sc_filter_nb
-    perm_min = perm_min_nb
-else:
-    power_iteration = power_iteration_py
-    det_via_lu = det_via_lu_py
-    sc_filter = sc_filter_py
-    perm_min = perm_min_py

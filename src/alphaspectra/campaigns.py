@@ -21,7 +21,9 @@ import numpy as np
 
 from . import _backend
 from .digraph import (
+    CanonicalKey,
     Digraph,
+    _mask_to_key_bytes,
     adjacency_rows_from_masks,
     bipartition,
     canonical_key,
@@ -117,9 +119,9 @@ def decide_order(a: SpectralResult, b: SpectralResult, margin: float = DECISION_
     Certified when the enclosures are disjoint; otherwise the midpoints
     decide, but only beyond the margin.
     """
-    if a.enclosure.hi < b.enclosure.lo:
+    if a.enclosure.disjoint_below(b.enclosure):
         return -1
-    if b.enclosure.hi < a.enclosure.lo:
+    if b.enclosure.disjoint_below(a.enclosure):
         return 1
     if a.radius < b.radius - margin:
         return -1
@@ -132,13 +134,16 @@ def decide_order(a: SpectralResult, b: SpectralResult, margin: float = DECISION_
 # exhaustive enumeration
 
 @lru_cache(maxsize=None)
-def enumerate_sc_digraphs(n: int) -> tuple[Digraph, ...]:
-    """One strongly connected digraph per isomorphism class, n <= 5.
+def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
+    """One ``(digraph, key)`` pair per isomorphism class of strongly
+    connected digraphs, n <= 5.
 
     Iterates all 2^(n(n-1)) labeled loop-free digraphs, filters the strongly
-    connected ones, and dedupes by the permutation-minimal adjacency mask,
-    keeping the first labeled representative of each class.  Classes come
-    out sorted by canonical mask.
+    connected ones, and dedupes by the permutation-minimal adjacency mask.
+    Each class is represented by the labeling with that minimal mask, and
+    ``key`` is built from the same mask, so it equals
+    ``canonical_key(digraph)`` without recomputing it.  Classes come out
+    sorted by canonical mask.
     """
     if n < 2:
         raise InvalidParamsError(f"enumeration needs n >= 2, got {n}")
@@ -149,10 +154,10 @@ def enumerate_sc_digraphs(n: int) -> tuple[Digraph, ...]:
     rows = adjacency_rows_from_masks(masks, n)
     sc = _backend.sc_filter(rows, n)
     sc_masks = masks[sc]
-    canon = min_relabeled_mask(sc_masks, n)
-    _, first = np.unique(canon, return_index=True)
-    reps = sc_masks[first]
-    return tuple(make_digraph(n, unpack_arcs(int(m), n)) for m in reps)
+    return tuple(
+        (make_digraph(n, unpack_arcs(int(c), n)), CanonicalKey(n, _mask_to_key_bytes(int(c), n)))
+        for c in np.unique(min_relabeled_mask(sc_masks, n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +284,11 @@ def verify_global_minima(
     if n != 5:
         raise InvalidParamsError(f"rank claims are stated at n=5, got {n}")
     t0 = time.perf_counter()
-    classes = enumerate_sc_digraphs(n)
-    results = [(d, spectral_radius(d, alpha, tol)) for d in classes]
-    results.sort(key=lambda t: (t[1].radius, canonical_key(t[0]).hex()))
+    results = [(key.hex(), spectral_radius(d, alpha, tol)) for d, key in enumerate_sc_digraphs(n)]
+    results.sort(key=lambda t: (t[1].radius, t[0]))
     report = VerificationReport("global-min", [alpha])
-    for d, res in results:
-        report.items.append(
-            ReportItem(canonical_key(d).hex(), alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
-        )
+    for label, res in results:
+        report.items.append(ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi))
 
     exploratory = alpha > 0.5
     expected = [
@@ -297,9 +299,8 @@ def verify_global_minima(
     ]
     for pos, (name, spec) in enumerate(expected):
         claim = f"{name} (n={n}, alpha={alpha})"
-        want = canonical_key(generate(spec))
-        got_d, got = results[pos]
-        ok = canonical_key(got_d) == want
+        got_label, got = results[pos]
+        ok = got_label == canonical_key(generate(spec)).hex()
         if pos == 0:
             ok = ok and abs(got.radius - 1.0) <= margin
         nxt = results[pos + 1][1]
@@ -431,21 +432,17 @@ def verify_bipartite_minimum(
     # exhaustive branch: only reachable enumeration size is (5, 2, 2)
     if n <= ENUMERATION_MAX_N:
         claim = f"unique bipartite minimum by enumeration {loc}"
-        pool = [
-            d
-            for d in enumerate_sc_digraphs(n)
+        results = [
+            (key.hex(), spectral_radius(d, alpha, tol))
+            for d, key in enumerate_sc_digraphs(n)
             if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)
         ]
-        results = [(d, spectral_radius(d, alpha, tol)) for d in pool]
-        results.sort(key=lambda t: (t[1].radius, canonical_key(t[0]).hex()))
-        for d, res in results:
-            report.items.append(
-                ReportItem(canonical_key(d).hex(), alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
-            )
+        results.sort(key=lambda t: (t[1].radius, t[0]))
+        for label, res in results:
+            report.items.append(ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi))
         want_spec = FamilySpec.bip(1 if rem % 2 == 1 else 5, n, p, q)
-        want = canonical_key(generate(want_spec))
-        got_d, got = results[0]
-        if canonical_key(got_d) != want:
+        got_label, got = results[0]
+        if got_label != canonical_key(generate(want_spec)).hex():
             report.verdicts.append(Verdict(claim, "fail", f"minimum is not {format_spec(want_spec)}"))
         elif len(results) > 1 and decide_order(got, results[1][1], margin) is None:
             gap = abs(got.radius - results[1][1].radius)

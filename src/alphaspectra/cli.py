@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import campaigns
 from .chareq import char_equation_for, eval_char, kpq_radius, largest_root
-from .digraph import canonical_key, read_dgr1, to_dgr1, write_dgr1
+from .digraph import read_dgr1, to_dgr1, write_dgr1
 from .errors import SpectraError
 from .families import FamilySpec, format_spec, generate, parse_spec
 from .spectral import DEFAULT_TOL, spectral_radius
@@ -151,11 +151,9 @@ def _cmd_enumerate(args) -> int:
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    for idx, d in enumerate(classes):
+    for idx, (d, key) in enumerate(classes):
         name = f"sc_n{args.n}_{idx:05d}.dgr"
-        manifest["classes"].append(
-            {"file": name, "arcs": len(d.arcs), "key": canonical_key(d).hex()}
-        )
+        manifest["classes"].append({"file": name, "arcs": len(d.arcs), "key": key.hex()})
         if outdir is not None:
             write_dgr1(d, outdir / name)
     text = json.dumps(manifest, indent=2)

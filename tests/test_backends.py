@@ -1,17 +1,20 @@
-"""Both kernel implementations must agree; the numpy path is also what runs
-when SPECTRA_NO_NUMBA is set, so it gets exercised here regardless of the
-active backend."""
+"""The numpy kernels against independent pure-Python oracles."""
 
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
-import pytest
 
+import alphaspectra as ap
 from alphaspectra import _backend
 from alphaspectra.campaigns import random_sc_digraph
-from alphaspectra.digraph import _perm_bit_table, adjacency_rows_from_masks
+from alphaspectra.digraph import (
+    _perm_bit_table,
+    adjacency_rows_from_masks,
+    is_strongly_connected_bfs,
+    make_digraph,
+    pack_arcs,
+    unpack_arcs,
+)
 from alphaspectra.spectral import build_alpha_matrix
 
 
@@ -23,10 +26,19 @@ def random_matrices(count, seed):
         yield build_alpha_matrix(d, alpha).matrix + np.eye(d.n)
 
 
+def brute_min_mask(mask, n):
+    """Smallest pack_arcs value over every relabeling of the packed digraph."""
+    arcs = unpack_arcs(mask, n)
+    return min(
+        pack_arcs(make_digraph(n, [(sigma[i], sigma[j]) for i, j in arcs]))
+        for sigma in itertools.permutations(range(n))
+    )
+
+
 class TestNumpyKernels:
     def test_power_iteration_certifies(self):
         for m in random_matrices(20, seed=0):
-            x, lo, hi, iters = _backend.power_iteration_py(m, 1e-12, 1_000_000)
+            x, lo, hi, iters = _backend.power_iteration(m, 1e-12, 1_000_000)
             assert hi - lo <= 1e-12
             assert (x > 0).all()
             true = max(abs(np.linalg.eigvals(m)))
@@ -37,85 +49,32 @@ class TestNumpyKernels:
         for _ in range(30):
             n = int(rng.integers(1, 9))
             a = rng.normal(size=(n, n))
-            got = _backend.det_via_lu_py(a.copy())
+            got = _backend.det_via_lu(a.copy())
             assert abs(got - np.linalg.det(a)) <= 1e-9 * max(1.0, abs(np.linalg.det(a)))
 
     def test_sc_filter_small(self):
         # n = 3: 64 labeled digraphs, 18 strongly connected
         masks = np.arange(64, dtype=np.int64)
         rows = adjacency_rows_from_masks(masks, 3)
-        flags = _backend.sc_filter_py(rows, 3)
+        flags = _backend.sc_filter(rows, 3)
         assert int(flags.sum()) == 18
 
-
-@pytest.mark.skipif(not _backend.HAVE_NUMBA, reason="numba backend not active")
-class TestBackendAgreement:
-    def test_power_iteration(self):
-        for m in random_matrices(20, seed=2):
-            x_a, lo_a, hi_a, it_a = _backend.power_iteration_nb(m, 1e-12, 1_000_000)
-            x_b, lo_b, hi_b, it_b = _backend.power_iteration_py(m, 1e-12, 1_000_000)
-            assert abs(lo_a - lo_b) < 1e-9
-            assert abs(hi_a - hi_b) < 1e-9
-            assert np.allclose(x_a, x_b, atol=1e-9)
-
-    def test_det(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            n = int(rng.integers(1, 10))
-            a = rng.normal(size=(n, n))
-            assert np.isclose(
-                _backend.det_via_lu_nb(a.copy()), _backend.det_via_lu_py(a.copy()), rtol=1e-9
-            )
-
-    def test_sc_filter(self):
+    def test_sc_filter_matches_bfs(self):
         for n in (2, 3, 4):
             masks = np.arange(1 << (n * (n - 1)), dtype=np.int64)
-            rows = adjacency_rows_from_masks(masks, n)
-            a = _backend.sc_filter_nb(rows, n)
-            b = _backend.sc_filter_py(rows, n)
-            assert np.array_equal(a, b)
+            flags = _backend.sc_filter(adjacency_rows_from_masks(masks, n), n)
+            expected = [is_strongly_connected_bfs(make_digraph(n, unpack_arcs(int(m), n))) for m in masks]
+            assert flags.tolist() == expected
 
-    def test_perm_min(self):
+    def test_perm_min_matches_brute_force(self):
         rng = np.random.default_rng(4)
-        for n in (3, 4, 5):
-            table = _perm_bit_table(n)
-            masks = rng.integers(0, 1 << (n * (n - 1)), size=500, dtype=np.int64)
-            a = _backend.perm_min_nb(masks, table)
-            b = _backend.perm_min_py(masks, table)
-            assert np.array_equal(a, b)
-
-    def test_perm_min_identity_bound(self):
-        rng = np.random.default_rng(5)
-        n = 4
-        table = _perm_bit_table(n)
-        masks = rng.integers(0, 1 << 12, size=200, dtype=np.int64)
-        canon = _backend.perm_min_nb(masks, table)
-        assert (canon <= masks).all()
+        for n in (3, 4):
+            masks = rng.integers(0, 1 << (n * (n - 1)), size=100, dtype=np.int64)
+            canon = _backend.perm_min(masks, _perm_bit_table(n))
+            assert (canon <= masks).all()
+            assert canon.tolist() == [brute_min_mask(int(m), n) for m in masks]
 
 
-class TestEnvFlag:
-    def test_threads_cap_accepted(self):
-        code = (
-            "import alphaspectra as ap; "
-            "print(repr(ap.spectral_radius(ap.generate(ap.FamilySpec.cycle(4)), 0.2).radius))"
-        )
-        env = dict(os.environ, SPECTRA_THREADS="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert abs(float(out.stdout.strip()) - 1.0) < 1e-12
-
-    def test_no_numba_flag_selects_numpy(self):
-        code = (
-            "import alphaspectra as ap; "
-            "assert ap.BACKEND == 'numpy'; "
-            "r = ap.spectral_radius(ap.generate(ap.FamilySpec.infty(1, 1)), 0.0); "
-            "print(repr(r.radius))"
-        )
-        env = dict(os.environ, SPECTRA_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert abs(float(out.stdout.strip()) - 2**0.5) < 1e-11
+def test_single_numpy_backend():
+    assert ap.BACKEND == "numpy"
+    assert ap.HAVE_NUMBA is False

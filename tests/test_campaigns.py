@@ -70,9 +70,10 @@ class TestEnumeration:
 
     def test_all_strongly_connected_and_distinct(self):
         classes = enumerate_sc_digraphs(4)
-        keys = {canonical_key(d) for d in classes}
+        keys = {key for _, key in classes}
         assert len(keys) == len(classes)
-        assert all(is_strongly_connected(d) for d in classes)
+        assert all(is_strongly_connected(d) for d, _ in classes)
+        assert all(key == canonical_key(d) for d, key in classes)
 
     def test_bounds(self):
         with pytest.raises(TooLargeError):
@@ -83,9 +84,7 @@ class TestEnumeration:
     def test_bicyclic_classes_match_enumeration(self):
         # the bicyclic generator must hit exactly the |E| = |V| + 1 classes
         for n in (4, 5):
-            enumerated = {
-                canonical_key(d) for d in enumerate_sc_digraphs(n) if len(d.arcs) == n + 1
-            }
+            enumerated = {key for d, key in enumerate_sc_digraphs(n) if len(d.arcs) == n + 1}
             generated = {canonical_key(generate(s)) for s in list_bicyclic(n)}
             assert generated == enumerated
 
