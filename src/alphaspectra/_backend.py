@@ -5,8 +5,7 @@ Kernels:
 * ``power_iteration(m, tol, max_iter)`` -- power iteration on a nonnegative
   matrix with positive diagonal, returning the iterate and the final
   min/max quotient bounds ``(x, lo, hi, iterations)``.
-* ``det_via_lu(a)`` -- determinant by Gaussian elimination with partial
-  pivoting; ``a`` is destroyed.
+* ``det_via_lu(a)`` -- determinant from LAPACK's LU factorization.
 * ``sc_filter(rows, n)`` -- strong-connectivity flags for a batch of
   digraphs given as per-vertex out-neighbour bitmasks.
 * ``perm_min(masks, table)`` -- minimum over vertex relabelings of packed
@@ -46,21 +45,8 @@ def power_iteration(m: np.ndarray, tol: float, max_iter: int):
 
 
 def det_via_lu(a: np.ndarray) -> float:
-    """Determinant by elimination with partial pivoting; a is overwritten."""
-    n = a.shape[0]
-    det = 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            f = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(f, a[k, k + 1 :])
-    return float(det)
+    """Determinant from LAPACK's LU factorization (``numpy.linalg.det``)."""
+    return float(np.linalg.det(a))
 
 
 def sc_filter(rows: np.ndarray, n: int) -> np.ndarray:

@@ -5,7 +5,8 @@ Every campaign returns a :class:`VerificationReport` whose verdicts carry
 the exact claim they test.  Two radii are compared through their certified
 enclosures first; only when the enclosures overlap does the midpoint decide,
 and then only beyond a declared margin -- anything closer is reported as
-``indistinguishable`` rather than silently ordered.
+``indistinguishable`` rather than silently ordered.  Every rank and
+inequality verdict outside the lemma fuzzing comes from :func:`judge_claim`.
 """
 
 from __future__ import annotations
@@ -130,6 +131,59 @@ def decide_order(a: SpectralResult, b: SpectralResult, margin: float = DECISION_
     return None
 
 
+def judge_claim(
+    claim: str, a: SpectralResult, relation: str, b: SpectralResult, margin: float = DECISION_MARGIN
+) -> Verdict:
+    """Verdict for the claim ``a <relation> b``; relation is ``>``, ``>=``
+    or ``=``.
+
+    ``>`` holds when :func:`decide_order` puts a above b.  ``=`` and ``>=``
+    hold when the radii agree within ``EQUALITY_TOL``, and ``>=`` also when
+    a is above b.  A pair that decide_order cannot order is
+    ``indistinguishable``; every other outcome fails.  The detail is the gap.
+    """
+    if relation not in (">", ">=", "="):
+        raise InvalidParamsError(f"unknown relation {relation!r}")
+    gap = abs(a.radius - b.radius)
+    order = decide_order(a, b, margin)
+    if relation != ">" and gap <= EQUALITY_TOL:
+        status = "pass"
+    elif order is None:
+        status = "indistinguishable"
+    else:
+        status = "pass" if order == 1 and relation != "=" else "fail"
+    return Verdict(claim, status, f"gap {gap:.3e}")
+
+
+def judge_rank(
+    claim: str,
+    ranked: list[tuple[str, SpectralResult]],
+    pos: int,
+    label: str,
+    name: str,
+    margin: float = DECISION_MARGIN,
+) -> Verdict:
+    """Verdict for "``label`` holds rank ``pos``" in ``ranked``, a list of
+    ``(label, result)`` sorted by ``(radius, label)``.
+
+    The member must be the expected one and must separate from its
+    neighbour (the next rank, or the previous one for the last rank) under
+    :func:`judge_claim`.  ``name`` is how details show the expected member.
+    """
+    got = ranked[pos][0]
+    if got != label:
+        return Verdict(claim, "fail", f"expected {name}, found {got}")
+    if len(ranked) == 1:
+        return Verdict(claim, "pass", "single member, trivially extremal")
+    nb = pos + 1 if pos + 1 < len(ranked) else pos - 1
+    v = judge_claim(claim, ranked[max(pos, nb)][1], ">", ranked[min(pos, nb)][1], margin)
+    return Verdict(claim, v.status, f"{name} vs {ranked[nb][0]} {v.detail}")
+
+
+def _item(label: str, alpha: float, res: SpectralResult) -> ReportItem:
+    return ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
@@ -204,60 +258,26 @@ def verify_family_extremes(
     else:
         raise InvalidParamsError(f"unknown family campaign {family!r}")
 
-    results = [(spec, spectral_radius(generate(spec), alpha, tol)) for spec in specs]
-    results.sort(key=lambda t: (t[1].radius, format_spec(t[0])))
+    results = [(format_spec(spec), spectral_radius(generate(spec), alpha, tol)) for spec in specs]
+    results.sort(key=lambda t: (t[1].radius, t[0]))
     report = VerificationReport(f"family-extremes:{family}", [alpha])
-    for spec, res in results:
-        report.items.append(
-            ReportItem(format_spec(spec), alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
-        )
-
-    def check_rank(pos: int, expected: FamilySpec, claim: str):
-        spec, res = results[pos]
-        if spec != expected:
-            report.verdicts.append(
-                Verdict(claim, "fail", f"expected {format_spec(expected)}, found {format_spec(spec)}")
-            )
-            return
-        neighbor = None
-        if pos + 1 < len(results):
-            neighbor = results[pos + 1]
-        elif pos - 1 >= 0:
-            neighbor = results[pos - 1]
-        if neighbor is None:
-            report.verdicts.append(Verdict(claim, "pass", "single member, trivially extremal"))
-            return
-        if decide_order(res, neighbor[1], margin) is None:
-            gap = abs(res.radius - neighbor[1].radius)
-            report.verdicts.append(
-                Verdict(
-                    claim,
-                    "indistinguishable",
-                    f"{format_spec(spec)} vs {format_spec(neighbor[0])} gap {gap:.3e}",
-                )
-            )
-        else:
-            report.verdicts.append(Verdict(claim, "pass", f"{format_spec(spec)}"))
+    report.items = [_item(label, alpha, res) for label, res in results]
 
     a_str = f"alpha={alpha}"
-    if family in ("infty", "theta"):
-        mx, mn = _expected_extremes(family, n, s)
-        check_rank(len(results) - 1, mx, f"{family} maximum at (n={n}, s={s}, {a_str})")
-        check_rank(0, mn, f"{family} minimum at (n={n}, s={s}, {a_str})")
-    elif family == "combined":
-        mx, _ = _expected_extremes("infty", n, s)
-        _, mn = _expected_extremes("theta", n, s)
-        check_rank(len(results) - 1, mx, f"combined maximum at (n={n}, s={s}, {a_str})")
-        check_rank(0, mn, f"combined minimum at (n={n}, s={s}, {a_str})")
-    else:  # bicyclic
-        expected = [
-            FamilySpec.theta((0, 1), n - 3),
-            FamilySpec.theta((1, 1), n - 4),
-            FamilySpec.theta((0, 2), n - 4),
+    if family == "bicyclic":
+        checks = [
+            (0, FamilySpec.theta((0, 1), n - 3), f"bicyclic minimum at (n={n}, {a_str})"),
+            (1, FamilySpec.theta((1, 1), n - 4), f"bicyclic second minimum at (n={n}, {a_str})"),
+            (2, FamilySpec.theta((0, 2), n - 4), f"bicyclic third minimum at (n={n}, {a_str})"),
         ]
-        names = ["minimum", "second minimum", "third minimum"]
-        for pos, (exp, name) in enumerate(zip(expected, names)):
-            check_rank(pos, exp, f"bicyclic {name} at (n={n}, {a_str})")
+    else:
+        mx, _ = _expected_extremes("infty" if family == "combined" else family, n, s)
+        _, mn = _expected_extremes("theta" if family == "combined" else family, n, s)
+        at = f"at (n={n}, s={s}, {a_str})"
+        checks = [(len(results) - 1, mx, f"{family} maximum {at}"), (0, mn, f"{family} minimum {at}")]
+    for pos, spec, claim in checks:
+        name = format_spec(spec)
+        report.verdicts.append(judge_rank(claim, results, pos, name, name, margin))
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -287,10 +307,8 @@ def verify_global_minima(
     results = [(key.hex(), spectral_radius(d, alpha, tol)) for d, key in enumerate_sc_digraphs(n)]
     results.sort(key=lambda t: (t[1].radius, t[0]))
     report = VerificationReport("global-min", [alpha])
-    for label, res in results:
-        report.items.append(ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi))
+    report.items = [_item(label, alpha, res) for label, res in results]
 
-    exploratory = alpha > 0.5
     expected = [
         ("rank 1 is the directed cycle", FamilySpec.cycle(n)),
         ("rank 2 is theta(0,1,n-3)", FamilySpec.theta((0, 1), n - 3)),
@@ -299,24 +317,16 @@ def verify_global_minima(
     ]
     for pos, (name, spec) in enumerate(expected):
         claim = f"{name} (n={n}, alpha={alpha})"
-        got_label, got = results[pos]
-        ok = got_label == canonical_key(generate(spec)).hex()
-        if pos == 0:
-            ok = ok and abs(got.radius - 1.0) <= margin
-        nxt = results[pos + 1][1]
-        sep = decide_order(got, nxt, margin)
-        if exploratory:
-            status = "exploratory"
-            detail = ("matches the conjectured digraph" if ok else "differs from the conjectured digraph")
-            detail += f"; gap to next {abs(got.radius - nxt.radius):.3e}"
-        elif not ok:
-            status, detail = "fail", f"rank {pos + 1} is not {format_spec(spec)}"
-        elif sep is None:
-            status = "indistinguishable"
-            detail = f"rank {pos + 1} vs rank {pos + 2} gap {abs(got.radius - nxt.radius):.3e}"
-        else:
-            status, detail = "pass", f"radius {got.radius!r}"
-        report.verdicts.append(Verdict(claim, status, detail))
+        label = canonical_key(generate(spec)).hex()
+        v = judge_rank(claim, results, pos, label, format_spec(spec), margin)
+        radius = results[pos][1].radius
+        if pos == 0 and v.status != "fail" and abs(radius - 1.0) > margin:
+            v = Verdict(claim, "fail", f"radius {radius!r} is not 1, gap {abs(radius - 1.0):.3e}")
+        if alpha > 0.5:
+            word = "differs from" if v.status == "fail" else "matches"
+            gap = abs(radius - results[pos + 1][1].radius)
+            v = Verdict(claim, "exploratory", f"{word} the conjectured digraph; gap to next {gap:.3e}")
+        report.verdicts.append(v)
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -324,10 +334,6 @@ def verify_global_minima(
 
 # ---------------------------------------------------------------------------
 # bipartite minima
-
-def _radius_of(spec: FamilySpec, alpha: float, tol: float) -> SpectralResult:
-    return spectral_radius(generate(spec), alpha, tol)
-
 
 def verify_bipartite_minimum(
     n: int,
@@ -348,109 +354,58 @@ def verify_bipartite_minimum(
     rem = n - p - q
     loc = f"(n={n}, p={p}, q={q}, alpha={alpha})"
 
-    def add_item(spec: FamilySpec, res: SpectralResult):
-        report.items.append(
-            ReportItem(format_spec(spec), alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
-        )
+    def bip(kind: int, m: int = n) -> FamilySpec:
+        return FamilySpec.bip(kind, m, p, q)
 
-    def check_strict(claim: str, big: SpectralResult, small: SpectralResult):
-        order = decide_order(big, small, margin)
-        if order == 1:
-            report.verdicts.append(Verdict(claim, "pass"))
-        elif order is None:
-            gap = abs(big.radius - small.radius)
-            report.verdicts.append(Verdict(claim, "indistinguishable", f"gap {gap:.3e}"))
-        else:
-            report.verdicts.append(
-                Verdict(claim, "fail", f"{big.radius!r} not above {small.radius!r}")
-            )
-
-    def check_equal(claim: str, a: SpectralResult, b: SpectralResult):
-        gap = abs(a.radius - b.radius)
-        if gap <= EQUALITY_TOL:
-            report.verdicts.append(Verdict(claim, "pass", f"gap {gap:.3e}"))
-        else:
-            report.verdicts.append(Verdict(claim, "fail", f"gap {gap:.3e} above {EQUALITY_TOL}"))
-
-    if rem % 2 == 1:
-        b1 = FamilySpec.bip(1, n, p, q)
-        b2 = FamilySpec.bip(2, n, p, q)
-        b3 = FamilySpec.bip(3, n, p, q)
-        b4 = FamilySpec.bip(4, n, p, q)
-        r1, r2, r3, r4 = (_radius_of(s, alpha, tol) for s in (b1, b2, b3, b4))
-        for s_, r_ in zip((b1, b2, b3, b4), (r1, r2, r3, r4)):
-            add_item(s_, r_)
-        if p == q:
-            check_equal(f"B2 = B1 when p = q {loc}", r2, r1)
-        else:
-            check_strict(f"B2 > B1 when p > q {loc}", r2, r1)
-        check_strict(f"B3 > B1 {loc}", r3, r1)
-        check_strict(f"B4 > B2 {loc}", r4, r2)
-        if rem >= 3:
-            b5prev = FamilySpec.bip(5, n - 1, p, q)
-            b6prev = FamilySpec.bip(6, n - 1, p, q)
-            r5prev = _radius_of(b5prev, alpha, tol)
-            r6prev = _radius_of(b6prev, alpha, tol)
-            add_item(b5prev, r5prev)
-            add_item(b6prev, r6prev)
-            check_strict(f"B5 at n-1 > B1 at n {loc}", r5prev, r1)
-            if p == q or alpha == 0.0:
-                check_equal(f"B6 = B5 at n-1 when p = q or alpha = 0 {loc}", r6prev, r5prev)
-            else:
-                check_strict(f"B6 > B5 at n-1 when p > q and alpha > 0 {loc}", r6prev, r5prev)
-        else:
-            report.verdicts.append(
-                Verdict(f"B5 at n-1 > B1 at n {loc}", "skipped", "n-1 leaves no room for the even path")
-            )
+    # (claim, big, small, relation); a row without specs is skipped
+    b2 = ("B2 = B1 when p = q", "=") if p == q else ("B2 > B1 when p > q", ">")
+    if p == q or alpha == 0.0:
+        b6 = ("B6 = B5{} when p = q or alpha = 0", "=")
     else:
-        b5 = FamilySpec.bip(5, n, p, q)
-        b6 = FamilySpec.bip(6, n, p, q)
-        r5 = _radius_of(b5, alpha, tol)
-        r6 = _radius_of(b6, alpha, tol)
-        add_item(b5, r5)
-        add_item(b6, r6)
-        if p == q or alpha == 0.0:
-            check_equal(f"B6 = B5 when p = q or alpha = 0 {loc}", r6, r5)
+        b6 = ("B6 > B5{} when p > q and alpha > 0", ">")
+    if rem % 2 == 1:
+        items = [bip(1), bip(2), bip(3), bip(4)]
+        rows = [
+            (b2[0], bip(2), bip(1), b2[1]),
+            ("B3 > B1", bip(3), bip(1), ">"),
+            ("B4 > B2", bip(4), bip(2), ">"),
+        ]
+        if rem >= 3:
+            items += [bip(5, n - 1), bip(6, n - 1)]
+            rows += [
+                ("B5 at n-1 > B1 at n", bip(5, n - 1), bip(1), ">"),
+                (b6[0].format(" at n-1"), bip(6, n - 1), bip(5, n - 1), b6[1]),
+            ]
         else:
-            check_strict(f"B6 > B5 when p > q and alpha > 0 {loc}", r6, r5)
-        b1prev = FamilySpec.bip(1, n - 1, p, q)
-        r1prev = _radius_of(b1prev, alpha, tol)
-        add_item(b1prev, r1prev)
-        order = decide_order(r1prev, r5, margin)
-        gap = abs(r1prev.radius - r5.radius)
-        if order == 1 or gap <= EQUALITY_TOL:
-            report.verdicts.append(Verdict(f"B1 at n-1 >= B5 at n {loc}", "pass", f"gap {gap:.3e}"))
-        elif order is None:
-            report.verdicts.append(
-                Verdict(f"B1 at n-1 >= B5 at n {loc}", "indistinguishable", f"gap {gap:.3e}")
-            )
+            rows.append(("B5 at n-1 > B1 at n", None, None, ">"))
+    else:
+        items = [bip(5), bip(6), bip(1, n - 1)]
+        rows = [
+            (b6[0].format(""), bip(6), bip(5), b6[1]),
+            ("B1 at n-1 >= B5 at n", bip(1, n - 1), bip(5), ">="),
+        ]
+    radii = {spec: spectral_radius(generate(spec), alpha, tol) for spec in items}
+    report.items = [_item(format_spec(spec), alpha, radii[spec]) for spec in items]
+    for claim, big, small, relation in rows:
+        claim = f"{claim} {loc}"
+        if big is None:
+            report.verdicts.append(Verdict(claim, "skipped", "n-1 leaves no room for the even path"))
         else:
-            report.verdicts.append(
-                Verdict(f"B1 at n-1 >= B5 at n {loc}", "fail", f"{r1prev.radius!r} < {r5.radius!r}")
-            )
+            report.verdicts.append(judge_claim(claim, radii[big], relation, radii[small], margin))
 
     # exhaustive branch: only reachable enumeration size is (5, 2, 2)
     if n <= ENUMERATION_MAX_N:
-        claim = f"unique bipartite minimum by enumeration {loc}"
         results = [
             (key.hex(), spectral_radius(d, alpha, tol))
             for d, key in enumerate_sc_digraphs(n)
             if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)
         ]
         results.sort(key=lambda t: (t[1].radius, t[0]))
-        for label, res in results:
-            report.items.append(ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi))
-        want_spec = FamilySpec.bip(1 if rem % 2 == 1 else 5, n, p, q)
-        got_label, got = results[0]
-        if got_label != canonical_key(generate(want_spec)).hex():
-            report.verdicts.append(Verdict(claim, "fail", f"minimum is not {format_spec(want_spec)}"))
-        elif len(results) > 1 and decide_order(got, results[1][1], margin) is None:
-            gap = abs(got.radius - results[1][1].radius)
-            report.verdicts.append(Verdict(claim, "indistinguishable", f"runner-up gap {gap:.3e}"))
-        else:
-            report.verdicts.append(
-                Verdict(claim, "pass", f"{format_spec(want_spec)} over {len(results)} candidates")
-            )
+        report.items += [_item(label, alpha, res) for label, res in results]
+        want = bip(1 if rem % 2 == 1 else 5)
+        label = canonical_key(generate(want)).hex()
+        claim = f"unique bipartite minimum by enumeration {loc}"
+        report.verdicts.append(judge_rank(claim, results, 0, label, format_spec(want), margin))
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -535,9 +490,7 @@ def verify_transform_lemmas(
     def check_base(d: Digraph, alpha: float, label: str):
         alphas_used.add(alpha)
         base = spectral_radius(d, alpha, tol)
-        report.items.append(
-            ReportItem(label, alpha, base.radius, base.enclosure.lo, base.enclosure.hi)
-        )
+        report.items.append(_item(label, alpha, base))
         x = base.perron
 
         # subdigraph lemma: strict decrease when an arc can go

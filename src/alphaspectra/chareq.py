@@ -136,39 +136,47 @@ def _max_outdegree(spec: FamilySpec) -> int:
     return p + 1  # bip2 / bip6
 
 
-def largest_root(eq: CharEquation, tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Rightmost real root by downward 0.25-step bracketing plus bisection.
+def scan_largest_root(f, max_deg: int, alpha: float, tol: float, what: str) -> float:
+    """Largest real root of f, the characteristic function of a digraph
+    with maximum outdegree max_deg; shared by both root oracles.
 
-    The radius sits between max(1, alpha * maxdeg) and maxdeg, so the scan
-    is bounded; finding no sign change means the formula or the bracket is
-    wrong and raises instead of guessing.
+    The radius sits between max(1, alpha * max_deg) and max_deg.  Steps
+    down from max_deg + 1 by ``ROOT_SCAN_STEP`` to the first x with
+    f(x) <= 0, then bisects the last step down to width tol (or to adjacent
+    floats).  Finding no sign change means the function or the bracket is
+    wrong, so it raises instead of guessing; ``what`` names f in the message.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    deg = _max_outdegree(eq.spec)
-    hi = deg + 1.0
-    floor = max(1.0, eq.alpha * deg) - ROOT_SCAN_STEP
-    f_hi = eval_char(eq, hi)
-    if f_hi <= 0.0:
-        raise NoSignChangeError(f"characteristic function not positive at upper bound x={hi}")
-    x, upper = hi, hi
-    bracket = None
-    while x > floor:
-        x -= ROOT_SCAN_STEP
-        if eval_char(eq, x) <= 0.0:
-            bracket = (x, upper)
+    hi = max_deg + 1.0
+    floor = max(1.0, alpha * max_deg) - ROOT_SCAN_STEP
+    if f(hi) <= 0.0:
+        raise NoSignChangeError(f"{what} not positive at the upper bound x={hi}")
+    up = hi
+    while True:
+        if up <= floor:
+            raise NoSignChangeError(f"no sign change of {what} above x={floor}")
+        lo = up - ROOT_SCAN_STEP
+        if f(lo) <= 0.0:
             break
-        upper = x
-    if bracket is None:
-        raise NoSignChangeError(f"no sign change above x={floor} for {eq.spec}")
-    lo, up = bracket
+        up = lo
     while up - lo > tol:
         mid = 0.5 * (lo + up)
-        if eval_char(eq, mid) <= 0.0:
+        if mid == lo or mid == up:
+            break
+        if f(mid) <= 0.0:
             lo = mid
         else:
             up = mid
     return 0.5 * (lo + up)
+
+
+def largest_root(eq: CharEquation, tol: float = DEFAULT_ROOT_TOL) -> float:
+    """Rightmost real root of the characteristic function, by the 0.25-step
+    scan and bisection of :func:`scan_largest_root`."""
+    deg = _max_outdegree(eq.spec)
+    what = f"the characteristic function of {eq.spec}"
+    return scan_largest_root(lambda x: eval_char(eq, x), deg, eq.alpha, tol, what)
 
 
 def kpq_radius(p: int, q: int, alpha: float) -> float:

@@ -118,60 +118,23 @@ def out_degrees(d: Digraph) -> tuple[int, ...]:
 def is_strongly_connected(d: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
-    One-pass iterative Tarjan; bails out as soon as a component closes that
-    does not cover the whole vertex set.
+    Vertex 0 must reach every vertex along out-arcs and be reached from
+    every vertex (reach it along in-arcs); each search grows a bitmask
+    frontier over ``out_masks`` / ``in_masks``.
     """
-    n = d.n
-    if n == 1:
-        return True
-    degs = out_degrees(d)
-    if min(degs) == 0 or min(len(d.in_neighbors(v)) for v in range(n)) == 0:
-        return False
-    adj = [d.out_neighbors(v) for v in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    size += 1
-                    if w == v:
-                        break
-                return size == n
-    return False  # pragma: no cover - loop above always returns
+    full = (1 << d.n) - 1
+    for masks in (d.out_masks, d.in_masks):
+        seen = frontier = 1
+        while frontier:
+            step = 0
+            for v in range(d.n):
+                if (frontier >> v) & 1:
+                    step |= masks[v]
+            frontier = step & ~seen
+            seen |= frontier
+        if seen != full:
+            return False
+    return True
 
 
 def _reachable_from(d: Digraph, start: int) -> int:
@@ -189,7 +152,8 @@ def _reachable_from(d: Digraph, start: int) -> int:
 
 
 def is_strongly_connected_bfs(d: Digraph) -> bool:
-    """Reachability-from-every-vertex oracle; independent of Tarjan."""
+    """Reachability-from-every-vertex oracle; independent of the two
+    searches from vertex 0 in :func:`is_strongly_connected`."""
     full = (1 << d.n) - 1
     return all(_reachable_from(d, v) == full for v in range(d.n))
 

@@ -16,18 +16,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _backend
+from .chareq import scan_largest_root
 from .digraph import Digraph, is_strongly_connected, out_degrees
 from .errors import (
     AlphaRangeError,
     ConvergenceError,
     NonpositiveVectorError,
-    NoSignChangeError,
     NotStronglyConnectedError,
 )
 
 DEFAULT_TOL = 1e-12
 ITERATION_CAP = 1_000_000
-DET_SCAN_STEP = 0.25
 
 
 class Interval(NamedTuple):
@@ -139,44 +138,19 @@ def spectral_radius(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> Spect
 def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> float:
     """Independent oracle: rightmost real root of det(xI - M).
 
-    Walks a descending 0.25-step grid from (max outdegree + 1), finds the
-    first nonpositive determinant, and bisects.  Shares no code with the
-    power-iteration path.
+    Scans down from (max outdegree + 1) in 0.25 steps and bisects, with the
+    routine the characteristic-equation oracle also uses,
+    :func:`~alphaspectra.chareq.scan_largest_root`.  Shares no code with
+    the power-iteration path.
     """
     alpha = _check_alpha(alpha)
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("determinant scan needs a strongly connected digraph")
     if d.n == 1:
         return 0.0
-    degs = out_degrees(d)
     m = build_alpha_matrix(d, alpha).matrix
 
     def char_det(x: float) -> float:
-        a = -m.copy()
-        a[np.diag_indices(d.n)] += x
-        return float(_backend.det_via_lu(a))
+        return _backend.det_via_lu(x * np.eye(d.n) - m)
 
-    hi = float(max(degs)) + 1.0
-    floor = max(1.0, alpha * max(degs)) - DET_SCAN_STEP
-    x_hi, f_hi = hi, char_det(hi)
-    if f_hi <= 0.0:
-        raise NoSignChangeError(f"det(xI - M) not positive at the upper bound x={hi}")
-    x = hi
-    bracket = None
-    while x > floor:
-        x -= DET_SCAN_STEP
-        f = char_det(x)
-        if f <= 0.0:
-            bracket = (x, x_hi)
-            break
-        x_hi, f_hi = x, f
-    if bracket is None:
-        raise NoSignChangeError(f"no sign change of det(xI - M) above x={floor}")
-    lo, up = bracket
-    while up - lo > tol:
-        mid = 0.5 * (lo + up)
-        if char_det(mid) <= 0.0:
-            lo = mid
-        else:
-            up = mid
-    return 0.5 * (lo + up)
+    return scan_largest_root(char_det, max(out_degrees(d)), alpha, tol, "det(xI - M)")

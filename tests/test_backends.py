@@ -15,6 +15,7 @@ from alphaspectra.digraph import (
     pack_arcs,
     unpack_arcs,
 )
+from alphaspectra.families import FamilySpec, generate
 from alphaspectra.spectral import build_alpha_matrix
 
 
@@ -44,13 +45,15 @@ class TestNumpyKernels:
             true = max(abs(np.linalg.eigvals(m)))
             assert lo - 1e-9 <= true <= hi + 1e-9
 
-    def test_det_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            a = rng.normal(size=(n, n))
-            got = _backend.det_via_lu(a.copy())
-            assert abs(got - np.linalg.det(a)) <= 1e-9 * max(1.0, abs(np.linalg.det(a)))
+    def test_det_directed_cycle_closed_form(self):
+        # det(xI - M) = (x - alpha)^n - (1 - alpha)^n on the directed n-cycle
+        for n in range(2, 9):
+            for alpha in (0.0, 0.25, 0.5, 0.9):
+                m = build_alpha_matrix(generate(FamilySpec.cycle(n)), alpha).matrix
+                for x in (0.0, 0.5, 1.0, 1.75, 3.0):
+                    want = (x - alpha) ** n - (1 - alpha) ** n
+                    got = _backend.det_via_lu(x * np.eye(n) - m)
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, alpha, x)
 
     def test_sc_filter_small(self):
         # n = 3: 64 labeled digraphs, 18 strongly connected

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from alphaspectra.campaigns import (
+    EQUALITY_TOL,
     SC_CLASS_COUNTS,
     SC_LABELED_COUNTS,
     decide_order,
     enumerate_sc_digraphs,
+    judge_claim,
+    judge_rank,
     merge_reports,
     random_sc_digraph,
     verify_bipartite_minimum,
@@ -20,7 +23,7 @@ from alphaspectra.campaigns import (
 from alphaspectra.digraph import canonical_key, is_strongly_connected
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, TooLargeError
 from alphaspectra.families import FamilySpec, generate, list_bicyclic
-from alphaspectra.spectral import spectral_radius
+from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
 
 
 def oracle_classes(n):
@@ -278,3 +281,74 @@ class TestDecideOrder:
         assert decide_order(a, b) == -1
         assert decide_order(b, a) == 1
         assert decide_order(a, a) is None
+
+
+def fake(radius, half=0.0):
+    """Hand-built result with enclosure radius +- half."""
+    return SpectralResult(radius, Interval(radius - half, radius + half), np.ones(1), 0, 0.0)
+
+
+# (a, b) pairs: a certified above b, a certified below b, and a pair whose
+# enclosures overlap with a midpoint gap inside the decision margin
+ABOVE = (fake(2.0), fake(1.0))
+BELOW = (fake(1.0), fake(2.0))
+CLOSE = (fake(1.0 + 5e-10, 1e-9), fake(1.0, 1e-9))
+
+
+class TestJudgeClaim:
+    @pytest.mark.parametrize(
+        "relation, pair, status",
+        [
+            (">", ABOVE, "pass"),
+            (">", BELOW, "fail"),
+            (">", CLOSE, "indistinguishable"),
+            (">=", ABOVE, "pass"),
+            (">=", BELOW, "fail"),
+            (">=", CLOSE, "indistinguishable"),
+            ("=", (fake(1.5), fake(1.5)), "pass"),
+            ("=", ABOVE, "fail"),
+            ("=", CLOSE, "indistinguishable"),
+        ],
+    )
+    def test_statuses(self, relation, pair, status):
+        a, b = pair
+        v = judge_claim("claim", a, relation, b)
+        assert (v.claim, v.status) == ("claim", status)
+        assert v.detail == f"gap {abs(a.radius - b.radius):.3e}"
+
+    def test_weak_and_equal_hold_within_equality_tol(self):
+        # disjoint enclosures put a below b, but the gap is inside EQUALITY_TOL
+        a, b = fake(1.0), fake(1.0 + EQUALITY_TOL / 2)
+        assert decide_order(a, b) == -1
+        assert judge_claim("c", a, ">=", b).status == "pass"
+        assert judge_claim("c", a, "=", b).status == "pass"
+        assert judge_claim("c", a, ">", b).status == "fail"
+
+    def test_unknown_relation(self):
+        with pytest.raises(InvalidParamsError):
+            judge_claim("c", fake(2.0), "<", fake(1.0))
+
+
+class TestJudgeRank:
+    RANKED = [("a", fake(1.0)), ("b", fake(1.5)), ("c", fake(1.5 + 5e-10, 1e-9))]
+
+    def test_pass_against_next_rank(self):
+        v = judge_rank("claim", self.RANKED, 0, "a", "A")
+        assert (v.claim, v.status, v.detail) == ("claim", "pass", "A vs b gap 5.000e-01")
+
+    def test_wrong_label(self):
+        v = judge_rank("claim", self.RANKED, 0, "b", "B")
+        assert (v.status, v.detail) == ("fail", "expected B, found a")
+
+    def test_single_member(self):
+        v = judge_rank("claim", self.RANKED[:1], 0, "a", "A")
+        assert (v.status, v.detail) == ("pass", "single member, trivially extremal")
+
+    def test_overlapping_neighbour(self):
+        v = judge_rank("claim", self.RANKED, 1, "b", "B")
+        assert v.status == "indistinguishable"
+        assert v.detail == "B vs c gap 5.000e-10"
+
+    def test_last_rank_uses_previous_neighbour(self):
+        assert judge_rank("claim", self.RANKED, 2, "c", "C").status == "indistinguishable"
+        assert judge_rank("claim", self.RANKED[:2], 1, "b", "B").detail == "B vs a gap 5.000e-01"

@@ -90,6 +90,12 @@ class TestStrongConnectivity:
             n = int(rng.integers(2, 8))
             d = random_digraph(rng, n)
             assert is_strongly_connected(d) == is_strongly_connected_bfs(d)
+        # every labeled digraph with n <= 4
+        for n in range(1, 5):
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for mask in range(1 << len(pairs)):
+                d = make_digraph(n, [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1])
+                assert is_strongly_connected(d) == is_strongly_connected_bfs(d)
 
 
 class TestOutDegrees:

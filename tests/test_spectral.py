@@ -155,6 +155,15 @@ class TestDetScan:
         root = det_scan_largest_real_root(generate(FamilySpec.kpq(3, 2)), 0.5)
         assert abs(root - 2.5) <= 1e-11
 
+    def test_rejects_bad_tol(self):
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                det_scan_largest_real_root(cycle(4), 0.5, tol=tol)
+
+    def test_tol_below_float_spacing_terminates(self):
+        # bisection stops at adjacent floats instead of looping forever
+        assert abs(det_scan_largest_real_root(cycle(4), 0.5, tol=1e-300) - 1.0) <= 1e-12
+
     def test_agrees_with_power_iteration(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
