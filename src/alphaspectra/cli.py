@@ -25,9 +25,22 @@ from .spectral import DEFAULT_TOL, spectral_radius
 
 def _parse_alpha_grid(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        grid = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad alpha grid {text!r}")
+    if not grid:
+        raise argparse.ArgumentTypeError(f"empty alpha grid {text!r}")
+    return grid
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--graph", help="DGR1 file")
     src.add_argument("--spec", help="family spec, e.g. infty:1,2")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)
 
@@ -51,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char-root", help="largest root of a family's characteristic function")
     p.add_argument("--spec", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_char_root)
 

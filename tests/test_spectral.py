@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +8,17 @@ import pytest
 from alphaspectra.digraph import is_strongly_connected, make_digraph, out_degrees
 from alphaspectra.errors import (
     AlphaRangeError,
+    ConvergenceError,
     NonpositiveVectorError,
     NotStronglyConnectedError,
 )
 from alphaspectra.families import FamilySpec, generate, list_bicyclic
-from alphaspectra.campaigns import random_sc_digraph
+from alphaspectra.campaigns import enumerate_sc_digraphs, random_sc_digraph
 from alphaspectra.spectral import (
     build_alpha_matrix,
     cw_enclosure,
     det_scan_largest_real_root,
+    rounding_factor,
     row_sum_bounds,
     spectral_radius,
 )
@@ -106,7 +110,8 @@ class TestSpectralRadius:
             spectral_radius(cycle(3), 0.0, tol=0.0)
 
     def test_periodic_cycle_still_converges(self):
-        # the adjacency of a cycle is periodic; the +I shift must cope
+        # the adjacency of a cycle is periodic; plain power iteration on it
+        # would never converge
         for n in (3, 7, 12):
             res = spectral_radius(cycle(n), 0.0)
             assert abs(res.radius - 1.0) <= 1e-12
@@ -114,6 +119,74 @@ class TestSpectralRadius:
     def test_single_vertex(self):
         res = spectral_radius(make_digraph(1, []), 0.4)
         assert res.radius == 0.0
+
+    def test_tol_below_rounding_width_fails_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            spectral_radius(generate(FamilySpec.infty(1, 2)), 0.5, tol=1e-18)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def exact_quotients(rows, x):
+    """(Mx)_i / x_i in exact rationals, M given as rows of Fractions."""
+    xs = [Fraction(v) for v in x]
+    return [sum(a * b for a, b in zip(row, xs)) / xi for row, xi in zip(rows, xs)]
+
+
+def exact_alpha_rows(d, alpha):
+    """alpha*D + (1-alpha)*A in exact rationals for the float alpha."""
+    a = Fraction(alpha)
+    rows = [[Fraction(0)] * d.n for _ in range(d.n)]
+    for i, j in d.arcs:
+        rows[i][j] = 1 - a
+    for i, deg in enumerate(out_degrees(d)):
+        rows[i][i] = a * deg
+    return rows
+
+
+class TestRoundingSafety:
+    def test_rounding_factor_covers_gamma(self):
+        u = Fraction(1, 2**53)
+        for n in range(1, 300):
+            g = rounding_factor(n)
+            assert Fraction(g) >= (n + 2) * u / (1 - (n + 2) * u)
+            assert Fraction(1.0 - g) == 1 - Fraction(g)
+            assert Fraction(1.0 + g) == 1 + Fraction(g)
+
+    def test_enclosure_contains_exact_quotients(self):
+        # the Collatz-Wielandt interval of the returned vector, computed
+        # exactly, for the float matrix and for the matrix of the exact alpha
+        rng = np.random.default_rng(8)
+        digraphs = [random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(40)]
+        digraphs += [d for d, _ in enumerate_sc_digraphs(5)[::50]]
+        for d in digraphs:
+            for alpha in (0.0, 0.5, 0.75, 0.9, 0.95):
+                res = spectral_radius(d, alpha)
+                lo, hi = Fraction(res.enclosure.lo), Fraction(res.enclosure.hi)
+                float_rows = [[Fraction(v) for v in row] for row in build_alpha_matrix(d, alpha).matrix]
+                for rows in (float_rows, exact_alpha_rows(d, alpha)):
+                    q = exact_quotients(rows, res.perron)
+                    assert lo <= min(q) and max(q) <= hi, (d.arcs, alpha)
+
+
+def largest_real_eigenvalue(d, alpha):
+    ev = np.linalg.eigvals(build_alpha_matrix(d, alpha).matrix)
+    return float(ev.real[np.abs(ev.imag) <= 1e-9].max())
+
+
+class TestHighAlpha:
+    def test_slow_power_iteration_cases(self):
+        cases = [(generate(FamilySpec.gprime(n)), 0.99) for n in range(6, 11)]
+        cases += [(generate(FamilySpec.gprime(n)), 0.95) for n in (9, 10)]
+        arcs = [(0, 4), (1, 3), (2, 1), (3, 0), (3, 1), (4, 0), (4, 2)]
+        cases.append((make_digraph(5, arcs), 0.99))
+        for d, alpha in cases:
+            res = spectral_radius(d, alpha)
+            assert abs(res.radius - largest_real_eigenvalue(d, alpha)) <= 1e-9, (d.arcs, alpha)
+
+    def test_iteration_count_n5(self):
+        worst = max(spectral_radius(d, 0.95).iterations for d, _ in enumerate_sc_digraphs(5))
+        assert worst <= 40
 
 
 class TestCwEnclosure:
