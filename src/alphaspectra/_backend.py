@@ -77,34 +77,39 @@ def sc_filter(rows: np.ndarray, n: int) -> np.ndarray:
     """Strong-connectivity flags for a batch of bitmask adjacency rows.
 
     rows[t, i] holds the out-neighbour set of vertex i of digraph t as an
-    n-bit mask.  Reachability closure by repeated squaring, vectorized
-    across the batch.
+    n-bit mask.  Runs the two searches from vertex 0 of
+    ``digraph.is_strongly_connected`` across the batch, one vertex column
+    at a time; n - 1 rounds reach every vertex within distance n - 1.
     """
-    reach = rows.copy()
-    for i in range(n):
-        reach[:, i] |= np.int64(1) << i
-    sweeps = max(1, math.ceil(math.log2(n)) if n > 1 else 1)
-    for _ in range(sweeps):
-        nxt = reach.copy()
-        for i in range(n):
-            for j in range(n):
-                bit = (reach[:, i] >> j) & 1
-                nxt[:, i] |= bit * reach[:, j]
-        reach = nxt
-    full = (np.int64(1) << n) - 1
-    return (reach == full).all(axis=1)
+    fwd = np.ones(rows.shape[0], dtype=np.int64)
+    back = fwd.copy()
+    for _ in range(n - 1):
+        for v in range(n):
+            col = rows[:, v]
+            # v's out-neighbours join fwd once v is in it; v joins back
+            # once one of its out-neighbours is in it
+            fwd |= -((fwd >> v) & 1) & col
+            back |= (col & back != 0).astype(np.int64) << v
+    full = (1 << n) - 1
+    return (fwd == full) & (back == full)
 
 
 def perm_min(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Minimum over relabelings of packed adjacency masks.
 
-    table[p, b] is the destination bit of source bit b under permutation p.
+    table[p, b] is the destination bit of source bit b under relabeling p.
+    Each block of masks meets every relabeling at once, in about 2^16
+    (mask, relabeling) cells; bits set in no mask are skipped.
     """
-    best = np.full(masks.shape, np.int64(1) << 62, dtype=np.int64)
-    nbits = table.shape[1]
-    for p in range(table.shape[0]):
-        acc = np.zeros_like(masks)
-        for b in range(nbits):
-            acc |= ((masks >> b) & 1) << np.int64(table[p, b])
-        np.minimum(best, acc, out=best)
-    return best
+    nperm, nbits = table.shape
+    used = int(np.bitwise_or.reduce(masks, initial=0))
+    bits = [b for b in range(nbits) if (used >> b) & 1]
+    step = max(1, (1 << 16) // nperm)
+    out = np.empty(masks.shape, dtype=np.int64)
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step, None]
+        acc = np.zeros((len(block), nperm), dtype=np.int64)
+        for b in bits:
+            acc |= ((block >> b) & 1) << table[:, b]
+        out[lo:lo + step] = acc.min(axis=1)
+    return out

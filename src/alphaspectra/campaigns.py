@@ -24,12 +24,12 @@ from . import _backend
 from .digraph import (
     CanonicalKey,
     Digraph,
-    _mask_to_key_bytes,
     adjacency_rows_from_masks,
     bipartition,
     canonical_key,
     contains_bidirected_kpq,
     is_strongly_connected,
+    loop_free_masks,
     make_digraph,
     min_relabeled_mask,
     retarget_in_arcs,
@@ -203,14 +203,11 @@ def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
         raise InvalidParamsError(f"enumeration needs n >= 2, got {n}")
     if n > ENUMERATION_MAX_N:
         raise TooLargeError(f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}")
-    nbits = n * (n - 1)
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    rows = adjacency_rows_from_masks(masks, n)
-    sc = _backend.sc_filter(rows, n)
-    sc_masks = masks[sc]
+    masks = loop_free_masks(n)
+    sc_masks = masks[_backend.sc_filter(adjacency_rows_from_masks(masks, n), n)]
     return tuple(
-        (make_digraph(n, unpack_arcs(int(c), n)), CanonicalKey(n, _mask_to_key_bytes(int(c), n)))
-        for c in np.unique(min_relabeled_mask(sc_masks, n))
+        (make_digraph(n, unpack_arcs(c, n)), CanonicalKey.from_mask(n, c))
+        for c in np.unique(min_relabeled_mask(sc_masks, n)).tolist()
     )
 
 

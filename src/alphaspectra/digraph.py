@@ -3,6 +3,13 @@
 Vertices are 0-indexed.  A :class:`Digraph` is immutable; every transform
 returns a fresh value, so everything here is safe to use concurrently.
 
+Batch code packs an adjacency into one integer, the *mask*: the n x n
+matrix row-major, cell (i, j) at bit ``n*n-1-(i*n+j)``, so integer order is
+lexicographic order of the adjacency bitstring.  Diagonal bits stay zero,
+so for n <= 8 every mask is a nonnegative int64 and ``CanonicalKey.bits``
+is the minimal mask itself, left-aligned in bytes.  Only this module knows
+the layout.
+
 The text format ``DGR1`` is one header line ``dgr1 <n>`` followed by one
 ``<tail> <head>`` line per arc, ASCII decimal, every line newline-terminated.
 """
@@ -81,6 +88,12 @@ class CanonicalKey:
 
     n: int
     bits: bytes
+
+    @classmethod
+    def from_mask(cls, n: int, mask: int) -> "CanonicalKey":
+        """Key of a canonical mask: the mask left-aligned in bytes."""
+        nbytes = (n * n + 7) // 8
+        return cls(n, (mask << (8 * nbytes - n * n)).to_bytes(nbytes, "big"))
 
     def hex(self) -> str:
         return f"{self.n}:{self.bits.hex()}"
@@ -161,58 +174,49 @@ def is_strongly_connected_bfs(d: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _offdiag_bit_count(n: int) -> int:
-    return n * (n - 1)
-
-
-def _offdiag_shift(n: int, i: int, j: int) -> int:
-    # row-major over off-diagonal cells, earlier cell = more significant bit
-    k = i * (n - 1) + (j - 1 if j > i else j)
-    return _offdiag_bit_count(n) - 1 - k
+def _cell_bit(n: int, i, j):
+    """Bit of adjacency cell (i, j) in a packed mask; elementwise on arrays."""
+    return n * n - 1 - (i * n + j)
 
 
 def pack_arcs(d: Digraph) -> int:
-    """Adjacency as a single integer, row-major off-diagonal cells packed
-    so that integer order equals lexicographic bitstring order."""
-    mask = 0
-    for i, j in d.arcs:
-        mask |= 1 << _offdiag_shift(d.n, i, j)
-    return mask
+    """Adjacency as a single packed mask."""
+    return sum(1 << _cell_bit(d.n, i, j) for i, j in d.arcs)
 
 
 def unpack_arcs(mask: int, n: int) -> list[Arc]:
-    arcs = []
+    return [(i, j) for i in range(n) for j in range(n) if (mask >> _cell_bit(n, i, j)) & 1]
+
+
+def loop_free_masks(n: int) -> np.ndarray:
+    """Masks of all 2^(n(n-1)) labeled loop-free digraphs on n vertices, ascending."""
+    masks = np.zeros(1, dtype=np.int64)
     for i in range(n):
-        for j in range(n):
-            if i != j and (mask >> _offdiag_shift(n, i, j)) & 1:
-                arcs.append((i, j))
-    return arcs
+        row = np.arange(1 << n, dtype=np.int64) << _cell_bit(n, i, n - 1)
+        row = row[(row >> _cell_bit(n, i, i)) & 1 == 0]
+        masks = (masks[:, None] | row).ravel()
+    return masks
 
 
 def adjacency_rows_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Per-vertex out-neighbour bitmask rows for a batch of packed masks."""
-    rows = np.zeros((masks.shape[0], n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                s = _offdiag_shift(n, i, j)
-                rows[:, i] |= ((masks >> s) & 1) << j
-    return rows
+    """Out-neighbour bitmask rows, shape (len(masks), n), column-major.
+
+    Column k is n-bit chunk k of the mask: the row of vertex n-1-k, with bit
+    n-1-j for head j.  That is the digraph relabeled by v -> n-1-v, so
+    strong connectivity reads the same.
+    """
+    shifts = _cell_bit(n, n - 1 - np.arange(n, dtype=np.int64), n - 1)
+    return ((masks >> shifts[:, None]) & ((1 << n) - 1)).T
 
 
 @lru_cache(maxsize=None)
 def _perm_bit_table(n: int) -> np.ndarray:
-    """table[p, shift] = destination shift of the source bit under the p-th
+    """table[p, b] = destination bit of source bit b under the p-th
     relabeling (itertools order)."""
-    nbits = _offdiag_bit_count(n)
-    perms = list(itertools.permutations(range(n)))
-    table = np.zeros((len(perms), nbits), dtype=np.int8)
-    for p, sigma in enumerate(perms):
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                table[p, _offdiag_shift(n, i, j)] = _offdiag_shift(n, sigma[i], sigma[j])
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    i, j = np.divmod(np.arange(n * n), n)
+    table = np.empty((len(perms), n * n), dtype=np.int8)
+    table[:, _cell_bit(n, i, j)] = _cell_bit(n, perms[:, i], perms[:, j])
     return table
 
 
@@ -225,22 +229,13 @@ def min_relabeled_mask(masks: np.ndarray, n: int) -> np.ndarray:
 def canonical_key(d: Digraph) -> CanonicalKey:
     """Permutation-minimal adjacency encoding; equal keys iff isomorphic.
 
-    Brute force over all n! relabelings, so n is capped at 8.
+    Brute force over all n! relabelings of the packed mask, whose n*n bits
+    with the top (diagonal) one zero fit a nonnegative int64 up to n = 8.
     """
     if d.n > CANONICAL_MAX_N:
         raise TooLargeError(f"canonical form capped at n={CANONICAL_MAX_N}, got {d.n}")
-    canon = int(min_relabeled_mask(np.array([pack_arcs(d)], dtype=np.int64), d.n)[0])
-    return CanonicalKey(d.n, _mask_to_key_bytes(canon, d.n))
-
-
-def _mask_to_key_bytes(mask: int, n: int) -> bytes:
-    out = bytearray((n * n + 7) // 8)
-    for i in range(n):
-        for j in range(n):
-            if i != j and (mask >> _offdiag_shift(n, i, j)) & 1:
-                b = i * n + j
-                out[b // 8] |= 1 << (7 - b % 8)
-    return bytes(out)
+    canon = min_relabeled_mask(np.array([pack_arcs(d)], dtype=np.int64), d.n)[0]
+    return CanonicalKey.from_mask(d.n, int(canon))
 
 
 # ---------------------------------------------------------------------------

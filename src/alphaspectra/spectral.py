@@ -101,13 +101,13 @@ def row_sum_bounds(m: AlphaMatrix) -> Interval:
 
 
 def cw_enclosure(m: AlphaMatrix, x: np.ndarray) -> Interval:
-    """Quotient bounds [min (Mx)_i/x_i, max (Mx)_i/x_i] for positive x;
-    always contains the spectral radius of M."""
+    """Quotient bounds [min (Mx)_i/x_i, max (Mx)_i/x_i] for positive x,
+    widened by :func:`rounding_safe`; always contains the spectral radius."""
     x = np.asarray(x, dtype=float)
     if x.shape != (m.digraph.n,) or not (x > 0).all():
         raise NonpositiveVectorError("test vector must be strictly positive")
     q = (m.matrix @ x) / x
-    return Interval(float(q.min()), float(q.max()))
+    return rounding_safe(float(q.min()), float(q.max()), m.digraph.n)
 
 
 def rounding_factor(n: int) -> float:

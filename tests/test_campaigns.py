@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import deque
@@ -70,6 +71,21 @@ class TestEnumeration:
         # the 5048 figure was produced once by the oracle above (120 s in
         # pure python) and frozen; the kernel must keep reproducing it
         assert len(enumerate_sc_digraphs(5)) == SC_CLASS_COUNTS[5]
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (2, "7cda2bbfc21088aa064300d7e3218c8f8ba50f2d0f069b0a02299800c0e4425b"),
+            (3, "9c6aae335664eb43b39a2f864d961ff5488a6c175fddc0c7a0d2f1eb93d3b344"),
+            (4, "1ebee1e6ba877f4f8929ae95f28620fe7ab348c0ceb70252634c4309762bea0e"),
+            (5, "80a004bd7635cf9cd11716a9d8079a3a7b395a2e83fccde2066c7b93ca5cb467"),
+        ],
+    )
+    def test_output_pinned(self, n, digest):
+        # order, representatives and keys of every class, as first recorded;
+        # the global-min reference pins class indices through this order
+        text = "\n".join(f"{key.hex()} {d.arcs}" for d, key in enumerate_sc_digraphs(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_all_strongly_connected_and_distinct(self):
         classes = enumerate_sc_digraphs(4)

@@ -1,20 +1,30 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import alphaspectra
 from alphaspectra.cli import main
 from alphaspectra.digraph import read_dgr1, to_dgr1, write_dgr1
 from alphaspectra.families import FamilySpec, generate, parse_spec
 from alphaspectra.spectral import spectral_radius
 
 
+#: the directory holding the imported package, so the child interpreter
+#: runs the same code whether or not the package is installed
+PACKAGE_ROOT = str(Path(alphaspectra.__file__).resolve().parents[1])
+
+
 def run_cli(args, **kwargs):
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "alphaspectra", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ def cycle(n):
 def random_digraph(rng, n, density=0.4):
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
     return make_digraph(n, arcs)
+
+
+def brute_force_key(d):
+    """Least row-major adjacency bitstring over every relabeling, as the
+    key's left-aligned bytes."""
+    n, arcs = d.n, d.arc_set
+    bits = min(
+        "".join("1" if (tau[a], tau[b]) in arcs else "0" for a in range(n) for b in range(n))
+        for tau in itertools.permutations(range(n))
+    )
+    nbytes = (n * n + 7) // 8
+    return int(bits.ljust(8 * nbytes, "0"), 2).to_bytes(nbytes, "big")
 
 
 class TestMakeDigraph:
@@ -143,6 +156,27 @@ class TestCanonicalKey:
             perm = list(rng.permutation(n))
             relabeled = make_digraph(n, [(perm[i], perm[j]) for i, j in d.arcs])
             assert canonical_key(d) == canonical_key(relabeled)
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        for n in (6, 6, 6, 7, 7, 8):
+            d = random_digraph(rng, n, density=float(rng.uniform(0.2, 0.8)))
+            assert canonical_key(d).bits == brute_force_key(d)
+
+    def test_complete_8_sets_bit_62(self):
+        d = generate(FamilySpec.complete(8))
+        key = canonical_key(d)
+        assert key.bits == brute_force_key(d)
+        # every bit but the diagonal ones, 63 - 9i; the top one is bit 62
+        assert int.from_bytes(key.bits, "big") == (1 << 63) - 1 - sum(1 << (63 - 9 * i) for i in range(1, 8))
+
+    def test_second_n8_key_is_fast(self):
+        rng = np.random.default_rng(12)
+        canonical_key(random_digraph(rng, 8))
+        d = random_digraph(rng, 8, density=0.6)
+        start = time.perf_counter()
+        canonical_key(d)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSubdivide:

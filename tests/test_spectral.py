@@ -193,7 +193,27 @@ class TestCwEnclosure:
     def test_all_ones_gives_row_sums(self):
         m = build_alpha_matrix(generate(FamilySpec.infty(1, 1, 1)), 0.2)
         enc = cw_enclosure(m, np.ones(m.digraph.n))
-        assert enc == row_sum_bounds(m)
+        rs = row_sum_bounds(m)
+        assert enc.lo <= rs.lo and rs.hi <= enc.hi
+        g = rounding_factor(m.digraph.n)
+        assert enc.width - rs.width <= 2 * g * rs.hi + 2 * np.spacing(rs.hi)
+
+    def test_contains_exact_quotients(self):
+        # the exact Collatz-Wielandt interval of a near-Perron vector lies
+        # within a rounding of the float quotients, so only the widening
+        # keeps it inside
+        rng = np.random.default_rng(9)
+        for _ in range(34):
+            d = random_sc_digraph(rng, int(rng.integers(2, 9)))
+            for alpha in (0.0, 0.5, 0.9):
+                m = build_alpha_matrix(d, alpha)
+                x = spectral_radius(d, alpha).perron
+                enc = cw_enclosure(m, x)
+                lo, hi = Fraction(enc.lo), Fraction(enc.hi)
+                float_rows = [[Fraction(v) for v in row] for row in m.matrix]
+                for rows in (float_rows, exact_alpha_rows(d, alpha)):
+                    q = exact_quotients(rows, x)
+                    assert lo <= min(q) and max(q) <= hi, (d.arcs, alpha)
 
     def test_perron_vector_degenerate(self):
         d = generate(FamilySpec.infty(2, 3))
