@@ -4,9 +4,10 @@ global minima, bipartite minima, and transform-lemma fuzzing.
 Every campaign returns a :class:`VerificationReport` whose verdicts carry
 the exact claim they test.  Two radii are compared through their certified
 enclosures first; only when the enclosures overlap does the midpoint decide,
-and then only beyond a declared margin -- anything closer is reported as
+and then only beyond ``DECISION_MARGIN`` -- anything closer is reported as
 ``indistinguishable`` rather than silently ordered.  Every rank and
-inequality verdict outside the lemma fuzzing comes from :func:`judge_claim`.
+inequality verdict, the transform lemmas' included, comes from
+:func:`judge_claim`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -38,7 +40,7 @@ from .digraph import (
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .families import FamilySpec, format_spec, generate, list_bicyclic, list_compositions
-from .spectral import DEFAULT_TOL, SpectralResult, spectral_radius
+from .spectral import Interval, SpectralResult, spectral_radius
 
 DECISION_MARGIN = 1e-9
 EQUALITY_TOL = 1e-10
@@ -114,26 +116,24 @@ def merge_reports(campaign: str, reports: list[VerificationReport]) -> Verificat
     return merged
 
 
-def decide_order(a: SpectralResult, b: SpectralResult, margin: float = DECISION_MARGIN) -> int | None:
+def decide_order(a: SpectralResult, b: SpectralResult) -> int | None:
     """-1 if a < b, +1 if a > b, None if the pair is indistinguishable.
 
     Certified when the enclosures are disjoint; otherwise the midpoints
-    decide, but only beyond the margin.
+    decide, but only beyond ``DECISION_MARGIN``.
     """
     if a.enclosure.disjoint_below(b.enclosure):
         return -1
     if b.enclosure.disjoint_below(a.enclosure):
         return 1
-    if a.radius < b.radius - margin:
+    if a.radius < b.radius - DECISION_MARGIN:
         return -1
-    if a.radius > b.radius + margin:
+    if a.radius > b.radius + DECISION_MARGIN:
         return 1
     return None
 
 
-def judge_claim(
-    claim: str, a: SpectralResult, relation: str, b: SpectralResult, margin: float = DECISION_MARGIN
-) -> Verdict:
+def judge_claim(claim: str, a: SpectralResult, relation: str, b: SpectralResult) -> Verdict:
     """Verdict for the claim ``a <relation> b``; relation is ``>``, ``>=``
     or ``=``.
 
@@ -145,7 +145,7 @@ def judge_claim(
     if relation not in (">", ">=", "="):
         raise InvalidParamsError(f"unknown relation {relation!r}")
     gap = abs(a.radius - b.radius)
-    order = decide_order(a, b, margin)
+    order = decide_order(a, b)
     if relation != ">" and gap <= EQUALITY_TOL:
         status = "pass"
     elif order is None:
@@ -156,12 +156,7 @@ def judge_claim(
 
 
 def judge_rank(
-    claim: str,
-    ranked: list[tuple[str, SpectralResult]],
-    pos: int,
-    label: str,
-    name: str,
-    margin: float = DECISION_MARGIN,
+    claim: str, ranked: list[tuple[str, SpectralResult]], pos: int, label: str, name: str
 ) -> Verdict:
     """Verdict for "``label`` holds rank ``pos``" in ``ranked``, a list of
     ``(label, result)`` sorted by ``(radius, label)``.
@@ -176,12 +171,23 @@ def judge_rank(
     if len(ranked) == 1:
         return Verdict(claim, "pass", "single member, trivially extremal")
     nb = pos + 1 if pos + 1 < len(ranked) else pos - 1
-    v = judge_claim(claim, ranked[max(pos, nb)][1], ">", ranked[min(pos, nb)][1], margin)
+    v = judge_claim(claim, ranked[max(pos, nb)][1], ">", ranked[min(pos, nb)][1])
     return Verdict(claim, v.status, f"{name} vs {ranked[nb][0]} {v.detail}")
 
 
 def _item(label: str, alpha: float, res: SpectralResult) -> ReportItem:
     return ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
+
+
+def _rank(
+    report: VerificationReport, pairs: Iterable[tuple[str, Digraph]], alpha: float
+) -> list[tuple[str, SpectralResult]]:
+    """``(label, result)`` for each ``(label, digraph)`` pair, sorted by
+    ``(radius, label)``; the ranked items are appended to the report."""
+    ranked = [(label, spectral_radius(d, alpha)) for label, d in pairs]
+    ranked.sort(key=lambda t: (t[1].radius, t[0]))
+    report.items += [_item(label, alpha, res) for label, res in ranked]
+    return ranked
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +234,7 @@ def _expected_extremes(family: str, n: int, s: int) -> tuple[FamilySpec, FamilyS
     raise InvalidParamsError(f"no extremal claim table for {family!r}")
 
 
-def verify_family_extremes(
-    family: str,
-    n: int,
-    s: int,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    margin: float = DECISION_MARGIN,
-) -> VerificationReport:
+def verify_family_extremes(family: str, n: int, s: int, alpha: float) -> VerificationReport:
     """Rank one family (or the union, or all bicyclic digraphs) and check
     the claimed extremal members, asserting uniqueness through enclosure
     separation.
@@ -255,10 +254,8 @@ def verify_family_extremes(
     else:
         raise InvalidParamsError(f"unknown family campaign {family!r}")
 
-    results = [(format_spec(spec), spectral_radius(generate(spec), alpha, tol)) for spec in specs]
-    results.sort(key=lambda t: (t[1].radius, t[0]))
     report = VerificationReport(f"family-extremes:{family}", [alpha])
-    report.items = [_item(label, alpha, res) for label, res in results]
+    results = _rank(report, ((format_spec(spec), generate(spec)) for spec in specs), alpha)
 
     a_str = f"alpha={alpha}"
     if family == "bicyclic":
@@ -274,7 +271,7 @@ def verify_family_extremes(
         checks = [(len(results) - 1, mx, f"{family} maximum {at}"), (0, mn, f"{family} minimum {at}")]
     for pos, spec, claim in checks:
         name = format_spec(spec)
-        report.verdicts.append(judge_rank(claim, results, pos, name, name, margin))
+        report.verdicts.append(judge_rank(claim, results, pos, name, name))
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -283,12 +280,7 @@ def verify_family_extremes(
 # ---------------------------------------------------------------------------
 # global minima over all strongly connected digraphs
 
-def verify_global_minima(
-    n: int,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    margin: float = DECISION_MARGIN,
-) -> VerificationReport:
+def verify_global_minima(n: int, alpha: float) -> VerificationReport:
     """Rank every isomorphism class at n = 5 and check the first four ranks:
     the cycle, then the three claimed near-minimal digraphs.
 
@@ -301,10 +293,10 @@ def verify_global_minima(
     if n != 5:
         raise InvalidParamsError(f"rank claims are stated at n=5, got {n}")
     t0 = time.perf_counter()
-    results = [(key.hex(), spectral_radius(d, alpha, tol)) for d, key in enumerate_sc_digraphs(n)]
-    results.sort(key=lambda t: (t[1].radius, t[0]))
     report = VerificationReport("global-min", [alpha])
-    report.items = [_item(label, alpha, res) for label, res in results]
+    results = _rank(report, ((key.hex(), d) for d, key in enumerate_sc_digraphs(n)), alpha)
+    # the directed cycle's radius is exactly 1 at every alpha
+    one = SpectralResult(1.0, Interval(1.0, 1.0), np.ones(n), 0, 0.0)
 
     expected = [
         ("rank 1 is the directed cycle", FamilySpec.cycle(n)),
@@ -315,10 +307,12 @@ def verify_global_minima(
     for pos, (name, spec) in enumerate(expected):
         claim = f"{name} (n={n}, alpha={alpha})"
         label = canonical_key(generate(spec)).hex()
-        v = judge_rank(claim, results, pos, label, format_spec(spec), margin)
+        v = judge_rank(claim, results, pos, label, format_spec(spec))
         radius = results[pos][1].radius
-        if pos == 0 and v.status != "fail" and abs(radius - 1.0) > margin:
-            v = Verdict(claim, "fail", f"radius {radius!r} is not 1, gap {abs(radius - 1.0):.3e}")
+        if pos == 0 and v.status != "fail":
+            unit = judge_claim(claim, results[0][1], "=", one)
+            if unit.status != "pass":
+                v = Verdict(claim, unit.status, f"radius {radius!r} is not 1, {unit.detail}")
         if alpha > 0.5:
             word = "differs from" if v.status == "fail" else "matches"
             gap = abs(radius - results[pos + 1][1].radius)
@@ -332,14 +326,7 @@ def verify_global_minima(
 # ---------------------------------------------------------------------------
 # bipartite minima
 
-def verify_bipartite_minimum(
-    n: int,
-    p: int,
-    q: int,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    margin: float = DECISION_MARGIN,
-) -> VerificationReport:
+def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> VerificationReport:
     """Check the attached-path family inequality chain at (n, p, q, alpha),
     and at (5, 2, 2) additionally confirm the claimed unique minimizer over
     every strongly connected bipartite digraph containing the bidirected
@@ -381,28 +368,27 @@ def verify_bipartite_minimum(
             (b6[0].format(""), bip(6), bip(5), b6[1]),
             ("B1 at n-1 >= B5 at n", bip(1, n - 1), bip(5), ">="),
         ]
-    radii = {spec: spectral_radius(generate(spec), alpha, tol) for spec in items}
+    radii = {spec: spectral_radius(generate(spec), alpha) for spec in items}
     report.items = [_item(format_spec(spec), alpha, radii[spec]) for spec in items]
     for claim, big, small, relation in rows:
         claim = f"{claim} {loc}"
         if big is None:
             report.verdicts.append(Verdict(claim, "skipped", "n-1 leaves no room for the even path"))
         else:
-            report.verdicts.append(judge_claim(claim, radii[big], relation, radii[small], margin))
+            report.verdicts.append(judge_claim(claim, radii[big], relation, radii[small]))
 
     # exhaustive branch: only reachable enumeration size is (5, 2, 2)
     if n <= ENUMERATION_MAX_N:
-        results = [
-            (key.hex(), spectral_radius(d, alpha, tol))
+        pairs = (
+            (key.hex(), d)
             for d, key in enumerate_sc_digraphs(n)
             if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)
-        ]
-        results.sort(key=lambda t: (t[1].radius, t[0]))
-        report.items += [_item(label, alpha, res) for label, res in results]
+        )
+        results = _rank(report, pairs, alpha)
         want = bip(1 if rem % 2 == 1 else 5)
         label = canonical_key(generate(want)).hex()
         claim = f"unique bipartite minimum by enumeration {loc}"
-        report.verdicts.append(judge_rank(claim, results, 0, label, format_spec(want), margin))
+        report.verdicts.append(judge_rank(claim, results, 0, label, format_spec(want)))
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -412,16 +398,18 @@ def verify_bipartite_minimum(
 # transform-lemma fuzzing
 
 ALPHA_CHOICES = tuple(round(0.1 * k, 1) for k in range(10))
+#: probability of each arc in :func:`random_sc_digraph`
+ARC_DENSITY = 0.4
 
 
-def random_sc_digraph(rng: np.random.Generator, n: int, density: float = 0.4) -> Digraph:
+def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     """Rejection-sampled strongly connected digraph with i.i.d. arcs."""
     for _ in range(100_000):
         arcs = [
             (i, j)
             for i in range(n)
             for j in range(n)
-            if i != j and rng.random() < density
+            if i != j and rng.random() < ARC_DENSITY
         ]
         d = make_digraph(n, arcs)
         if is_strongly_connected(d):
@@ -455,12 +443,7 @@ def _lemma_fleet() -> list[FamilySpec]:
     return fleet
 
 
-def verify_transform_lemmas(
-    trials: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-    margin: float = DECISION_MARGIN,
-) -> VerificationReport:
+def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     """Fuzz the four transform lemmas on seeded random strongly connected
     digraphs plus the fixed family fleet.
 
@@ -474,6 +457,11 @@ def verify_transform_lemmas(
       still strongly connected);
     * vertices with nested out-neighbourhoods (and no arc between them) have
       ordered eigenvector entries, equal exactly for equal neighbourhoods.
+
+    The three radius lemmas are the claims ``base > sub``, ``base >=
+    subdivided`` and ``moved >= base`` under :func:`judge_claim`; an
+    instance whose status is not ``pass`` is a violation.  Eigenvector
+    entries are compared beyond ``DECISION_MARGIN``.
     """
     if trials <= 0:
         raise InvalidParamsError(f"trials must be positive, got {trials}")
@@ -484,9 +472,12 @@ def verify_transform_lemmas(
     violations: dict[str, list[str]] = {k: [] for k in counts}
     alphas_used: set[float] = set()
 
+    def holds(a: SpectralResult, relation: str, b: SpectralResult) -> bool:
+        return judge_claim("", a, relation, b).status == "pass"
+
     def check_base(d: Digraph, alpha: float, label: str):
         alphas_used.add(alpha)
-        base = spectral_radius(d, alpha, tol)
+        base = spectral_radius(d, alpha)
         report.items.append(_item(label, alpha, base))
         x = base.perron
 
@@ -496,7 +487,7 @@ def verify_transform_lemmas(
             pick = candidates[int(rng.integers(len(candidates)))]
             sub = make_digraph(d.n, [b for b in d.arcs if b != pick])
             counts["subdigraph"] += 1
-            if spectral_radius(sub, alpha, tol).radius >= base.radius - margin:
+            if not holds(base, ">", spectral_radius(sub, alpha)):
                 violations["subdigraph"].append(f"{label} arc {pick} alpha={alpha}")
 
         # subdivision lemma: excluded on directed cycles
@@ -505,7 +496,7 @@ def verify_transform_lemmas(
         else:
             pick = d.arcs[int(rng.integers(len(d.arcs)))]
             counts["subdivision"] += 1
-            if spectral_radius(subdivide_arc(d, pick), alpha, tol).radius > base.radius + margin:
+            if not holds(base, ">=", spectral_radius(subdivide_arc(d, pick), alpha)):
                 violations["subdivision"].append(f"{label} arc {pick} alpha={alpha}")
 
         # retargeting lemma
@@ -522,7 +513,7 @@ def verify_transform_lemmas(
                 skips["retarget-disconnected"] += 1
                 continue
             counts["retarget"] += 1
-            if spectral_radius(moved, alpha, tol).radius < base.radius - margin:
+            if not holds(spectral_radius(moved, alpha), ">=", base):
                 violations["retarget"].append(f"{label} sources->{qq} alpha={alpha}")
             break
 
@@ -536,9 +527,9 @@ def verify_transform_lemmas(
                     continue
                 counts["perron-order"] += 1
                 if ni == nj:
-                    if abs(x[j] - x[i]) > margin:
+                    if abs(x[j] - x[i]) > DECISION_MARGIN:
                         violations["perron-order"].append(f"{label} equal-nbhd {i},{j} alpha={alpha}")
-                elif x[j] < x[i] - margin:
+                elif x[j] < x[i] - DECISION_MARGIN:
                     violations["perron-order"].append(f"{label} nested-nbhd {i},{j} alpha={alpha}")
 
     report = VerificationReport("transform-lemmas", [])

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import campaigns
@@ -33,14 +34,19 @@ def _parse_alpha_grid(text: str) -> list[float]:
     return grid
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _positive(kind: type) -> Callable[[str], float]:
+    """argparse type: ``kind(text)``, rejected unless it is above zero."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"not a positive {kind.__name__}: {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--graph", help="DGR1 file")
     src.add_argument("--spec", help="family spec, e.g. infty:1,2")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)
 
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char-root", help="largest root of a family's characteristic function")
     p.add_argument("--spec", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_char_root)
 
@@ -85,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_positive(int), default=500)
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--json-out", help="write the report as JSON")
     p.add_argument("--csv-out", help="write the per-item table as CSV")
@@ -95,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-list", required=True, help="file with one family spec per line")
     p.add_argument("--alpha-from", type=float, required=True)
     p.add_argument("--alpha-to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_positive(int), required=True)
     p.add_argument("--out", help="CSV output file (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
     return top
@@ -229,8 +235,6 @@ def _cmd_sweep(args) -> int:
         line = line.strip()
         if line and not line.startswith("#"):
             specs.append(parse_spec(line))
-    if args.steps < 1:
-        raise SpectraError("--steps must be at least 1")
     lo, hi = args.alpha_from, args.alpha_to
     alphas = [lo + (hi - lo) * k / max(args.steps - 1, 1) for k in range(args.steps)]
     out = open(args.out, "w", newline="") if args.out else sys.stdout

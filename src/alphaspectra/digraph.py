@@ -71,10 +71,6 @@ class Digraph:
     def has_arc(self, i: int, j: int) -> bool:
         return (self.out_masks[i] >> j) & 1 == 1
 
-    def out_neighbors(self, i: int) -> list[int]:
-        m = self.out_masks[i]
-        return [j for j in range(self.n) if (m >> j) & 1]
-
     def in_neighbors(self, j: int) -> list[int]:
         m = self.in_masks[j]
         return [i for i in range(self.n) if (m >> i) & 1]

@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from alphaspectra import campaigns
 from alphaspectra.campaigns import (
     EQUALITY_TOL,
     SC_CLASS_COUNTS,
@@ -223,6 +224,40 @@ class TestTransformLemmas:
     def test_bad_trials(self):
         with pytest.raises(InvalidParamsError):
             verify_transform_lemmas(0, seed=1)
+
+    def test_subdivision_violation_reported(self, monkeypatch):
+        # Each subdivided digraph gets its base's result lifted by 5e-10:
+        # the enclosures separate, so the claim base >= subdivided fails
+        # under judge_claim although the lift is inside DECISION_MARGIN.
+        lift = 5e-10
+        subdivided = {}  # id -> (subdivided, base, arc); keeps ids unique
+        seen = []
+        real_subdivide, real_radius = campaigns.subdivide_arc, campaigns.spectral_radius
+
+        def subdivide(d, arc):
+            out = real_subdivide(d, arc)
+            subdivided[id(out)] = (out, d, arc)
+            return out
+
+        def radius(d, alpha, *args):
+            if id(d) not in subdivided:
+                return real_radius(d, alpha, *args)
+            _, base, arc = subdivided[id(d)]
+            seen.append((base, arc, alpha))
+            r = real_radius(base, alpha, *args)
+            lo, hi = r.enclosure
+            lifted = Interval(lo + lift, hi + lift)
+            return SpectralResult(r.radius + lift, lifted, r.perron, r.iterations, r.residual)
+
+        monkeypatch.setattr(campaigns, "subdivide_arc", subdivide)
+        monkeypatch.setattr(campaigns, "spectral_radius", radius)
+        report = verify_transform_lemmas(1, seed=3)
+        by_name = {v.claim: v for v in report.verdicts}
+        sub = by_name.pop("subdivision lemma")
+        assert sub.status == "fail"
+        base, arc, alpha = seen[0]
+        assert f"; violations: random-n{base.n}-t0 arc {arc} alpha={alpha}; " in sub.detail
+        assert all(v.status == "pass" for v in by_name.values())
 
 
 class TestRandomScDigraph:

@@ -223,6 +223,21 @@ class TestExitCodes:
             assert exc.value.code == 2, grid
         assert "empty alpha grid" in capsys.readouterr().err
 
+    def test_nonpositive_trials_is_2(self, capsys):
+        for trials in ("0", "-3", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--campaign", "transform-lemmas", "--trials", trials])
+            assert exc.value.code == 2, trials
+        assert "--trials" in capsys.readouterr().err
+
+    def test_nonpositive_steps_is_2(self, capsys):
+        for steps in ("0", "-3", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--spec-list", "no-such-file.txt",
+                      "--alpha-from", "0", "--alpha-to", "0.5", "--steps", steps])
+            assert exc.value.code == 2, steps
+        assert "--steps" in capsys.readouterr().err
+
     def test_unknown_verb_is_2(self):
         out = run_cli(["frobnicate"])
         assert out.returncode == 2
