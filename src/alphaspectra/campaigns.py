@@ -29,11 +29,11 @@ from .digraph import (
     adjacency_rows_from_masks,
     bipartition,
     canonical_key,
+    canonical_masks,
     contains_bidirected_kpq,
     is_strongly_connected,
     loop_free_masks,
     make_digraph,
-    min_relabeled_mask,
     retarget_in_arcs,
     subdivide_arc,
     unpack_arcs,
@@ -52,7 +52,8 @@ ENUMERATION_MAX_N = 5
 SC_CLASS_COUNTS = {2: 1, 3: 5, 4: 83, 5: 5048}
 
 #: labeled (not up-to-isomorphism) strongly connected digraph counts,
-#: frozen from the same oracle run.
+#: frozen from the same oracle run.  Enumeration never builds the labeled
+#: set, so these are only a fixture for the tests' oracles.
 SC_LABELED_COUNTS = {2: 1, 3: 18, 4: 1606, 5: 565080}
 
 
@@ -198,22 +199,23 @@ def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
     """One ``(digraph, key)`` pair per isomorphism class of strongly
     connected digraphs, n <= 5.
 
-    Iterates all 2^(n(n-1)) labeled loop-free digraphs, filters the strongly
-    connected ones, and dedupes by the permutation-minimal adjacency mask.
-    Each class is represented by the labeling with that minimal mask, and
-    ``key`` is built from the same mask, so it equals
-    ``canonical_key(digraph)`` without recomputing it.  Classes come out
-    sorted by canonical mask.
+    Sieves the 2^(n(n-1)) labeled loop-free masks down to the canonical
+    ones (each equal to its own permutation-minimal mask, so one per
+    isomorphism class), then runs the strong-connectivity filter on those
+    alone; strong connectivity does not depend on the labeling, and no
+    labeled strongly connected set is built.  Each class is represented by
+    the labeling with the minimal mask, and ``key`` is built from the same
+    mask, so it equals ``canonical_key(digraph)`` without recomputing it.
+    Classes come out sorted by canonical mask.
     """
     if n < 2:
         raise InvalidParamsError(f"enumeration needs n >= 2, got {n}")
     if n > ENUMERATION_MAX_N:
         raise TooLargeError(f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}")
-    masks = loop_free_masks(n)
-    sc_masks = masks[_backend.sc_filter(adjacency_rows_from_masks(masks, n), n)]
+    canon = canonical_masks(loop_free_masks(n), n)
+    canon = canon[_backend.sc_filter(adjacency_rows_from_masks(canon, n), n)]
     return tuple(
-        (make_digraph(n, unpack_arcs(c, n)), CanonicalKey.from_mask(n, c))
-        for c in np.unique(min_relabeled_mask(sc_masks, n)).tolist()
+        (make_digraph(n, unpack_arcs(c, n)), CanonicalKey.from_mask(n, c)) for c in canon.tolist()
     )
 
 

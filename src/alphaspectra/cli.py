@@ -4,7 +4,9 @@ Verbs: ``radius``, ``family``, ``char-root``, ``enumerate``, ``verify``,
 ``sweep``.  Every verb is a thin shell over the library; identical inputs
 through the API and the CLI produce identical numbers.  Exit codes: 0 on
 success (for ``verify``: all non-exploratory verdicts pass), 1 on a
-computation or verdict failure, 2 on usage errors.
+computation or verdict failure, 2 on usage errors, parsed values the
+library rejects included (alpha outside [0, 1), campaign parameters out of
+range, no family member for the parameters).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import campaigns
 from .chareq import char_equation_for, eval_char, kpq_radius, largest_root
 from .digraph import read_dgr1, to_dgr1, write_dgr1
-from .errors import SpectraError
+from .errors import AlphaRangeError, InfeasibleError, InvalidParamsError, SpectraError
 from .families import FamilySpec, format_spec, generate, parse_spec
 from .spectral import DEFAULT_TOL, spectral_radius
 
@@ -252,6 +254,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+#: library rejections of a parsed value; like argparse's own, they exit 2
+USAGE_ERRORS = (AlphaRangeError, InfeasibleError, InvalidParamsError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -261,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "json", False):
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -221,6 +221,11 @@ def min_relabeled_mask(masks: np.ndarray, n: int) -> np.ndarray:
     return _backend.perm_min(masks.astype(np.int64), _perm_bit_table(n))
 
 
+def canonical_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """The masks equal to their :func:`min_relabeled_mask`, in input order."""
+    return _backend.perm_sieve(masks.astype(np.int64, copy=False), _perm_bit_table(n))
+
+
 @lru_cache(maxsize=1 << 16)
 def canonical_key(d: Digraph) -> CanonicalKey:
     """Permutation-minimal adjacency encoding; equal keys iff isomorphic.

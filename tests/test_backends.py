@@ -1,18 +1,22 @@
 """The numpy kernels against independent pure-Python oracles."""
 
 import itertools
+import time
 
 import numpy as np
 
 import alphaspectra as ap
 from alphaspectra import _backend
-from alphaspectra.campaigns import random_sc_digraph
+from alphaspectra.campaigns import SC_LABELED_COUNTS, enumerate_sc_digraphs, random_sc_digraph
 from alphaspectra.digraph import (
+    CanonicalKey,
+    _cell_bit,
     _perm_bit_table,
     adjacency_rows_from_masks,
     is_strongly_connected_bfs,
     loop_free_masks,
     make_digraph,
+    min_relabeled_mask,
     pack_arcs,
     unpack_arcs,
 )
@@ -35,6 +39,17 @@ def brute_min_mask(mask, n):
         pack_arcs(make_digraph(n, [(sigma[i], sigma[j]) for i, j in arcs]))
         for sigma in itertools.permutations(range(n))
     )
+
+
+def sampled_loop_free_masks(n, count, seed):
+    """count random loop-free masks on n vertices plus the canonical mask
+    of each, so the sample holds canonical masks at any n."""
+    rng = np.random.default_rng(seed)
+    off_diagonal = sum(1 << _cell_bit(n, i, j) for i in range(n) for j in range(n) if i != j)
+    masks = rng.integers(0, 1 << (n * n - 1), size=count, dtype=np.int64) & off_diagonal
+    masks = np.concatenate([masks, min_relabeled_mask(masks, n)])
+    rng.shuffle(masks)
+    return masks
 
 
 class TestNumpyKernels:
@@ -81,6 +96,36 @@ class TestNumpyKernels:
             assert canon.tolist() == [brute_min_mask(int(m), n) for m in masks]
             one = _backend.perm_min(masks[:1], _perm_bit_table(n))
             assert one.tolist() == [brute_min_mask(int(masks[0]), n)]
+
+    def test_perm_sieve_matches_perm_min(self):
+        samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]
+        samples += [(5, sampled_loop_free_masks(5, 3000, seed=5)), (6, sampled_loop_free_masks(6, 500, seed=6))]
+        for n, masks in samples:
+            table = _perm_bit_table(n)
+            want = masks[masks == _backend.perm_min(masks, table)]
+            got = _backend.perm_sieve(masks, table)
+            assert got.dtype == masks.dtype
+            assert got.tolist() == want.tolist(), n
+
+    def test_enumeration_matches_labeled_pipeline(self):
+        # the pipeline before the sieve: filter every labeled digraph for
+        # strong connectivity, minimize each survivor, dedupe
+        for n in (2, 3, 4, 5):
+            masks = loop_free_masks(n)
+            sc_masks = masks[_backend.sc_filter(adjacency_rows_from_masks(masks, n), n)]
+            assert len(sc_masks) == SC_LABELED_COUNTS[n]
+            want = np.unique(min_relabeled_mask(sc_masks, n)).tolist()
+            classes = enumerate_sc_digraphs(n)
+            assert [pack_arcs(d) for d, _ in classes] == want, n
+            assert [key for _, key in classes] == [CanonicalKey.from_mask(n, c) for c in want], n
+
+    def test_enumeration_n5_cold_is_fast(self):
+        enumerate_sc_digraphs.cache_clear()
+        t0 = time.perf_counter()
+        classes = enumerate_sc_digraphs(5)
+        elapsed = time.perf_counter() - t0
+        assert len(classes) == 5048
+        assert elapsed < 2.0, elapsed
 
 
 def test_single_numpy_backend():

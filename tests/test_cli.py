@@ -238,6 +238,30 @@ class TestExitCodes:
             assert exc.value.code == 2, steps
         assert "--steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enumerate", "--n", "1"], "enumeration needs n >= 2"),
+            (["radius", "--spec", "cycle:3", "--alpha", "1.5"], "alpha must be in [0, 1)"),
+            (
+                ["verify", "--campaign", "family-extremes", "--family", "infty", "--n", "3", "--s", "9",
+                 "--alpha-grid", "0"],
+                "no infty family at n=3, s=9",
+            ),
+        ],
+    )
+    def test_rejected_value_is_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_rejected_value_json_is_2(self, capsys):
+        assert main(["radius", "--spec", "cycle:3", "--alpha", "1.5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": "AlphaRangeError", "message": "alpha must be in [0, 1), got 1.5"}
+        assert captured.err == "error: alpha must be in [0, 1), got 1.5\n"
+
     def test_unknown_verb_is_2(self):
         out = run_cli(["frobnicate"])
         assert out.returncode == 2
