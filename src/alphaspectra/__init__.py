@@ -46,6 +46,7 @@ from .spectral import (
     cw_enclosure,
     det_scan_largest_real_root,
     row_sum_bounds,
+    spectral_radii,
     spectral_radius,
 )
 

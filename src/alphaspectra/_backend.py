@@ -3,9 +3,11 @@
 Kernels:
 
 * ``power_iteration(m, tol, max_iter)`` -- Noda's shifted inverse iteration
-  (power iteration on ``(sigma I - M)^-1``) for the Perron root of an
-  irreducible nonnegative matrix, returning the iterate and its min/max
-  quotient bounds ``(x, lo, hi, iterations)``.
+  (power iteration on ``(sigma I - M)^-1``) for the Perron roots of a stack
+  of irreducible nonnegative matrices, shape ``(N, n, n)``, one stacked
+  solve per round; returns the iterates and their min/max quotient bounds
+  ``(x, lo, hi, iterations)``, one row per matrix.  The name predates Noda
+  iteration and is kept because the benchmark's tracer binds it.
 * ``det_via_lu(a)`` -- determinant from LAPACK's LU factorization.
 * ``sc_filter(rows, n)`` -- strong-connectivity flags for a batch of
   digraphs given as per-vertex out-neighbour bitmasks.
@@ -18,6 +20,7 @@ Kernels:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,48 +30,98 @@ BACKEND = "numpy"
 HAVE_NUMBA = False
 
 
-def _noda_step(m: np.ndarray, x: np.ndarray, sigma: float):
-    """Solve (sigma I - M) z = x; return z normalised if it is positive
-    (after negation, when sigma rounded below the root), else None."""
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z[k] with a[k] z[k] = b[k]; a row of NaN where a[k] is singular.
+
+    One stacked LAPACK call; numpy rejects the whole stack if one member is
+    singular, and only then are the members solved one by one.
+    """
     try:
-        z = np.linalg.solve(sigma * np.eye(m.shape[0]) - m, x)
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return None
-    if (z < 0).all():
-        z = -z
-    if not (z > 0).all():
-        return None
-    return z / np.linalg.norm(z)
+        z = np.full_like(b, np.nan)
+        for k in range(len(a)):
+            try:
+                z[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return z
 
 
-def power_iteration(m: np.ndarray, tol: float, max_iter: int):
-    """Noda iteration from the flat start vector until the spread of the
-    quotients (Mx)_i/x_i is at most tol.
+def _shifted_solve(m: np.ndarray, x: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Solve (sigma_k I - M_k) z_k = x_k for every k and return the z_k
+    normalised, each signed so that its first entry is positive (a negative
+    z_k means sigma_k rounded below the root)."""
+    z = _solve(sigma[:, None, None] * eye - m, x)
+    z /= np.copysign(np.sqrt(z[:, None, :] @ z[:, :, None])[:, 0], z[:, :1])
+    return z
+
+
+#: identity matrices by size; shared, never written
+_eye = functools.lru_cache(maxsize=None)(np.eye)
+
+
+def _quotient_bounds(m: np.ndarray, x: np.ndarray):
+    """Row-wise min and max of the quotients (M_k x_k)_i / (x_k)_i."""
+    q = (m @ x[:, :, None])[:, :, 0] / x
+    return np.minimum.reduce(q, axis=1), np.maximum.reduce(q, axis=1)
+
+
+def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
+    """Noda iteration on a stack m of shape (N, n, n), from the flat start
+    vector, until each row's spread of the quotients (Mx)_i/x_i is at most
+    its entry of tol, shape (N,).
 
     Each step solves (hi I - M) z = x with hi the current max quotient,
     which bounds the root from above (T. Noda, Numer. Math. 17, 1971);
     convergence is quadratic near the root and needs no primitivity.  A
-    singular or sign-mixed solve is retried once with the shift
-    hi + (hi - lo); if that fails too the iteration stops where it is.  M
-    must be irreducible and nonnegative so the iterate stays positive.
-    ``iterations`` counts solves.
+    round makes one stacked solve over the rows still iterating, each at
+    its own shift.  A row whose solve is singular or sign-mixed is retried
+    once with the shift hi + (hi - lo); if that fails too, the row stops
+    where it is while the others go on.  Every M must be irreducible and
+    nonnegative so the iterates stay positive.  Returns ``x`` (N, n),
+    ``lo``, ``hi`` and ``iterations`` (N,); a row's iterations count its
+    rounds, the one whose retry failed included.
     """
-    n = m.shape[0]
-    x = np.full(n, 1.0 / math.sqrt(n))
-    q = (m @ x) / x
-    lo, hi = float(q.min()), float(q.max())
-    it = 0
-    while hi - lo > tol and it < max_iter:
-        it += 1
-        z = _noda_step(m, x, hi)
-        if z is None:
-            z = _noda_step(m, x, hi + (hi - lo))
-        if z is None:
-            break
-        x = z
-        q = (m @ x) / x
-        lo, hi = float(q.min()), float(q.max())
-    return x, lo, hi, it
+    count, n = m.shape[0], m.shape[1]
+    eye = _eye(n)
+    x = np.full((count, n), 1.0 / math.sqrt(n))
+    lo, hi = _quotient_bounds(m, x)
+    iterations = np.zeros(count, dtype=np.int64)
+    # live: the rows still iterating, whose state is kept compacted; while
+    # every row iterates, nothing is indexed or copied
+    live = np.flatnonzero(hi - lo > tol)
+    ml, xl, lol, hil, toll = m, x, lo, hi, tol
+    if live.size < count:
+        if not live.size:
+            return x, lo, hi, iterations
+        ml, xl, lol, hil, toll = m[live], x[live], lo[live], hi[live], tol[live]
+    for rounds in range(1, max_iter + 1):
+        z = _shifted_solve(ml, xl, hil, eye)
+        failed = None
+        if not np.minimum.reduce(z, axis=None) > 0:
+            bad = np.flatnonzero(~(z > 0).all(axis=1))
+            z[bad] = _shifted_solve(ml[bad], xl[bad], hil[bad] + (hil[bad] - lol[bad]), eye)
+            failed = bad[~(z[bad] > 0).all(axis=1)]
+            z[failed] = xl[failed]
+        xl = z
+        lol, hil = _quotient_bounds(ml, z)
+        going = hil - lol > toll
+        if failed is not None:
+            going[failed] = False
+        if np.logical_and.reduce(going):
+            continue
+        if live.size == count and not np.logical_or.reduce(going):
+            return xl, lol, hil, np.full(count, rounds)
+        stop = ~going
+        done = live[stop]
+        x[done], lo[done], hi[done], iterations[done] = xl[stop], lol[stop], hil[stop], rounds
+        live = live[going]
+        if not live.size:
+            return x, lo, hi, iterations
+        ml, xl, lol, hil, toll = ml[going], xl[going], lol[going], hil[going], toll[going]
+    x[live], lo[live], hi[live], iterations[live] = xl, lol, hil, max_iter
+    return x, lo, hi, iterations
 
 
 def det_via_lu(a: np.ndarray) -> float:

@@ -6,7 +6,8 @@ through the API and the CLI produce identical numbers.  Exit codes: 0 on
 success (for ``verify``: all non-exploratory verdicts pass), 1 on a
 computation or verdict failure, 2 on usage errors, parsed values the
 library rejects included (alpha outside [0, 1), campaign parameters out of
-range, no family member for the parameters).
+range or missing, no family member for the parameters, a size above a
+documented bound).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from pathlib import Path
 from . import campaigns
 from .chareq import char_equation_for, eval_char, kpq_radius, largest_root
 from .digraph import read_dgr1, to_dgr1, write_dgr1
-from .errors import AlphaRangeError, InfeasibleError, InvalidParamsError, SpectraError
+from .errors import AlphaRangeError, InfeasibleError, InvalidParamsError, SpectraError, TooLargeError
 from .families import FamilySpec, format_spec, generate, parse_spec
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_TOL, spectral_radii, spectral_radius
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
@@ -189,7 +190,7 @@ def _cmd_enumerate(args) -> int:
 def _require(args, parser_hint: str, **needed) -> None:
     missing = [k for k, v in needed.items() if v is None]
     if missing:
-        raise SpectraError(f"campaign {parser_hint} needs --" + ", --".join(missing))
+        raise InvalidParamsError(f"campaign {parser_hint} needs --" + ", --".join(missing))
 
 
 def _cmd_verify(args) -> int:
@@ -243,11 +244,10 @@ def _cmd_sweep(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["spec", "alpha", "radius"])
-        for spec in specs:
-            d = generate(spec)
-            for alpha in alphas:
-                res = spectral_radius(d, alpha)
-                writer.writerow([format_spec(spec), repr(alpha), repr(res.radius)])
+        rows = [(spec, d, alpha) for spec, d in zip(specs, map(generate, specs)) for alpha in alphas]
+        results = spectral_radii([d for _, d, _ in rows], [alpha for _, _, alpha in rows])
+        for (spec, _, alpha), res in zip(rows, results):
+            writer.writerow([format_spec(spec), repr(alpha), repr(res.radius)])
     finally:
         if args.out:
             out.close()
@@ -255,7 +255,7 @@ def _cmd_sweep(args) -> int:
 
 
 #: library rejections of a parsed value; like argparse's own, they exit 2
-USAGE_ERRORS = (AlphaRangeError, InfeasibleError, InvalidParamsError)
+USAGE_ERRORS = (AlphaRangeError, InfeasibleError, InvalidParamsError, TooLargeError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -125,18 +125,24 @@ def out_degrees(d: Digraph) -> tuple[int, ...]:
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path.
+    """True iff every ordered vertex pair is joined by a directed path."""
+    return masks_strongly_connected(d.n, d.out_masks, d.in_masks)
+
+
+def masks_strongly_connected(n: int, out_masks, in_masks) -> bool:
+    """:func:`is_strongly_connected` on per-vertex out- and in-neighbour
+    bitmasks, so callers can test an arc set without building a Digraph.
 
     Vertex 0 must reach every vertex along out-arcs and be reached from
     every vertex (reach it along in-arcs); each search grows a bitmask
     frontier over ``out_masks`` / ``in_masks``.
     """
-    full = (1 << d.n) - 1
-    for masks in (d.out_masks, d.in_masks):
+    full = (1 << n) - 1
+    for masks in (out_masks, in_masks):
         seen = frontier = 1
         while frontier:
             step = 0
-            for v in range(d.n):
+            for v in range(n):
                 if (frontier >> v) & 1:
                     step |= masks[v]
             frontier = step & ~seen

@@ -54,13 +54,34 @@ def sampled_loop_free_masks(n, count, seed):
 
 class TestNumpyKernels:
     def test_power_iteration_certifies(self):
+        # the same 20 matrices, each vertex count's as one stack
+        stacks = {}
         for m in random_matrices(20, seed=0):
-            x, lo, hi, iters = _backend.power_iteration(m, 1e-12, 100)
-            assert hi - lo <= 1e-12
-            assert (x > 0).all()
-            assert iters <= 40
-            true = max(abs(np.linalg.eigvals(m)))
-            assert lo - 1e-12 <= true <= hi + 1e-12
+            stacks.setdefault(m.shape[0], []).append(m)
+        for ms in stacks.values():
+            stack = np.array(ms)
+            x, lo, hi, iters = _backend.power_iteration(stack, np.full(len(ms), 1e-12), 100)
+            assert x.shape == stack.shape[:2] and lo.shape == hi.shape == iters.shape == (len(ms),)
+            for m, xk, lok, hik, itk in zip(ms, x, lo, hi, iters):
+                assert hik - lok <= 1e-12
+                assert (xk > 0).all()
+                assert itk <= 40
+                true = max(abs(np.linalg.eigvals(m)))
+                assert lok - 1e-12 <= true <= hik + 1e-12
+
+    def test_power_iteration_singular_member(self):
+        # [[2, 0], [0, 1]] makes every shifted matrix 2I - M singular: the
+        # stack falls back to one solve per member, the singular one takes
+        # the retry shift 3 each round until the cap, and the irreducible
+        # member is unaffected
+        m = np.array([[0.25, 0.75], [0.75, 0.0]])
+        stack = np.array([[[2.0, 0.0], [0.0, 1.0]], m])
+        x, lo, hi, iters = _backend.power_iteration(stack, np.full(2, 1e-12), 100)
+        alone = _backend.power_iteration(m[None], np.full(1, 1e-12), 100)
+        assert (x[1] == alone[0][0]).all()
+        assert (lo[1], hi[1], iters[1]) == (alone[1][0], alone[2][0], alone[3][0])
+        assert hi[1] - lo[1] <= 1e-12
+        assert iters[0] == 100 and (x[0] > 0).all() and x[0, 0] > 0.99
 
     def test_det_directed_cycle_closed_form(self):
         # det(xI - M) = (x - alpha)^n - (1 - alpha)^n on the directed n-cycle

@@ -22,7 +22,7 @@ from alphaspectra.campaigns import (
     verify_global_minima,
     verify_transform_lemmas,
 )
-from alphaspectra.digraph import canonical_key, is_strongly_connected
+from alphaspectra.digraph import canonical_key, is_strongly_connected, make_digraph
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, TooLargeError
 from alphaspectra.families import FamilySpec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
@@ -229,28 +229,34 @@ class TestTransformLemmas:
         # Each subdivided digraph gets its base's result lifted by 5e-10:
         # the enclosures separate, so the claim base >= subdivided fails
         # under judge_claim although the lift is inside DECISION_MARGIN.
+        # The derived digraphs are solved in one batch call, so that call
+        # is patched.
         lift = 5e-10
         subdivided = {}  # id -> (subdivided, base, arc); keeps ids unique
         seen = []
-        real_subdivide, real_radius = campaigns.subdivide_arc, campaigns.spectral_radius
+        real_subdivide, real_radii = campaigns.subdivide_arc, campaigns.spectral_radii
 
         def subdivide(d, arc):
             out = real_subdivide(d, arc)
             subdivided[id(out)] = (out, d, arc)
             return out
 
-        def radius(d, alpha, *args):
-            if id(d) not in subdivided:
-                return real_radius(d, alpha, *args)
+        def lifted(d, alpha, *args):
             _, base, arc = subdivided[id(d)]
             seen.append((base, arc, alpha))
-            r = real_radius(base, alpha, *args)
+            r = real_radii([base], [alpha], *args)[0]
             lo, hi = r.enclosure
-            lifted = Interval(lo + lift, hi + lift)
-            return SpectralResult(r.radius + lift, lifted, r.perron, r.iterations, r.residual)
+            return SpectralResult(r.radius + lift, Interval(lo + lift, hi + lift), r.perron, r.iterations, r.residual)
+
+        def radii(digraphs, alphas, *args):
+            real = real_radii(digraphs, alphas, *args)
+            return [
+                lifted(d, alpha, *args) if id(d) in subdivided else res
+                for d, alpha, res in zip(digraphs, alphas, real)
+            ]
 
         monkeypatch.setattr(campaigns, "subdivide_arc", subdivide)
-        monkeypatch.setattr(campaigns, "spectral_radius", radius)
+        monkeypatch.setattr(campaigns, "spectral_radii", radii)
         report = verify_transform_lemmas(1, seed=3)
         by_name = {v.claim: v for v in report.verdicts}
         sub = by_name.pop("subdivision lemma")
@@ -260,12 +266,35 @@ class TestTransformLemmas:
         assert all(v.status == "pass" for v in by_name.values())
 
 
+def per_pair_sc_digraph(rng, n):
+    """The sampler as one scalar draw per ordered pair: the oracle for the
+    one-call draw of :func:`random_sc_digraph`."""
+    for _ in range(100_000):
+        arcs = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < campaigns.ARC_DENSITY
+        ]
+        d = make_digraph(n, arcs)
+        if is_strongly_connected(d):
+            return d
+    raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
+
+
 class TestRandomScDigraph:
     def test_always_strongly_connected(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = random_sc_digraph(rng, int(rng.integers(2, 9)))
             assert is_strongly_connected(d)
+
+    def test_same_stream_as_per_pair_draws(self):
+        for seed in range(10):
+            for n in range(2, 9):
+                ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert random_sc_digraph(ours, n) == per_pair_sc_digraph(oracle, n), (seed, n)
+                assert ours.bit_generator.state == oracle.bit_generator.state, (seed, n)
 
 
 class TestReports:

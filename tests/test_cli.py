@@ -167,7 +167,7 @@ class TestVerify:
         assert rc == 0
 
     def test_missing_flags(self, capsys):
-        assert main(["verify", "--campaign", "bipartite-min"]) == 1
+        assert main(["verify", "--campaign", "bipartite-min"]) == 2
 
 
 class TestSweep:
@@ -248,6 +248,8 @@ class TestExitCodes:
                  "--alpha-grid", "0"],
                 "no infty family at n=3, s=9",
             ),
+            (["verify", "--campaign", "bipartite-min"], "campaign bipartite-min needs --n, --p, --q"),
+            (["enumerate", "--n", "6"], "full enumeration capped at n=5"),
         ],
     )
     def test_rejected_value_is_2(self, capsys, argv, message):

@@ -13,13 +13,17 @@ from alphaspectra.errors import (
     NotStronglyConnectedError,
 )
 from alphaspectra.families import FamilySpec, generate, list_bicyclic
-from alphaspectra.campaigns import enumerate_sc_digraphs, random_sc_digraph
+from alphaspectra.campaigns import enumerate_sc_digraphs, random_sc_digraph, verify_global_minima
+from alphaspectra import _backend
 from alphaspectra.spectral import (
+    _alpha_stack,
     build_alpha_matrix,
     cw_enclosure,
     det_scan_largest_real_root,
     rounding_factor,
+    rounding_safe,
     row_sum_bounds,
+    spectral_radii,
     spectral_radius,
 )
 
@@ -56,6 +60,16 @@ class TestBuildMatrix:
             m = build_alpha_matrix(d, alpha)
             degs = np.array(out_degrees(d), dtype=float)
             assert np.allclose(m.matrix.sum(axis=1), degs, rtol=1e-14, atol=1e-14)
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 8):
+            digraphs = [random_sc_digraph(rng, n) for _ in range(6)]
+            alphas = [0.0, 0.1, 0.5, 0.75, 0.9, 0.95]
+            stack, tops = _alpha_stack(digraphs, n, alphas)
+            for d, alpha, m, top in zip(digraphs, alphas, stack, tops):
+                assert np.array_equal(m, build_alpha_matrix(d, alpha).matrix)
+                assert top == max(out_degrees(d))
 
 
 class TestRowSumBounds:
@@ -153,6 +167,20 @@ class TestRoundingSafety:
             assert Fraction(1.0 - g) == 1 - Fraction(g)
             assert Fraction(1.0 + g) == 1 + Fraction(g)
 
+    def test_rounding_safe_matches_numpy_nextafter(self):
+        # math.nextafter and np.nextafter are both IEEE nextafter
+        rng = np.random.default_rng(10)
+        values = list(rng.uniform(0, 20, 500)) + list(10.0 ** rng.uniform(-300, 300, 500))
+        values += [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0)]
+        for v in values:
+            v = float(v)
+            assert math.nextafter(v, math.inf) == np.nextafter(v, np.inf)
+            assert math.nextafter(v, -math.inf) == np.nextafter(v, -np.inf)
+            for n in (1, 5, 12):
+                g = rounding_factor(n)
+                want = (np.nextafter(v * (1.0 - g), -np.inf), np.nextafter(v * (1.0 + g), np.inf))
+                assert tuple(rounding_safe(v, v, n)) == want, (v, n)
+
     def test_enclosure_contains_exact_quotients(self):
         # the Collatz-Wielandt interval of the returned vector, computed
         # exactly, for the float matrix and for the matrix of the exact alpha
@@ -187,6 +215,68 @@ class TestHighAlpha:
     def test_iteration_count_n5(self):
         worst = max(spectral_radius(d, 0.95).iterations for d, _ in enumerate_sc_digraphs(5))
         assert worst <= 40
+
+
+class TestSpectralRadii:
+    def test_n5_classes_match_one_at_a_time(self):
+        digraphs = [d for d, _ in enumerate_sc_digraphs(5)]
+        for alpha in (0.0, 0.5, 0.9, 0.95):
+            for d, got in zip(digraphs, spectral_radii(digraphs, alpha)):
+                want = spectral_radius(d, alpha)
+                assert abs(got.radius - want.radius) <= 1e-12, (d.arcs, alpha)
+                assert got.enclosure.lo <= want.enclosure.hi and want.enclosure.lo <= got.enclosure.hi
+                assert got.iterations <= 40
+
+    def test_mixed_sizes_and_alphas_in_input_order(self):
+        specs = [FamilySpec.cycle(4), FamilySpec.infty(1, 2), FamilySpec.complete(4), FamilySpec.gprime(6),
+                 FamilySpec.theta((0, 2), 3), FamilySpec.kpq(3, 2)]
+        digraphs = [generate(spec) for spec in specs] + [make_digraph(1, [])]
+        alphas = [0.0, 0.9, 0.3, 0.75, 0.5, 0.1, 0.2]
+        got = spectral_radii(digraphs, alphas)
+        assert len(got) == len(digraphs)
+        for d, alpha, res in zip(digraphs, alphas, got):
+            want = spectral_radius(d, alpha)
+            assert res.radius == want.radius and res.enclosure == want.enclosure, (d.n, alpha)
+            assert res.perron.shape == (d.n,)
+        shared = spectral_radii(digraphs, 0.4)
+        assert [r.radius for r in shared] == [spectral_radius(d, 0.4).radius for d in digraphs]
+
+    def test_empty(self):
+        assert spectral_radii([], 0.5) == []
+        assert spectral_radii([], []) == []
+
+    def test_rejects_bad_members(self):
+        good, bad = cycle(3), make_digraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(NotStronglyConnectedError):
+            spectral_radii([good, bad, good], 0.5)
+        with pytest.raises(AlphaRangeError):
+            spectral_radii([good, good], [0.5, 1.0])
+        with pytest.raises(ValueError):
+            spectral_radii([good, good], [0.5])
+
+    def test_slow_member_holds_up_no_other(self):
+        for n in (9, 10):
+            rng = np.random.default_rng(n)
+            others = [random_sc_digraph(rng, n) for _ in range(12)]
+            digraphs = others[:6] + [generate(FamilySpec.gprime(n))] + others[6:]
+            got = spectral_radii(digraphs, 0.95)
+            for d, res in zip(digraphs, got):
+                want = spectral_radius(d, 0.95)
+                assert res.enclosure.width <= 1e-12
+                assert res.radius == want.radius and res.iterations == want.iterations
+            assert got[6].iterations == max(r.iterations for r in got)
+
+    def test_global_minima_one_kernel_call_per_vertex_count(self, monkeypatch):
+        calls = []
+        real = _backend.power_iteration
+
+        def counted(m, tol, max_iter):
+            calls.append(m.shape)
+            return real(m, tol, max_iter)
+
+        monkeypatch.setattr(_backend, "power_iteration", counted)
+        verify_global_minima(5, 0.5)
+        assert calls == [(5048, 5, 5)]
 
 
 class TestCwEnclosure:
