@@ -2,12 +2,11 @@
 global minima, bipartite minima, and transform-lemma fuzzing.
 
 Every campaign returns a :class:`VerificationReport` whose verdicts carry
-the exact claim they test.  Two radii are compared through their certified
-enclosures first; only when the enclosures overlap does the midpoint decide,
-and then only beyond ``DECISION_MARGIN`` -- anything closer is reported as
-``indistinguishable`` rather than silently ordered.  Every rank and
-inequality verdict, the transform lemmas' included, comes from
-:func:`judge_claim`.
+the exact claim they test.  Two radii are ordered only by their certified
+enclosures: disjoint enclosures decide, and overlapping ones leave the pair
+unordered, so a strict claim on it is ``indistinguishable`` rather than
+silently ordered.  Every rank and inequality verdict, the transform lemmas'
+included, comes from :func:`judge_claim`.
 """
 
 from __future__ import annotations
@@ -41,10 +40,11 @@ from .digraph import (
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .families import FamilySpec, format_spec, generate, list_bicyclic, list_compositions
-from .spectral import Interval, SpectralResult, spectral_radii, spectral_radius
+from .spectral import SpectralResult, spectral_radii, spectral_radius
 
+#: smallest Perron-vector entry difference the lemma fuzz's eigenvector
+#: ordering check counts; radii are ordered by their enclosures alone
 DECISION_MARGIN = 1e-9
-EQUALITY_TOL = 1e-10
 ENUMERATION_MAX_N = 5
 
 #: isomorphism-class counts of strongly connected digraphs; the n = 5 value
@@ -119,18 +119,11 @@ def merge_reports(campaign: str, reports: list[VerificationReport]) -> Verificat
 
 
 def decide_order(a: SpectralResult, b: SpectralResult) -> int | None:
-    """-1 if a < b, +1 if a > b, None if the pair is indistinguishable.
-
-    Certified when the enclosures are disjoint; otherwise the midpoints
-    decide, but only beyond ``DECISION_MARGIN``.
-    """
+    """-1 if a < b, +1 if a > b, certified by disjoint enclosures; None
+    when the enclosures overlap."""
     if a.enclosure.disjoint_below(b.enclosure):
         return -1
     if b.enclosure.disjoint_below(a.enclosure):
-        return 1
-    if a.radius < b.radius - DECISION_MARGIN:
-        return -1
-    if a.radius > b.radius + DECISION_MARGIN:
         return 1
     return None
 
@@ -139,22 +132,19 @@ def judge_claim(claim: str, a: SpectralResult, relation: str, b: SpectralResult)
     """Verdict for the claim ``a <relation> b``; relation is ``>``, ``>=``
     or ``=``.
 
-    ``>`` holds when :func:`decide_order` puts a above b.  ``=`` and ``>=``
-    hold when the radii agree within ``EQUALITY_TOL``, and ``>=`` also when
-    a is above b.  A pair that decide_order cannot order is
-    ``indistinguishable``; every other outcome fails.  The detail is the gap.
+    When :func:`decide_order` orders the pair, the order decides: ``>`` and
+    ``>=`` pass when a is above b, and every other outcome fails.  When the
+    enclosures overlap nothing refutes ``=`` or ``>=``, so they pass, and
+    ``>`` is ``indistinguishable``.  The detail is the gap between the radii.
     """
     if relation not in (">", ">=", "="):
         raise InvalidParamsError(f"unknown relation {relation!r}")
-    gap = abs(a.radius - b.radius)
     order = decide_order(a, b)
-    if relation != ">" and gap <= EQUALITY_TOL:
-        status = "pass"
-    elif order is None:
-        status = "indistinguishable"
+    if order is None:
+        status = "indistinguishable" if relation == ">" else "pass"
     else:
         status = "pass" if order == 1 and relation != "=" else "fail"
-    return Verdict(claim, status, f"gap {gap:.3e}")
+    return Verdict(claim, status, f"gap {abs(a.radius - b.radius):.3e}")
 
 
 def judge_rank(
@@ -299,8 +289,6 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport("global-min", [alpha])
     results = _rank(report, ((key.hex(), d) for d, key in enumerate_sc_digraphs(n)), alpha)
-    # the directed cycle's radius is exactly 1 at every alpha
-    one = SpectralResult(1.0, Interval(1.0, 1.0), np.ones(n), 0, 0.0)
 
     expected = [
         ("rank 1 is the directed cycle", FamilySpec.cycle(n)),
@@ -314,9 +302,10 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
         v = judge_rank(claim, results, pos, label, format_spec(spec))
         radius = results[pos][1].radius
         if pos == 0 and v.status != "fail":
-            unit = judge_claim(claim, results[0][1], "=", one)
-            if unit.status != "pass":
-                v = Verdict(claim, unit.status, f"radius {radius!r} is not 1, {unit.detail}")
+            # the directed cycle's radius is exactly 1 at every alpha
+            lo, hi = results[0][1].enclosure
+            if not lo <= 1.0 <= hi:
+                v = Verdict(claim, "fail", f"radius {radius!r} is not 1, gap {abs(radius - 1.0):.3e}")
         if alpha > 0.5:
             word = "differs from" if v.status == "fail" else "matches"
             gap = abs(radius - results[pos + 1][1].radius)
@@ -486,8 +475,10 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
 
     The three radius lemmas are the claims ``base > sub``, ``base >=
     subdivided`` and ``moved >= base`` under :func:`judge_claim`; an
-    instance whose status is not ``pass`` is a violation.  Eigenvector
-    entries are compared beyond ``DECISION_MARGIN``.
+    instance whose status is not ``pass`` is a violation, so only disjoint
+    enclosures in the wrong order, or overlapping ones under ``>``, count.
+    Eigenvector entries, which have no enclosures, are compared beyond
+    ``DECISION_MARGIN``.
 
     Each base digraph is solved as it comes, since its Perron vector
     steers the draws that follow.  The derived digraphs' claims are queued

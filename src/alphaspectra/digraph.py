@@ -325,8 +325,9 @@ def bipartition(d: Digraph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def contains_bidirected_kpq(d: Digraph, p: int, q: int) -> bool:
     """True iff disjoint vertex sets of sizes p and q exist with all 2pq
-    crossing arcs present.  Subset search, so n is capped at 10; when the
-    digraph is bipartite only cross-part subsets are tried."""
+    crossing arcs present.  Subset search over the p-sets, so n is capped at
+    10: a p-set works when its common bidirected neighbours number at least
+    q, and they lie outside it because no vertex is its own neighbour."""
     if p < 1 or q < 1:
         raise OutOfRangeError("part sizes must be at least 1")
     if d.n > KPQ_SEARCH_MAX_N:
@@ -334,27 +335,14 @@ def contains_bidirected_kpq(d: Digraph, p: int, q: int) -> bool:
     if p + q > d.n:
         return False
     bidir = [d.out_masks[v] & d.in_masks[v] for v in range(d.n)]
-
-    def check(side_a, side_b, a: int, b: int) -> bool:
-        cand_a = [v for v in side_a if bin(bidir[v]).count("1") >= b]
-        cand_b = [v for v in side_b if bin(bidir[v]).count("1") >= a]
-        if len(cand_a) < a or len(cand_b) < b:
-            return False
-        for sa in itertools.combinations(cand_a, a):
-            common = ~0
-            for v in sa:
-                common &= bidir[v]
-            hits = [w for w in cand_b if (common >> w) & 1]
-            if len(hits) >= b:
-                return True
-        return False
-
-    parts = bipartition(d) if is_strongly_connected(d) else None
-    if parts is not None:
-        a0, a1 = sorted(parts[0]), sorted(parts[1])
-        return check(a0, a1, p, q) or check(a0, a1, q, p)
-    verts = range(d.n)
-    return check(verts, verts, p, q)
+    cand = [v for v in range(d.n) if bidir[v].bit_count() >= q]
+    for chosen in itertools.combinations(cand, p):
+        common = ~0
+        for v in chosen:
+            common &= bidir[v]
+        if common.bit_count() >= q:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -290,14 +290,7 @@ def list_bicyclic(n: int) -> list[FamilySpec]:
     isomorphism class: the two-cycle hubs and the two-path thetas."""
     if n < 3:
         raise InfeasibleError(f"bicyclic digraphs need n >= 3, got {n}")
-    out = [FamilySpec.infty(k, n - 1 - k) for k in range(1, (n - 1) // 2 + 1)]
-    for a in range(0, (n - 2) // 2 + 1):
-        for b in range(max(a, 1), n - 1 - a):
-            c = n - 2 - a - b
-            if c < 0:
-                continue
-            out.append(FamilySpec.theta((a, b), c))
-    return out
+    return list_compositions("infty", n, 2) + list_compositions("theta", n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +334,6 @@ def parse_spec(text: str) -> FamilySpec:
         spec = FamilySpec.theta(ks, l1[0])
     else:
         vals = ints(tail, pos)
-        if kind == "infty":
-            spec = FamilySpec.infty(*vals)
-        elif kind in _BIP_KINDS:
-            if len(vals) != 3:
-                raise ParseError(f"{kind} takes n,p,q", pos=pos, expected="three integers")
-            spec = FamilySpec(kind, vals)
-        elif kind == "kpq":
-            if len(vals) != 2:
-                raise ParseError("kpq takes p,q", pos=pos, expected="two integers")
-            spec = FamilySpec(kind, vals)
-        else:
-            if len(vals) != 1:
-                raise ParseError(f"{kind} takes a single n", pos=pos, expected="one integer")
-            spec = FamilySpec(kind, vals)
+        spec = FamilySpec.infty(*vals) if kind == "infty" else FamilySpec(kind, vals)
     validate_spec(spec)
     return spec

@@ -228,8 +228,9 @@ def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TO
     if d.n == 1:
         return 0.0
     m = build_alpha_matrix(d, alpha).matrix
+    eye = np.eye(d.n)
 
     def char_det(x: float) -> float:
-        return _backend.det_via_lu(x * np.eye(d.n) - m)
+        return _backend.det_via_lu(x * eye - m)
 
     return scan_largest_root(char_det, max(out_degrees(d)), alpha, tol, "det(xI - M)")

@@ -8,7 +8,6 @@ import pytest
 
 from alphaspectra import campaigns
 from alphaspectra.campaigns import (
-    EQUALITY_TOL,
     SC_CLASS_COUNTS,
     SC_LABELED_COUNTS,
     decide_order,
@@ -162,6 +161,23 @@ class TestGlobalMinima:
         report = verify_global_minima(5, 0.3)
         assert abs(report.items[0].radius - 1.0) <= 1e-9
 
+    def test_rank_one_fails_when_enclosure_misses_one(self, monkeypatch):
+        # every radius lifted by 1e-6: the ranks hold, but the cycle's
+        # enclosure no longer contains 1
+        real = campaigns.spectral_radii
+
+        def lifted(digraphs, alphas, *args):
+            return [
+                SpectralResult(r.radius + 1e-6, Interval(r.enclosure.lo + 1e-6, r.enclosure.hi + 1e-6),
+                               r.perron, r.iterations, r.residual)
+                for r in real(digraphs, alphas, *args)
+            ]
+
+        monkeypatch.setattr(campaigns, "spectral_radii", lifted)
+        v = verify_global_minima(5, 0.3).verdicts[0]
+        assert v.status == "fail"
+        assert v.detail.endswith("is not 1, gap 1.000e-06")
+
     def test_bad_params(self):
         with pytest.raises(TooLargeError):
             verify_global_minima(6, 0.0)
@@ -228,7 +244,7 @@ class TestTransformLemmas:
     def test_subdivision_violation_reported(self, monkeypatch):
         # Each subdivided digraph gets its base's result lifted by 5e-10:
         # the enclosures separate, so the claim base >= subdivided fails
-        # under judge_claim although the lift is inside DECISION_MARGIN.
+        # under judge_claim however small the lift.
         # The derived digraphs are solved in one batch call, so that call
         # is patched.
         lift = 5e-10
@@ -362,6 +378,12 @@ class TestDecideOrder:
         assert decide_order(b, a) == 1
         assert decide_order(a, a) is None
 
+    def test_overlap_is_unordered_whatever_the_midpoints(self):
+        # midpoints 2e-9 apart, but the enclosures overlap: no order
+        a, b = fake(1.0, 2e-9), fake(1.0 + 2e-9, 2e-9)
+        assert decide_order(a, b) is None
+        assert decide_order(b, a) is None
+
 
 def fake(radius, half=0.0):
     """Hand-built result with enclosure radius +- half."""
@@ -369,7 +391,7 @@ def fake(radius, half=0.0):
 
 
 # (a, b) pairs: a certified above b, a certified below b, and a pair whose
-# enclosures overlap with a midpoint gap inside the decision margin
+# enclosures overlap
 ABOVE = (fake(2.0), fake(1.0))
 BELOW = (fake(1.0), fake(2.0))
 CLOSE = (fake(1.0 + 5e-10, 1e-9), fake(1.0, 1e-9))
@@ -384,10 +406,10 @@ class TestJudgeClaim:
             (">", CLOSE, "indistinguishable"),
             (">=", ABOVE, "pass"),
             (">=", BELOW, "fail"),
-            (">=", CLOSE, "indistinguishable"),
+            (">=", CLOSE, "pass"),
             ("=", (fake(1.5), fake(1.5)), "pass"),
             ("=", ABOVE, "fail"),
-            ("=", CLOSE, "indistinguishable"),
+            ("=", CLOSE, "pass"),
         ],
     )
     def test_statuses(self, relation, pair, status):
@@ -396,12 +418,12 @@ class TestJudgeClaim:
         assert (v.claim, v.status) == ("claim", status)
         assert v.detail == f"gap {abs(a.radius - b.radius):.3e}"
 
-    def test_weak_and_equal_hold_within_equality_tol(self):
-        # disjoint enclosures put a below b, but the gap is inside EQUALITY_TOL
-        a, b = fake(1.0), fake(1.0 + EQUALITY_TOL / 2)
+    def test_disjoint_enclosures_refute_equality(self):
+        # zero-width enclosures 5e-11 apart: a is certified below b
+        a, b = fake(1.0), fake(1.0 + 5e-11)
         assert decide_order(a, b) == -1
-        assert judge_claim("c", a, ">=", b).status == "pass"
-        assert judge_claim("c", a, "=", b).status == "pass"
+        assert judge_claim("c", a, ">=", b).status == "fail"
+        assert judge_claim("c", a, "=", b).status == "fail"
         assert judge_claim("c", a, ">", b).status == "fail"
 
     def test_unknown_relation(self):

@@ -278,6 +278,17 @@ class TestContainsKpq:
         assert contains_bidirected_kpq(d, 3, 2)
         assert not contains_bidirected_kpq(d, 3, 3)
 
+    def test_non_bipartite(self):
+        d = generate(FamilySpec.complete(5))
+        assert contains_bidirected_kpq(d, 2, 3)
+        assert not contains_bidirected_kpq(d, 3, 3)
+        # K_{2,2} plus a one-way arc inside a part: odd cycle, no K_{1,3}
+        k22 = generate(FamilySpec.kpq(2, 2))
+        d = make_digraph(4, list(k22.arcs) + [(0, 1)])
+        assert bipartition(d) is None
+        assert contains_bidirected_kpq(d, 2, 2)
+        assert not contains_bidirected_kpq(d, 1, 3)
+
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             contains_bidirected_kpq(cycle(11), 2, 2)
