@@ -40,7 +40,7 @@ from .digraph import (
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .families import FamilySpec, format_spec, generate, list_bicyclic, list_compositions
-from .spectral import SpectralResult, spectral_radii, spectral_radius
+from .spectral import SpectralResult, spectral_radii
 
 #: smallest Perron-vector entry difference the lemma fuzz's eigenvector
 #: ordering check counts; radii are ordered by their enclosures alone
@@ -480,29 +480,30 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     Eigenvector entries, which have no enclosures, are compared beyond
     ``DECISION_MARGIN``.
 
-    Each base digraph is solved as it comes, since its Perron vector
-    steers the draws that follow.  The derived digraphs' claims are queued
-    and solved together in one :func:`~alphaspectra.spectral.spectral_radii`
-    call at the end, then judged in queue order.  No radius of a derived
-    digraph feeds the random stream, so every sampled instance, count and
-    violation is the one a solve-as-you-go run gives.
+    The run has four phases.  Every base is drawn first: the ``trials``
+    random digraphs (each an ``n``, an alpha and a sampled digraph), then
+    each fleet digraph at alpha 0 and 0.5.  All bases are solved in one
+    :func:`~alphaspectra.spectral.spectral_radii` call.  Each base then
+    draws its derived digraphs from its own result, since its Perron
+    vector steers the retarget draws; their claims are queued.  The queue
+    is solved in a second batch call and judged in queue order.  So a seed
+    fixes every random base before any transform draw is made.
     """
     if trials <= 0:
         raise InvalidParamsError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be non-negative, got {seed}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     counts = {"subdigraph": 0, "subdivision": 0, "retarget": 0, "perron-order": 0}
     skips = {"subdivision-on-cycle": 0, "retarget-disconnected": 0}
     violations: dict[str, list[str]] = {k: [] for k in counts}
-    alphas_used: set[float] = set()
 
     # derived radius claims (lemma, digraph, alpha, base result, violation
     # text), solved in one batch once every base is done
     queued: list[tuple[str, Digraph, float, SpectralResult, str]] = []
 
-    def check_base(d: Digraph, alpha: float, label: str):
-        alphas_used.add(alpha)
-        base = spectral_radius(d, alpha)
+    def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult):
         report.items.append(_item(label, alpha, base))
         x = base.perron
 
@@ -554,15 +555,19 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
                 elif x[j] < x[i] - DECISION_MARGIN:
                     violations["perron-order"].append(f"{label} nested-nbhd {i},{j} alpha={alpha}")
 
-    report = VerificationReport("transform-lemmas", [])
+    bases: list[tuple[Digraph, float, str]] = []
     for t in range(trials):
         n = int(rng.integers(2, 9))
         alpha = float(rng.choice(ALPHA_CHOICES))
-        d = random_sc_digraph(rng, n)
-        check_base(d, alpha, f"random-n{n}-t{t}")
+        bases.append((random_sc_digraph(rng, n), alpha, f"random-n{n}-t{t}"))
     for spec in _lemma_fleet():
-        for alpha in (0.0, 0.5):
-            check_base(generate(spec), alpha, format_spec(spec))
+        d, label = generate(spec), format_spec(spec)
+        bases += [(d, 0.0, label), (d, 0.5, label)]
+
+    digraphs, alphas, labels = zip(*bases)
+    report = VerificationReport("transform-lemmas", sorted(set(alphas)))
+    for d, alpha, label, base in zip(digraphs, alphas, labels, spectral_radii(digraphs, alphas)):
+        check_base(d, alpha, label, base)
 
     derived = spectral_radii([q[1] for q in queued], [q[2] for q in queued])
     for (lemma, _, _, base, where), res in zip(queued, derived):
@@ -570,7 +575,6 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
         if judge_claim("", a, RADIUS_LEMMAS[lemma], b).status != "pass":
             violations[lemma].append(where)
 
-    report.alpha_grid = sorted(alphas_used)
     for lemma, count in counts.items():
         bad = violations[lemma]
         detail = f"{count} instances checked"

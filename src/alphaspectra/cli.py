@@ -240,12 +240,13 @@ def _cmd_sweep(args) -> int:
             specs.append(parse_spec(line))
     lo, hi = args.alpha_from, args.alpha_to
     alphas = [lo + (hi - lo) * k / max(args.steps - 1, 1) for k in range(args.steps)]
+    rows = [(spec, d, alpha) for spec, d in zip(specs, map(generate, specs)) for alpha in alphas]
+    results = spectral_radii([d for _, d, _ in rows], [alpha for _, _, alpha in rows])
+    # opened only once every radius is in, so a rejected sweep leaves no file
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["spec", "alpha", "radius"])
-        rows = [(spec, d, alpha) for spec, d in zip(specs, map(generate, specs)) for alpha in alphas]
-        results = spectral_radii([d for _, d, _ in rows], [alpha for _, _, alpha in rows])
         for (spec, _, alpha), res in zip(rows, results):
             writer.writerow([format_spec(spec), repr(alpha), repr(res.radius)])
     finally:

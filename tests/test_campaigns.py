@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from alphaspectra import campaigns
+from alphaspectra import _backend, campaigns, spectral
 from alphaspectra.campaigns import (
     SC_CLASS_COUNTS,
     SC_LABELED_COUNTS,
@@ -23,7 +23,7 @@ from alphaspectra.campaigns import (
 )
 from alphaspectra.digraph import canonical_key, is_strongly_connected, make_digraph
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, TooLargeError
-from alphaspectra.families import FamilySpec, generate, list_bicyclic
+from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
 
 
@@ -236,10 +236,64 @@ class TestTransformLemmas:
         a = verify_transform_lemmas(10, seed=5)
         b = verify_transform_lemmas(10, seed=5)
         assert [(i.label, i.radius) for i in a.items] == [(i.label, i.radius) for i in b.items]
+        assert [(v.claim, v.status, v.detail) for v in a.verdicts] == [
+            (v.claim, v.status, v.detail) for v in b.verdicts
+        ]
 
     def test_bad_trials(self):
         with pytest.raises(InvalidParamsError):
             verify_transform_lemmas(0, seed=1)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParamsError, match="seed must be non-negative, got -1"):
+            verify_transform_lemmas(1, seed=-1)
+
+    def test_bases_drawn_first_and_solved_as_alone(self):
+        # every random base comes from the stream before any transform draw,
+        # and its batched result is bit-identical to a solve on its own
+        trials, seed = 12, 4
+        report = verify_transform_lemmas(trials, seed)
+        rng = np.random.default_rng(seed)
+        bases = []
+        for t in range(trials):
+            n = int(rng.integers(2, 9))
+            alpha = float(rng.choice(campaigns.ALPHA_CHOICES))
+            bases.append((f"random-n{n}-t{t}", alpha, random_sc_digraph(rng, n)))
+        for spec in campaigns._lemma_fleet():
+            bases += [(format_spec(spec), alpha, generate(spec)) for alpha in (0.0, 0.5)]
+        assert len(report.items) == len(bases)
+        for item, (label, alpha, d) in zip(report.items, bases):
+            alone = spectral_radius(d, alpha)
+            assert (item.label, item.alpha) == (label, alpha)
+            assert (item.radius, item.lo, item.hi) == (alone.radius, *alone.enclosure)
+
+    def test_two_batched_solves(self, monkeypatch):
+        batches = []  # per spectral_radii call: (vertex counts, kernel stack shapes)
+        real_radii, real_kernel = campaigns.spectral_radii, _backend.power_iteration
+
+        def radii(digraphs, alphas, *args):
+            batches.append(([d.n for d in digraphs], []))
+            return real_radii(digraphs, alphas, *args)
+
+        def kernel(m, tol, max_iter):
+            batches[-1][1].append(m.shape)
+            return real_kernel(m, tol, max_iter)
+
+        def one_digraph(*args):
+            raise AssertionError("one-digraph solve in the lemma fuzz")
+
+        monkeypatch.setattr(campaigns, "spectral_radii", radii)
+        monkeypatch.setattr(_backend, "power_iteration", kernel)
+        monkeypatch.setattr(spectral, "spectral_radius", one_digraph)
+        assert not hasattr(campaigns, "spectral_radius")
+        report = verify_transform_lemmas(30, seed=11)
+        assert report.passed()
+        assert len(batches) == 2
+        assert len(batches[0][0]) == len(report.items)
+        for sizes, shapes in batches:
+            kernel_ns = [shape[1] for shape in shapes]
+            assert sorted(kernel_ns) == sorted(set(sizes))
+            assert sum(shape[0] for shape in shapes) == len(sizes)
 
     def test_subdivision_violation_reported(self, monkeypatch):
         # Each subdivided digraph gets its base's result lifted by 5e-10:

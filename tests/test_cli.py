@@ -197,6 +197,18 @@ class TestSweep:
         assert {r[0] for r in rows[1:]} == {"cycle:5", "infty:1,2"}
         assert all(abs(float(r[2]) - 1.0) < 1e-12 for r in rows[1:] if r[0] == "cycle:5")
 
+    def test_rejected_sweep_creates_no_file(self, tmp_path, capsys):
+        spec_list = tmp_path / "specs.txt"
+        spec_list.write_text("cycle:5\n")
+        out = tmp_path / "f.csv"
+        rc = main(
+            ["sweep", "--spec-list", str(spec_list), "--alpha-from", "0", "--alpha-to", "1.0",
+             "--steps", "3", "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: alpha must be in [0, 1)")
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_input_file_is_exit_1(self, capsys):
@@ -250,6 +262,10 @@ class TestExitCodes:
             ),
             (["verify", "--campaign", "bipartite-min"], "campaign bipartite-min needs --n, --p, --q"),
             (["enumerate", "--n", "6"], "full enumeration capped at n=5"),
+            (
+                ["verify", "--campaign", "transform-lemmas", "--seed", "-1", "--trials", "1"],
+                "seed must be non-negative, got -1",
+            ),
         ],
     )
     def test_rejected_value_is_2(self, capsys, argv, message):
