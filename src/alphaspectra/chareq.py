@@ -14,6 +14,7 @@ lives in :func:`kpq_radius`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
@@ -142,38 +143,97 @@ def scan_largest_root(f, max_deg: int, alpha: float, tol: float, what: str) -> f
 
     The radius sits between max(1, alpha * max_deg) and max_deg.  Steps
     down from max_deg + 1 by ``ROOT_SCAN_STEP`` to the first x with
-    f(x) <= 0, then bisects the last step down to width tol (or to adjacent
-    floats).  Finding no sign change means the function or the bracket is
-    wrong, so it raises instead of guessing; ``what`` names f in the message.
+    f(x) <= 0, then steps down the last step in eighths of it to the first
+    such x again, and refines that bracket by :func:`_brent_refine` to
+    width tol (or to adjacent floats).  The sub-steps keep the refinement
+    on the topmost sign change: a bracket of the coarse scan can hold three
+    roots, and interpolation would converge to any of them.  Finding no
+    sign change means the function or the bracket is wrong, so it raises
+    instead of guessing; ``what`` names f in the message.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     hi = max_deg + 1.0
     floor = max(1.0, alpha * max_deg) - ROOT_SCAN_STEP
-    if f(hi) <= 0.0:
+    up, f_up = hi, f(hi)
+    if f_up <= 0.0:
         raise NoSignChangeError(f"{what} not positive at the upper bound x={hi}")
-    up = hi
     while True:
         if up <= floor:
             raise NoSignChangeError(f"no sign change of {what} above x={floor}")
         lo = up - ROOT_SCAN_STEP
-        if f(lo) <= 0.0:
+        f_lo = f(lo)
+        if f_lo <= 0.0:
             break
-        up = lo
-    while up - lo > tol:
-        mid = 0.5 * (lo + up)
-        if mid == lo or mid == up:
+        up, f_up = lo, f_lo
+    sub = ROOT_SCAN_STEP / 8
+    while up - sub > lo:
+        x = up - sub
+        f_x = f(x)
+        if f_x <= 0.0:
+            lo, f_lo = x, f_x
             break
-        if f(mid) <= 0.0:
-            lo = mid
+        up, f_up = x, f_x
+    if f_lo == 0.0:
+        return lo
+    return _brent_refine(f, lo, f_lo, up, f_up, tol)
+
+
+def _brent_refine(f, lo: float, f_lo: float, up: float, f_up: float, tol: float) -> float:
+    """Root of f in (lo, up), given f(lo) < 0 < f(up), to width tol.
+
+    Brent's ``zero`` (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4, after Dekker 1969): inverse quadratic or
+    secant steps from the latest point b, with a bisection step whenever
+    they would not shrink the bracket [b, c] fast enough.  Every point is
+    at least tol/4 inside the bracket, so a point next to the root steps
+    across it and closes the bracket.  Returns a point where f is exactly
+    0, or the bracket's midpoint once its width is at most tol or its ends
+    are adjacent floats.
+    """
+    step = 0.25 * tol
+    a, f_a, b, f_b = lo, f_lo, up, f_up
+    c, f_c = a, f_a
+    d = e = b - a
+    while True:
+        if abs(f_c) < abs(f_b):
+            a, f_a, b, f_b, c, f_c = b, f_b, c, f_c, b, f_b
+        mid = 0.5 * (b + c)
+        if abs(c - b) <= tol or mid == b or mid == c:
+            return mid
+        m = mid - b
+        if abs(e) >= step and abs(f_a) > abs(f_b):
+            s = f_b / f_a
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = f_a / f_c, f_b / f_c
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(step * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                e = d = m
         else:
-            up = mid
-    return 0.5 * (lo + up)
+            e = d = m
+        a, f_a = b, f_b
+        x = b + d if abs(d) > step else b + math.copysign(step, m)
+        if not min(b, c) < x < max(b, c):
+            x = mid
+        b, f_b = x, f(x)
+        if f_b == 0.0:
+            return b
+        if (f_b > 0.0) == (f_c > 0.0):
+            c, f_c = a, f_a
+            d = e = b - a
 
 
 def largest_root(eq: CharEquation, tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Rightmost real root of the characteristic function, by the 0.25-step
-    scan and bisection of :func:`scan_largest_root`."""
+    """Rightmost real root of the characteristic function, by the scan and
+    Brent refinement of :func:`scan_largest_root`."""
     deg = _max_outdegree(eq.spec)
     what = f"the characteristic function of {eq.spec}"
     return scan_largest_root(lambda x: eval_char(eq, x), deg, eq.alpha, tol, what)

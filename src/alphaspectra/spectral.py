@@ -170,7 +170,7 @@ def spectral_radii(
     alphas = [_check_alpha(a) for a in alphas]
     if len(alphas) != len(digraphs):
         raise ValueError(f"{len(alphas)} alphas for {len(digraphs)} digraphs")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     groups: dict[int, list[int]] = {}
     for k, d in enumerate(digraphs):
@@ -214,23 +214,37 @@ def spectral_radius(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> Spect
     return spectral_radii([d], [alpha], tol)[0]
 
 
+def _det_scan_matrix(d: Digraph, alpha: float, degs: tuple[int, ...]) -> np.ndarray:
+    """alpha*D + (1-alpha)*A for the determinant scan, filled from the arcs
+    and the outdegrees degs by its own code."""
+    m = np.zeros((d.n, d.n))
+    for i, j in d.arcs:
+        m[i, j] = 1.0 - alpha
+    for i, deg in enumerate(degs):
+        m[i, i] = alpha * deg
+    return m
+
+
 def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> float:
     """Independent oracle: rightmost real root of det(xI - M).
 
-    Scans down from (max outdegree + 1) in 0.25 steps and bisects, with the
-    routine the characteristic-equation oracle also uses,
-    :func:`~alphaspectra.chareq.scan_largest_root`.  Shares no code with
-    the Noda-iteration path.
+    Scans down from (max outdegree + 1) in 0.25 steps, then in 1/32 steps
+    inside the last one, and refines that bracket by Brent's method, with
+    the routine the characteristic-equation oracle also uses,
+    :func:`~alphaspectra.chareq.scan_largest_root`.  Builds its matrix by
+    :func:`_det_scan_matrix`, so it shares no code with the Noda-iteration
+    path.
     """
     alpha = _check_alpha(alpha)
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("determinant scan needs a strongly connected digraph")
     if d.n == 1:
         return 0.0
-    m = build_alpha_matrix(d, alpha).matrix
+    degs = out_degrees(d)
+    m = _det_scan_matrix(d, alpha, degs)
     eye = np.eye(d.n)
 
     def char_det(x: float) -> float:
         return _backend.det_via_lu(x * eye - m)
 
-    return scan_largest_root(char_det, max(out_degrees(d)), alpha, tol, "det(xI - M)")
+    return scan_largest_root(char_det, max(degs), alpha, tol, "det(xI - M)")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphaspectra import _backend, chareq
 from alphaspectra.chareq import (
     CharEquation,
     bip_cubic_factored,
@@ -11,11 +12,46 @@ from alphaspectra.chareq import (
     kpq_radius,
     largest_root,
 )
-from alphaspectra.errors import AlphaRangeError, InvalidSpecError
+from alphaspectra.errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
 from alphaspectra.families import FamilySpec, generate, list_compositions
-from alphaspectra.spectral import build_alpha_matrix, spectral_radius
+from alphaspectra.spectral import build_alpha_matrix, det_scan_largest_real_root, spectral_radius
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
+#: the alphas of the criterion-1 oracle grid
+ORACLE_ALPHAS = (0.0, 0.25, 0.5, 0.75, 0.85, 0.9, 0.95)
+#: a fixed sample of criterion-1 specs, every kind with a scalar function
+COUNT_SPECS = [
+    FamilySpec.infty(1, 1, 3),
+    FamilySpec.infty(2, 3),
+    FamilySpec.infty(1, 2, 2, 1),
+    FamilySpec.theta((0, 1, 2), 1),
+    FamilySpec.theta((1, 2), 2),
+    FamilySpec.gprime(5),
+    FamilySpec.bip(1, 8, 3, 2),
+    FamilySpec.bip(2, 8, 3, 2),
+    FamilySpec.bip(5, 9, 3, 2),
+    FamilySpec.bip(6, 10, 4, 2),
+]
+
+
+def mean_evaluations(monkeypatch, module, name, solve, cases):
+    """Average calls of module.name per solve(case) that returns; a call
+    that raises NoSignChangeError stops in the coarse scan and is left out."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[-1] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    for case in cases:
+        calls.append(0)
+        try:
+            solve(*case)
+        except NoSignChangeError:
+            calls.pop()
+    return sum(calls) / len(calls)
 
 
 class TestEvalChar:
@@ -119,6 +155,27 @@ class TestLargestRoot:
                 eq = char_equation_for(spec, alpha)
                 root = largest_root(eq)
                 assert abs(eval_char(eq, root)) < 1e-9
+
+    def test_exact_zero_returns_the_root(self):
+        # the regular part puts the root exactly on 1.5, where f is exactly 0
+        eq = CharEquation(FamilySpec.infty(1, 1), 0.5)
+        assert eval_char(eq, 1.5) == 0.0
+        assert largest_root(eq) == 1.5
+
+    def test_rejects_bad_tol(self):
+        eq = CharEquation(FamilySpec.infty(1, 2), 0.5)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                largest_root(eq, tol)
+
+    def test_evaluation_count(self, monkeypatch):
+        # coarse scan, 1/32 sub-scan and Brent refinement: about 18
+        # evaluations per root where bisecting the coarse bracket took 46;
+        # both oracles share the routine
+        cases = [(char_equation_for(spec, alpha),) for spec in COUNT_SPECS for alpha in ORACLE_ALPHAS]
+        assert mean_evaluations(monkeypatch, chareq, "eval_char", largest_root, cases) <= 24
+        cases = [(generate(spec), alpha) for spec in COUNT_SPECS for alpha in ORACLE_ALPHAS]
+        assert mean_evaluations(monkeypatch, _backend, "det_via_lu", det_scan_largest_real_root, cases) <= 24
 
     def test_root_is_radius(self):
         specs = [
