@@ -1,10 +1,9 @@
 """Scalar characteristic functions for the families that admit one.
 
 Each function is written in the substituted variable y = (x - alpha) /
-(1 - alpha); integer powers of y go through binary exponentiation so the
-evaluations stay stable over the whole alpha grid.  The largest real root
-of each function is the spectral radius of the corresponding digraph, which
-is what the oracle-agreement tests pin down.
+(1 - alpha).  The largest real root of each function is the spectral
+radius of the corresponding digraph, which is what the oracle-agreement
+tests pin down.
 
 Supported kinds: ``infty``, ``theta``, ``gprime`` (the two chord variants
 ``g1``/``g2`` satisfy the same function), and ``bip1``/``bip2``/``bip5``/
@@ -20,10 +19,19 @@ from dataclasses import dataclass
 from .errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
 from .families import FamilySpec, validate_spec
 
+DEFAULT_TOL = 1e-12
 ROOT_SCAN_STEP = 0.25
-DEFAULT_ROOT_TOL = 1e-12
 
 _EQ_KINDS = ("infty", "theta", "gprime", "bip1", "bip2", "bip5", "bip6")
+
+
+def check_alpha(alpha: float) -> float:
+    """alpha as a float; raises :class:`AlphaRangeError` unless it lies in
+    [0, 1)."""
+    alpha = float(alpha)
+    if not (0.0 <= alpha < 1.0):
+        raise AlphaRangeError(f"alpha must be in [0, 1), got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -37,12 +45,7 @@ class CharEquation:
         if self.spec.kind not in _EQ_KINDS:
             raise InvalidSpecError(f"no scalar characteristic function for {self.spec.kind!r}")
         validate_spec(self.spec)
-        if not (0.0 <= self.alpha < 1.0):
-            raise AlphaRangeError(f"alpha must be in [0, 1), got {self.alpha}")
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
+        check_alpha(self.alpha)
 
 
 def char_equation_for(spec: FamilySpec, alpha: float) -> CharEquation:
@@ -53,38 +56,9 @@ def char_equation_for(spec: FamilySpec, alpha: float) -> CharEquation:
     return CharEquation(spec, alpha)
 
 
-def _ipow(base: float, exp: int) -> float:
-    """base**exp for integer exp >= 0 by repeated squaring."""
-    acc = 1.0
-    while exp:
-        if exp & 1:
-            acc *= base
-        base *= base
-        exp >>= 1
-    return acc
-
-
 def _bip_cubic(x: float, alpha: float, p: int, q: int) -> float:
-    """Cubic bracket of the attached-path equations (the coefficient string
-    is checked against its factored origin in the test suite)."""
-    a = alpha
-    c2 = a * p + 2 * a * q + a
-    c1 = a * a * q * q + a * a * p * q + 2 * a * p * q + a * a * q + a * a * p - p * q
-    c0 = (
-        -2 * a * a * q * q * p
-        - 2 * a * a * p * q
-        + a * q * q * p
-        + a * p * q
-        + 2 * a * a * q
-        - a * a * a * q
-        - a * q
-    )
-    return ((x - c2) * x + c1) * x + c0
-
-
-def bip_cubic_factored(x: float, alpha: float, p: int, q: int) -> float:
-    """Same cubic straight from the eigen-equation elimination; kept as an
-    independent transcription check."""
+    """Cubic bracket of the attached-path equations, as the elimination of
+    the eigen-equation on K_{p,q} leaves it."""
     a = alpha
     one = (1 - a) * (1 - a)
     return (
@@ -103,22 +77,22 @@ def eval_char(eq: CharEquation, x: float) -> float:
     kind = spec.kind
     if kind == "infty":
         s = spec.s
-        head = (x - s * a) / (1 - a) * _ipow(y, n - 1)
-        return head - sum(_ipow(y, n - 1 - k) for k in spec.ks)
+        head = (x - s * a) / (1 - a) * y ** (n - 1)
+        return head - sum(y ** (n - 1 - k) for k in spec.ks)
     if kind == "theta":
         s = spec.s
         l1 = spec.l1
-        head = (x - s * a) / (1 - a) * _ipow(y, n - 1)
-        return head - sum(_ipow(y, n - 2 - l1 - k) for k in spec.ks)
+        head = (x - s * a) / (1 - a) * y ** (n - 1)
+        return head - sum(y ** (n - 2 - l1 - k) for k in spec.ks)
     if kind == "gprime":
         t = (x - 2 * a) / (1 - a)
-        return t * t * _ipow(y, n - 2) - (2 * x - 3 * a) / (1 - a) - 1.0
+        return t * t * y ** (n - 2) - (2 * x - 3 * a) / (1 - a) - 1.0
     nn, p, q = spec.npq
-    tail_pow = _ipow(y, nn - p - q)
+    tail_pow = y ** (nn - p - q)
     if kind == "bip1":
-        return tail_pow * _bip_cubic(x, a, p, q) - _ipow(1 - a, 3) * q
+        return tail_pow * _bip_cubic(x, a, p, q) - (1 - a) ** 3 * q
     if kind == "bip2":
-        return tail_pow * _bip_cubic(x, a, q, p) - _ipow(1 - a, 3) * p
+        return tail_pow * _bip_cubic(x, a, q, p) - (1 - a) ** 3 * p
     if kind == "bip5":
         return tail_pow * _bip_cubic(x, a, p, q) - (1 - a) * (1 - a) * (x - a * q)
     # bip6
@@ -231,7 +205,7 @@ def _brent_refine(f, lo: float, f_lo: float, up: float, f_up: float, tol: float)
             d = e = b - a
 
 
-def largest_root(eq: CharEquation, tol: float = DEFAULT_ROOT_TOL) -> float:
+def largest_root(eq: CharEquation, tol: float = DEFAULT_TOL) -> float:
     """Rightmost real root of the characteristic function, by the scan and
     Brent refinement of :func:`scan_largest_root`."""
     deg = _max_outdegree(eq.spec)
@@ -244,8 +218,6 @@ def kpq_radius(p: int, q: int, alpha: float) -> float:
     the larger root of x^2 - alpha(p+q)x - pq + 2*alpha*pq."""
     if p < 1 or q < 1:
         raise InvalidSpecError(f"kpq needs p, q >= 1, got {p}, {q}")
-    a = float(alpha)
-    if not (0.0 <= a < 1.0):
-        raise AlphaRangeError(f"alpha must be in [0, 1), got {alpha}")
+    a = check_alpha(alpha)
     disc = (a * (p + q)) ** 2 - 8 * a * p * q + 4 * p * q
     return (a * (p + q) + disc**0.5) / 2.0

@@ -187,7 +187,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _require(args, parser_hint: str, **needed) -> None:
+def _require(parser_hint: str, **needed) -> None:
     missing = [k for k, v in needed.items() if v is None]
     if missing:
         raise InvalidParamsError(f"campaign {parser_hint} needs --" + ", --".join(missing))
@@ -196,7 +196,7 @@ def _require(args, parser_hint: str, **needed) -> None:
 def _cmd_verify(args) -> int:
     reports = []
     if args.campaign == "family-extremes":
-        _require(args, "family-extremes", family=args.family, n=args.n)
+        _require("family-extremes", family=args.family, n=args.n)
         s = args.s if args.s is not None else 2
         for alpha in args.alpha_grid:
             reports.append(campaigns.verify_family_extremes(args.family, args.n, s, alpha))
@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
         for alpha in args.alpha_grid:
             reports.append(campaigns.verify_global_minima(n, alpha))
     elif args.campaign == "bipartite-min":
-        _require(args, "bipartite-min", n=args.n, p=args.p, q=args.q)
+        _require("bipartite-min", n=args.n, p=args.p, q=args.q)
         for alpha in args.alpha_grid:
             reports.append(campaigns.verify_bipartite_minimum(args.n, args.p, args.q, alpha))
     else:  # transform-lemmas: seeded, alpha chosen internally

@@ -296,8 +296,9 @@ def bipartition(d: Digraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Two-coloring of the underlying undirected graph, or None.
 
     Requires strong connectivity (so the coloring is unique up to swapping
-    sides); part 0 is the side containing vertex 0.  Every arc is verified
-    to cross before returning.
+    sides); part 0 is the side containing vertex 0.  The search from vertex
+    0 reaches every vertex and so tests every arc: None as soon as one joins
+    two vertices of the same color.
     """
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("bipartition needs a strongly connected digraph")
@@ -315,9 +316,6 @@ def bipartition(d: Digraph) -> tuple[frozenset[int], frozenset[int]] | None:
                     queue.append(w)
                 elif color[w] == color[v]:
                     return None
-    for i, j in d.arcs:
-        if color[i] == color[j]:  # pragma: no cover - BFS above already failed
-            return None
     part0 = frozenset(v for v in range(n) if color[v] == 0)
     part1 = frozenset(v for v in range(n) if color[v] == 1)
     return part0, part1

@@ -22,16 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _backend
-from .chareq import scan_largest_root
+from .chareq import DEFAULT_TOL, check_alpha, scan_largest_root
 from .digraph import Digraph, is_strongly_connected, out_degrees
-from .errors import (
-    AlphaRangeError,
-    ConvergenceError,
-    NonpositiveVectorError,
-    NotStronglyConnectedError,
-)
+from .errors import ConvergenceError, NonpositiveVectorError, NotStronglyConnectedError
 
-DEFAULT_TOL = 1e-12
 #: Noda iteration converges quadratically near the root: over every n = 5
 #: class and the criterion-1 family grid up to n = 12, at alpha up to 0.99,
 #: no solve needs more than 26 steps.
@@ -77,13 +71,6 @@ class SpectralResult:
     residual: float
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 <= alpha < 1.0):
-        raise AlphaRangeError(f"alpha must be in [0, 1), got {alpha}")
-    return alpha
-
-
 def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
     """alpha_k*D + (1-alpha_k)*A of each n-vertex digraph, shape (N, n, n),
     and each digraph's largest outdegree.
@@ -108,7 +95,7 @@ def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
 
 def build_alpha_matrix(d: Digraph, alpha: float) -> AlphaMatrix:
     """Entry (i, i) = alpha * outdeg(i); entry (i, j) = 1 - alpha on arcs."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return AlphaMatrix(d, alpha, _alpha_stack([d], d.n, [alpha])[0][0])
 
 
@@ -167,7 +154,7 @@ def spectral_radii(
     digraphs = list(digraphs)
     if isinstance(alphas, numbers.Real):
         alphas = [alphas] * len(digraphs)
-    alphas = [_check_alpha(a) for a in alphas]
+    alphas = [check_alpha(a) for a in alphas]
     if len(alphas) != len(digraphs):
         raise ValueError(f"{len(alphas)} alphas for {len(digraphs)} digraphs")
     if not tol > 0:
@@ -235,7 +222,7 @@ def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TO
     :func:`_det_scan_matrix`, so it shares no code with the Noda-iteration
     path.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("determinant scan needs a strongly connected digraph")
     if d.n == 1:

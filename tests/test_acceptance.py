@@ -17,6 +17,7 @@ from alphaspectra.campaigns import (
     verify_transform_lemmas,
 )
 from alphaspectra.chareq import char_equation_for, kpq_radius, largest_root
+from alphaspectra.errors import NoSignChangeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_compositions
 from alphaspectra.spectral import det_scan_largest_real_root, spectral_radius
 
@@ -80,6 +81,40 @@ def test_criterion_1_oracle_agreement():
         f"{checked} (spec, alpha) triples agree; worst root gap {worst_root:.2e}, "
         f"worst det gap {worst_det:.2e}, {elapsed:.1f}s",
     )
+
+
+#: the (spec, alpha) triples of the n <= 7 criterion-1 grid at alpha 0.85,
+#: 0.9 and 0.95 where each root oracle finds no sign change: a second real
+#: root lies in the same 0.25 step as the radius, so the coarse scan steps
+#: over both and stops at its floor
+ROOT_RAISES = {("bip1:6,3,2", 0.95), ("bip5:7,3,2", 0.95)}
+DET_RAISES = {("bip1:7,4,2", 0.9), ("bip1:7,4,2", 0.95)}
+GPRIME_RAISES = {(f"gprime:{n}", alpha) for n in (5, 6, 7) for alpha in (0.85, 0.9, 0.95)}
+
+
+def test_oracles_above_criterion_1_alphas():
+    # a ceiling, not a pin: an oracle may stop raising on a triple, but may
+    # raise on no other, and every root it returns is the radius
+    raised = {"root": set(), "det": set()}
+    for spec in family_grid():
+        if spec.n_vertices > 7:
+            continue
+        d = generate(spec)
+        for alpha in (0.85, 0.9, 0.95):
+            radius = spectral_radius(d, alpha).radius
+            routes = {
+                "root": lambda: largest_root(char_equation_for(spec, alpha)),
+                "det": lambda: det_scan_largest_real_root(d, alpha),
+            }
+            for name, route in routes.items():
+                try:
+                    value = route()
+                except NoSignChangeError:
+                    raised[name].add((format_spec(spec), alpha))
+                    continue
+                assert abs(value - radius) <= 1e-9, (name, format_spec(spec), alpha)
+    assert raised["root"] <= ROOT_RAISES | GPRIME_RAISES
+    assert raised["det"] <= DET_RAISES | GPRIME_RAISES
 
 
 def test_criterion_2_kpq_closed_form():

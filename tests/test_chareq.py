@@ -6,7 +6,6 @@ import pytest
 from alphaspectra import _backend, chareq
 from alphaspectra.chareq import (
     CharEquation,
-    bip_cubic_factored,
     char_equation_for,
     eval_char,
     kpq_radius,
@@ -88,34 +87,29 @@ class TestEvalChar:
                     direct = (x - 2 * alpha) / (1 - alpha) * y ** (n - 1) - y**2 - 1
                     assert abs(eval_char(eq, x) - direct) <= 1e-9 * max(1.0, abs(direct))
 
-    def test_bip_cubic_expansion_matches_factored_origin(self):
-        # the long transcribed coefficient string against its product form
-        from alphaspectra.chareq import _bip_cubic
 
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            p = int(rng.integers(2, 7))
-            q = int(rng.integers(2, p + 1))
-            alpha = float(rng.uniform(0, 0.95))
-            x = float(rng.uniform(0.5, 8.0))
-            a = _bip_cubic(x, alpha, p, q)
-            b = bip_cubic_factored(x, alpha, p, q)
-            assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+def det_factor(spec, alpha, x):
+    """det(xI - M) / f(x) for the scalar function f of spec: (1-alpha)^n for
+    the hub/theta/chord families; for the attached-path ones the factors
+    that eliminating the eigen-equation on K_{p,q} divides out."""
+    if not spec.kind.startswith("bip"):
+        return (1 - alpha) ** spec.n_vertices
+    n, p, q = spec.npq
+    e_p, e_q = (p - 2, q - 1) if spec.kind in ("bip1", "bip5") else (p - 1, q - 2)
+    return (1 - alpha) ** (n - p - q) * (x - alpha * q) ** e_p * (x - alpha * p) ** e_q
 
 
 class TestDeterminantIdentity:
-    """For the hub/theta/chord families the scalar function times
-    (1-alpha)^n equals det(xI - M) exactly, which pins every transcribed
-    exponent and coefficient."""
+    """The scalar function times :func:`det_factor` equals det(xI - M)
+    exactly, which pins every transcribed exponent and coefficient."""
 
     def check(self, spec, alpha):
         d = generate(spec)
         eq = char_equation_for(spec, alpha)
         m = build_alpha_matrix(d, alpha).matrix
-        scale = (1 - alpha) ** d.n
         for x in np.linspace(1.05, 3.7, 9):
             det = np.linalg.det(x * np.eye(d.n) - m)
-            val = scale * eval_char(eq, x)
+            val = det_factor(spec, alpha, x) * eval_char(eq, x)
             assert abs(det - val) <= 1e-8 * max(1.0, abs(det)), (spec, alpha, x)
 
     def test_infty(self):
@@ -134,6 +128,15 @@ class TestDeterminantIdentity:
                 self.check(FamilySpec.gprime(n), alpha)
                 self.check(FamilySpec.g1(n), alpha)
                 self.check(FamilySpec.g2(n), alpha)
+
+    def test_bip(self):
+        for p in range(2, 6):
+            for q in range(2, p + 1):
+                for n in range(p + q + 1, 13):
+                    kinds = (1, 2) if (n - p - q) % 2 == 1 else (5, 6)
+                    for kind in kinds:
+                        for alpha in ALPHAS + [0.9]:
+                            self.check(FamilySpec.bip(kind, n, p, q), alpha)
 
 
 class TestLargestRoot:
