@@ -86,17 +86,8 @@ class VerificationReport:
         """True iff every non-exploratory verdict passed."""
         return all(v.status in ("pass", "exploratory", "skipped") for v in self.verdicts)
 
-    def to_dict(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "alpha_grid": self.alpha_grid,
-            "items": [asdict(i) for i in self.items],
-            "verdicts": [asdict(v) for v in self.verdicts],
-            "runtime_s": self.runtime_s,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

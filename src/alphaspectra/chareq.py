@@ -1,9 +1,10 @@
 """Scalar characteristic functions for the families that admit one.
 
 Each function is written in the substituted variable y = (x - alpha) /
-(1 - alpha).  The largest real root of each function is the spectral
-radius of the corresponding digraph, which is what the oracle-agreement
-tests pin down.
+(1 - alpha).  Each is det(xI - M) divided by positive factors whose roots
+are eigenvalues, so its largest real root is the spectral radius, and it
+is positive, increasing and convex above it: :func:`largest_root` reaches
+the radius by secant steps from above, which do not step past it.
 
 Supported kinds: ``infty``, ``theta``, ``gprime`` (the two chord variants
 ``g1``/``g2`` satisfy the same function), and ``bip1``/``bip2``/``bip5``/
@@ -20,7 +21,9 @@ from .errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
 from .families import FamilySpec, validate_spec
 
 DEFAULT_TOL = 1e-12
-ROOT_SCAN_STEP = 0.25
+#: secant steps before the descent gives up; no root of the criterion-1
+#: grid or of the n = 5 classes, at alpha up to 0.99, takes more than 40
+MAX_DESCENT_STEPS = 100
 
 _EQ_KINDS = ("infty", "theta", "gprime", "bip1", "bip2", "bip5", "bip6")
 
@@ -111,106 +114,59 @@ def _max_outdegree(spec: FamilySpec) -> int:
     return p + 1  # bip2 / bip6
 
 
-def scan_largest_root(f, max_deg: int, alpha: float, tol: float, what: str) -> float:
-    """Largest real root of f, the characteristic function of a digraph
+def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
+    """Largest real root rho of f, the characteristic function of a digraph
     with maximum outdegree max_deg; shared by both root oracles.
 
-    The radius sits between max(1, alpha * max_deg) and max_deg.  Steps
-    down from max_deg + 1 by ``ROOT_SCAN_STEP`` to the first x with
-    f(x) <= 0, then steps down the last step in eighths of it to the first
-    such x again, and refines that bracket by :func:`_brent_refine` to
-    width tol (or to adjacent floats).  The sub-steps keep the refinement
-    on the topmost sign change: a bracket of the coarse scan can hold three
-    roots, and interpolation would converge to any of them.  Finding no
-    sign change means the function or the bracket is wrong, so it raises
-    instead of guessing; ``what`` names f in the message.
+    f is det(xI - M), or that determinant divided by positive factors whose
+    roots are eigenvalues, and every eigenvalue of the nonnegative M has
+    modulus at most rho <= max_deg.  By Gauss-Lucas so do the roots of f'
+    and f'', so f is positive, increasing and convex on (rho, inf), and a
+    secant step between two points above rho stays above rho.  Descends
+    from max_deg + 1 and max_deg by such steps, each at least tol and one
+    ulp, to the first x with f(x) <= 0; bisects that last step to width tol
+    (or to adjacent floats) and returns the false-position point inside
+    it, or the x where f is exactly 0.  f not positive at max_deg + 1, not
+    increasing above the root, or without a sign change after
+    ``MAX_DESCENT_STEPS`` steps is a wrong function, so it raises instead
+    of guessing; ``what`` names f in the message.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    hi = max_deg + 1.0
-    floor = max(1.0, alpha * max_deg) - ROOT_SCAN_STEP
-    up, f_up = hi, f(hi)
-    if f_up <= 0.0:
-        raise NoSignChangeError(f"{what} not positive at the upper bound x={hi}")
-    while True:
-        if up <= floor:
-            raise NoSignChangeError(f"no sign change of {what} above x={floor}")
-        lo = up - ROOT_SCAN_STEP
-        f_lo = f(lo)
+    up, lo = max_deg + 1.0, float(max_deg)
+    f_up, f_lo = f(up), f(lo)
+    if not f_up > 0.0:
+        raise NoSignChangeError(f"{what} not positive at the upper bound x={up}")
+    for _ in range(MAX_DESCENT_STEPS):
         if f_lo <= 0.0:
             break
+        if f_lo >= f_up:
+            raise NoSignChangeError(f"{what} does not increase between x={lo} and x={up}")
+        step = max(f_lo * (up - lo) / (f_up - f_lo), tol, math.ulp(lo))
         up, f_up = lo, f_lo
-    sub = ROOT_SCAN_STEP / 8
-    while up - sub > lo:
-        x = up - sub
-        f_x = f(x)
-        if f_x <= 0.0:
-            lo, f_lo = x, f_x
+        lo = up - step
+        f_lo = f(lo)
+    if f_lo > 0.0:
+        raise NoSignChangeError(f"no sign change of {what} in {MAX_DESCENT_STEPS} secant steps")
+    while f_lo < 0.0 and up - lo > tol:
+        mid = 0.5 * (lo + up)
+        if mid == lo or mid == up:
             break
-        up, f_up = x, f_x
+        f_mid = f(mid)
+        if f_mid > 0.0:
+            up, f_up = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
     if f_lo == 0.0:
         return lo
-    return _brent_refine(f, lo, f_lo, up, f_up, tol)
-
-
-def _brent_refine(f, lo: float, f_lo: float, up: float, f_up: float, tol: float) -> float:
-    """Root of f in (lo, up), given f(lo) < 0 < f(up), to width tol.
-
-    Brent's ``zero`` (R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4, after Dekker 1969): inverse quadratic or
-    secant steps from the latest point b, with a bisection step whenever
-    they would not shrink the bracket [b, c] fast enough.  Every point is
-    at least tol/4 inside the bracket, so a point next to the root steps
-    across it and closes the bracket.  Returns a point where f is exactly
-    0, or the bracket's midpoint once its width is at most tol or its ends
-    are adjacent floats.
-    """
-    step = 0.25 * tol
-    a, f_a, b, f_b = lo, f_lo, up, f_up
-    c, f_c = a, f_a
-    d = e = b - a
-    while True:
-        if abs(f_c) < abs(f_b):
-            a, f_a, b, f_b, c, f_c = b, f_b, c, f_c, b, f_b
-        mid = 0.5 * (b + c)
-        if abs(c - b) <= tol or mid == b or mid == c:
-            return mid
-        m = mid - b
-        if abs(e) >= step and abs(f_a) > abs(f_b):
-            s = f_b / f_a
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = f_a / f_c, f_b / f_c
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < 3.0 * m * q - abs(step * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                e = d = m
-        else:
-            e = d = m
-        a, f_a = b, f_b
-        x = b + d if abs(d) > step else b + math.copysign(step, m)
-        if not min(b, c) < x < max(b, c):
-            x = mid
-        b, f_b = x, f(x)
-        if f_b == 0.0:
-            return b
-        if (f_b > 0.0) == (f_c > 0.0):
-            c, f_c = a, f_a
-            d = e = b - a
+    return lo - f_lo * (up - lo) / (f_up - f_lo)
 
 
 def largest_root(eq: CharEquation, tol: float = DEFAULT_TOL) -> float:
-    """Rightmost real root of the characteristic function, by the scan and
-    Brent refinement of :func:`scan_largest_root`."""
-    deg = _max_outdegree(eq.spec)
+    """Rightmost real root of the characteristic function, by the secant
+    descent of :func:`descend_to_largest_root`."""
     what = f"the characteristic function of {eq.spec}"
-    return scan_largest_root(lambda x: eval_char(eq, x), deg, eq.alpha, tol, what)
+    return descend_to_largest_root(lambda x: eval_char(eq, x), _max_outdegree(eq.spec), tol, what)
 
 
 def kpq_radius(p: int, q: int, alpha: float) -> float:

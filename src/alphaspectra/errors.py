@@ -54,7 +54,8 @@ class InfeasibleError(SpectraError):
 
 
 class NoSignChangeError(SpectraError):
-    """Root bracketing found no sign change; formula or bracket is wrong."""
+    """The secant descent found f not positive, not increasing, or without
+    a sign change above the largest root: f is wrong."""
 
 
 class InvalidParamsError(SpectraError):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _backend
-from .chareq import DEFAULT_TOL, check_alpha, scan_largest_root
+from .chareq import DEFAULT_TOL, check_alpha, descend_to_largest_root
 from .digraph import Digraph, is_strongly_connected, out_degrees
 from .errors import ConvergenceError, NonpositiveVectorError, NotStronglyConnectedError
 
@@ -215,10 +215,10 @@ def _det_scan_matrix(d: Digraph, alpha: float, degs: tuple[int, ...]) -> np.ndar
 def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> float:
     """Independent oracle: rightmost real root of det(xI - M).
 
-    Scans down from (max outdegree + 1) in 0.25 steps, then in 1/32 steps
-    inside the last one, and refines that bracket by Brent's method, with
+    Descends by secant steps from (max outdegree + 1), where the
+    determinant is positive, increasing and convex down to the radius, with
     the routine the characteristic-equation oracle also uses,
-    :func:`~alphaspectra.chareq.scan_largest_root`.  Builds its matrix by
+    :func:`~alphaspectra.chareq.descend_to_largest_root`.  Builds its matrix by
     :func:`_det_scan_matrix`, so it shares no code with the Noda-iteration
     path.
     """
@@ -234,4 +234,4 @@ def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TO
     def char_det(x: float) -> float:
         return _backend.det_via_lu(x * eye - m)
 
-    return scan_largest_root(char_det, max(degs), alpha, tol, "det(xI - M)")
+    return descend_to_largest_root(char_det, max(degs), tol, "det(xI - M)")
