@@ -84,6 +84,19 @@ def test_criterion_1_oracle_agreement():
     )
 
 
+def test_oracles_above_criterion_1_alphas():
+    # above 0.95 more real roots crowd below the radius; at the default
+    # tolerances neither oracle may raise or return one of them
+    for spec in family_grid():
+        d = generate(spec)
+        for alpha in (0.97, 0.99):
+            radius = spectral_radius(d, alpha).radius
+            root = largest_root(char_equation_for(spec, alpha))
+            det = det_scan_largest_real_root(d, alpha)
+            assert abs(root - radius) <= 1e-9, ("root", format_spec(spec), alpha)
+            assert abs(det - radius) <= 1e-9, ("det", format_spec(spec), alpha)
+
+
 def test_criterion_2_kpq_closed_form():
     worst = 0.0
     for p in range(2, 7):
