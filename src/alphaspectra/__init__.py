@@ -39,7 +39,6 @@ from .families import (
     parse_spec,
 )
 from .spectral import (
-    AlphaMatrix,
     Interval,
     SpectralResult,
     build_alpha_matrix,

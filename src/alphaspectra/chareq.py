@@ -122,14 +122,14 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
     roots are eigenvalues, and every eigenvalue of the nonnegative M has
     modulus at most rho <= max_deg.  By Gauss-Lucas so do the roots of f'
     and f'', so f is positive, increasing and convex on (rho, inf), and a
-    secant step between two points above rho stays above rho.  Descends
-    from max_deg + 1 and max_deg by such steps, each at least tol and one
-    ulp, to the first x with f(x) <= 0; bisects that last step to width tol
-    (or to adjacent floats) and returns the false-position point inside
-    it, or the x where f is exactly 0.  f not positive at max_deg + 1, not
-    increasing above the root, or without a sign change after
-    ``MAX_DESCENT_STEPS`` steps is a wrong function, so it raises instead
-    of guessing; ``what`` names f in the message.
+    secant step between two points above rho stays above rho.  Returns
+    max_deg where f(max_deg) <= 0; else descends from max_deg + 1 and
+    max_deg by such steps, each at least tol and one ulp, to the first x
+    with f(x) <= 0, bisects that last step to width tol (or to adjacent
+    floats) and returns the false-position point inside it.  f not
+    positive at max_deg + 1, not increasing above the root, or without a
+    sign change after ``MAX_DESCENT_STEPS`` steps is a wrong function, so
+    it raises instead of guessing; ``what`` names f in the message.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -137,16 +137,18 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
     f_up, f_lo = f(up), f(lo)
     if not f_up > 0.0:
         raise NoSignChangeError(f"{what} not positive at the upper bound x={up}")
+    if f_lo <= 0.0:
+        return lo
     for _ in range(MAX_DESCENT_STEPS):
-        if f_lo <= 0.0:
-            break
         if f_lo >= f_up:
             raise NoSignChangeError(f"{what} does not increase between x={lo} and x={up}")
         step = max(f_lo * (up - lo) / (f_up - f_lo), tol, math.ulp(lo))
         up, f_up = lo, f_lo
         lo = up - step
         f_lo = f(lo)
-    if f_lo > 0.0:
+        if f_lo <= 0.0:
+            break
+    else:
         raise NoSignChangeError(f"no sign change of {what} in {MAX_DESCENT_STEPS} secant steps")
     while f_lo < 0.0 and up - lo > tol:
         mid = 0.5 * (lo + up)
@@ -157,8 +159,6 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
             up, f_up = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    if f_lo == 0.0:
-        return lo
     return lo - f_lo * (up - lo) / (f_up - f_lo)
 
 

@@ -190,13 +190,7 @@ def generate(spec: FamilySpec) -> Digraph:
         n = spec.params[0]
         return make_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
     if k == "kpq":
-        p, q = spec.params
-        arcs = []
-        for u in range(p):
-            for w in range(p, p + q):
-                arcs.append((u, w))
-                arcs.append((w, u))
-        return make_digraph(p + q, arcs)
+        return make_digraph(spec.n_vertices, _kpq_arcs(*spec.params))
     if k == "infty":
         arcs = []
         nxt = 1
@@ -232,12 +226,13 @@ def generate(spec: FamilySpec) -> Digraph:
     return make_digraph(n, arcs)
 
 
+def _kpq_arcs(p: int, q: int) -> list[tuple[int, int]]:
+    """Both arcs between each of the vertices 0 .. p-1 and p .. p+q-1."""
+    return [arc for u in range(p) for w in range(p, p + q) for arc in ((u, w), (w, u))]
+
+
 def _generate_bip(kind: int, n: int, p: int, q: int) -> Digraph:
-    arcs = []
-    for u in range(p):
-        for w in range(p, p + q):
-            arcs.append((u, w))
-            arcs.append((w, u))
+    arcs = _kpq_arcs(p, q)
     # attached directed path through the fresh vertices p+q .. n-1
     starts = {1: 0, 2: p, 3: 0, 4: p, 5: 0, 6: p}
     ends = {1: p - 1, 2: p + q - 1, 3: 0, 4: p, 5: p, 6: 0}

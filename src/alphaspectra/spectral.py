@@ -48,15 +48,6 @@ class Interval(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class AlphaMatrix:
-    """Dense alpha*D + (1-alpha)*A of a digraph, rows indexed by tails."""
-
-    digraph: Digraph
-    alpha: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralResult:
     """Radius estimate with a certified enclosure and the Perron vector.
 
@@ -93,29 +84,30 @@ def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
     return np.array(cells).reshape(len(digraphs), n, n), tops
 
 
-def build_alpha_matrix(d: Digraph, alpha: float) -> AlphaMatrix:
+def build_alpha_matrix(d: Digraph, alpha: float) -> np.ndarray:
     """Entry (i, i) = alpha * outdeg(i); entry (i, j) = 1 - alpha on arcs."""
-    alpha = check_alpha(alpha)
-    return AlphaMatrix(d, alpha, _alpha_stack([d], d.n, [alpha])[0][0])
+    return _alpha_stack([d], d.n, [check_alpha(alpha)])[0][0]
 
 
-def row_sum_bounds(m: AlphaMatrix) -> Interval:
-    """[min outdegree, max outdegree]; the radius always lies inside, with
-    equality of the endpoints exactly when all outdegrees agree."""
-    if not is_strongly_connected(m.digraph):
-        raise NotStronglyConnectedError("row-sum bounds need an irreducible matrix")
-    degs = out_degrees(m.digraph)
+def row_sum_bounds(d: Digraph) -> Interval:
+    """[min outdegree, max outdegree], the extreme row sums of alpha*D +
+    (1-alpha)*A; its radius lies inside at every alpha, with equality of the
+    endpoints exactly when all outdegrees agree."""
+    if not is_strongly_connected(d):
+        raise NotStronglyConnectedError("row-sum bounds need a strongly connected digraph")
+    degs = out_degrees(d)
     return Interval(float(min(degs)), float(max(degs)))
 
 
-def cw_enclosure(m: AlphaMatrix, x: np.ndarray) -> Interval:
-    """Quotient bounds [min (Mx)_i/x_i, max (Mx)_i/x_i] for positive x,
-    widened by :func:`rounding_safe`; always contains the spectral radius."""
+def cw_enclosure(m: np.ndarray, x: np.ndarray) -> Interval:
+    """Quotient bounds [min (mx)_i/x_i, max (mx)_i/x_i] of the (n, n) m and a
+    positive x, widened by :func:`rounding_safe`; contains the radius of m."""
+    n = m.shape[0]
     x = np.asarray(x, dtype=float)
-    if x.shape != (m.digraph.n,) or not (x > 0).all():
+    if x.shape != (n,) or not (x > 0).all():
         raise NonpositiveVectorError("test vector must be strictly positive")
-    q = (m.matrix @ x) / x
-    return rounding_safe(float(q.min()), float(q.max()), m.digraph.n)
+    q = (m @ x) / x
+    return rounding_safe(float(q.min()), float(q.max()), n)
 
 
 def rounding_factor(n: int) -> float:
@@ -225,8 +217,6 @@ def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TO
     alpha = check_alpha(alpha)
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("determinant scan needs a strongly connected digraph")
-    if d.n == 1:
-        return 0.0
     degs = out_degrees(d)
     m = _det_scan_matrix(d, alpha, degs)
     eye = np.eye(d.n)

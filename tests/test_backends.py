@@ -29,7 +29,7 @@ def random_matrices(count, seed):
     for _ in range(count):
         d = random_sc_digraph(rng, int(rng.integers(2, 9)))
         alpha = float(rng.uniform(0, 0.95))
-        yield build_alpha_matrix(d, alpha).matrix
+        yield build_alpha_matrix(d, alpha)
 
 
 def brute_min_mask(mask, n):
@@ -87,7 +87,7 @@ class TestNumpyKernels:
         # det(xI - M) = (x - alpha)^n - (1 - alpha)^n on the directed n-cycle
         for n in range(2, 9):
             for alpha in (0.0, 0.25, 0.5, 0.9):
-                m = build_alpha_matrix(generate(FamilySpec.cycle(n)), alpha).matrix
+                m = build_alpha_matrix(generate(FamilySpec.cycle(n)), alpha)
                 for x in (0.0, 0.5, 1.0, 1.75, 3.0):
                     want = (x - alpha) ** n - (1 - alpha) ** n
                     got = _backend.det_via_lu(x * np.eye(n) - m)

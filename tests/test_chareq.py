@@ -102,7 +102,7 @@ class TestDeterminantIdentity:
     def check(self, spec, alpha):
         d = generate(spec)
         eq = char_equation_for(spec, alpha)
-        m = build_alpha_matrix(d, alpha).matrix
+        m = build_alpha_matrix(d, alpha)
         for x in np.linspace(1.05, 3.7, 9):
             det = np.linalg.det(x * np.eye(d.n) - m)
             val = det_factor(spec, alpha, x) * eval_char(eq, x)
