@@ -30,13 +30,13 @@ from .digraph import (
     canonical_key,
     canonical_masks,
     contains_bidirected_kpq,
+    digraphs_from_rows,
     is_strongly_connected,
     loop_free_masks,
     make_digraph,
     masks_strongly_connected,
     retarget_in_arcs,
     subdivide_arc,
-    unpack_arcs,
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .families import FamilySpec, format_spec, generate, list_bicyclic, list_compositions
@@ -184,22 +184,25 @@ def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
 
     Sieves the 2^(n(n-1)) labeled loop-free masks down to the canonical
     ones (each equal to its own permutation-minimal mask, so one per
-    isomorphism class), then runs the strong-connectivity filter on those
-    alone; strong connectivity does not depend on the labeling, and no
-    labeled strongly connected set is built.  Each class is represented by
-    the labeling with the minimal mask, and ``key`` is built from the same
-    mask, so it equals ``canonical_key(digraph)`` without recomputing it.
-    Classes come out sorted by canonical mask.
+    isomorphism class; :func:`canonical_masks` drops all but 327 680 of
+    the 1 048 576 at n = 5 by vertex 0's row before relabeling any), then
+    runs the strong-connectivity filter on their adjacency rows alone;
+    strong connectivity does not depend on the labeling, and no labeled
+    strongly connected set is built.  The strong rows are decoded into
+    digraphs directly (:func:`digraphs_from_rows`).  Each class is
+    represented by the labeling with the minimal mask, and ``key`` is built
+    from the same mask, so it equals ``canonical_key(digraph)`` without
+    recomputing it.  Classes come out sorted by canonical mask.
     """
     if n < 2:
         raise InvalidParamsError(f"enumeration needs n >= 2, got {n}")
     if n > ENUMERATION_MAX_N:
         raise TooLargeError(f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}")
     canon = canonical_masks(loop_free_masks(n), n)
-    canon = canon[_backend.sc_filter(adjacency_rows_from_masks(canon, n), n)]
-    return tuple(
-        (make_digraph(n, unpack_arcs(c, n)), CanonicalKey.from_mask(n, c)) for c in canon.tolist()
-    )
+    rows = adjacency_rows_from_masks(canon, n)
+    strong = _backend.sc_filter(rows, n)
+    keys = [CanonicalKey.from_mask(n, c) for c in canon[strong].tolist()]
+    return tuple(zip(digraphs_from_rows(rows[strong], n), keys))
 
 
 # ---------------------------------------------------------------------------

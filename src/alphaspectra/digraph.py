@@ -44,7 +44,10 @@ Arc = tuple[int, int]
 @dataclass(frozen=True)
 class Digraph:
     """Simple directed graph: vertex count plus a sorted, loop-free,
-    duplicate-free arc tuple.  Build through :func:`make_digraph`."""
+    duplicate-free arc tuple of in-range vertex pairs.  Build through
+    :func:`make_digraph`, which checks that invariant, or, for many packed
+    masks at once, through :func:`digraphs_from_rows`, whose table layout
+    keeps it by construction."""
 
     n: int
     arcs: tuple[Arc, ...]
@@ -228,8 +231,49 @@ def min_relabeled_mask(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def canonical_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """The masks equal to their :func:`min_relabeled_mask`, in input order."""
-    return _backend.perm_sieve(masks.astype(np.int64, copy=False), _perm_bit_table(n))
+    """The masks equal to their :func:`min_relabeled_mask`, in input order.
+
+    Only masks whose vertex 0 out-row, diagonal bit aside, reads 0...01...1
+    reach the sieve: any other row 0 is lowered, and with it the mask, by
+    the relabeling that fixes vertex 0 and moves its heads to the top labels.
+    """
+    masks = masks.astype(np.int64, copy=False)
+    low = (masks >> _cell_bit(n, 0, n - 1)) & ((1 << (n - 1)) - 1)
+    return _backend.perm_sieve(masks[low & (low + 1) == 0], _perm_bit_table(n))
+
+
+@lru_cache(maxsize=None)
+def _row_arcs(n: int) -> tuple[dict[int, tuple[Arc, ...]], ...]:
+    """Per vertex i: n-bit row value (bit n-1-j for head j) -> the arcs
+    (i, j) it holds, sorted by head.  Rows with the diagonal bit set have no
+    entry."""
+    return tuple(
+        {
+            r: tuple((i, j) for j in range(n) if (r >> (n - 1 - j)) & 1)
+            for r in range(1 << n)
+            if not (r >> (n - 1 - i)) & 1
+        }
+        for i in range(n)
+    )
+
+
+def digraphs_from_rows(rows: np.ndarray, n: int) -> list[Digraph]:
+    """The digraph of each row of :func:`adjacency_rows_from_masks`, in
+    order, without a :func:`make_digraph` call.
+
+    Each vertex's arcs come from a cached table of in-range, loop-free arcs
+    sorted by head, and the tables are joined in tail order, so the arc
+    tuple is sorted and duplicate-free by construction.  A row with a
+    diagonal bit set has no table entry and raises ``KeyError``.
+    """
+    tables = _row_arcs(n)
+    digraphs = []
+    for row in rows[:, ::-1].tolist():
+        arcs = ()
+        for table, r in zip(tables, row):
+            arcs += table[r]
+        digraphs.append(Digraph(n, arcs))
+    return digraphs
 
 
 @lru_cache(maxsize=1 << 16)

@@ -4,15 +4,18 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 import alphaspectra as ap
-from alphaspectra import _backend
+from alphaspectra import _backend, campaigns, digraph
 from alphaspectra.campaigns import SC_LABELED_COUNTS, enumerate_sc_digraphs, random_sc_digraph
 from alphaspectra.digraph import (
     CanonicalKey,
     _cell_bit,
     _perm_bit_table,
     adjacency_rows_from_masks,
+    canonical_masks,
+    digraphs_from_rows,
     is_strongly_connected_bfs,
     loop_free_masks,
     make_digraph,
@@ -127,6 +130,20 @@ class TestNumpyKernels:
             got = _backend.perm_sieve(masks, table)
             assert got.dtype == masks.dtype
             assert got.tolist() == want.tolist(), n
+            assert canonical_masks(masks, n).tolist() == want.tolist(), n
+
+    def test_digraphs_from_rows_matches_make_digraph(self):
+        samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]
+        samples += [(5, sampled_loop_free_masks(5, 3000, seed=5)), (6, sampled_loop_free_masks(6, 500, seed=6))]
+        for n, masks in samples:
+            got = digraphs_from_rows(adjacency_rows_from_masks(masks, n), n)
+            assert got == [make_digraph(n, unpack_arcs(int(m), n)) for m in masks], n
+            for d in got:
+                assert isinstance(d.arcs, tuple) and list(d.arcs) == sorted(d.arcs)
+                assert all(type(v) is int for arc in d.arcs for v in arc)
+        # column 0 is vertex 2's row, and its bit 0 the loop (2, 2)
+        with pytest.raises(KeyError):
+            digraphs_from_rows(np.array([[0b001, 0, 0]]), 3)
 
     def test_enumeration_matches_labeled_pipeline(self):
         # the pipeline before the sieve: filter every labeled digraph for
@@ -147,6 +164,35 @@ class TestNumpyKernels:
         elapsed = time.perf_counter() - t0
         assert len(classes) == 5048
         assert elapsed < 2.0, elapsed
+
+    def test_enumeration_n5_work_counts(self, monkeypatch):
+        # the row-0 rule leaves 5 * 2^16 of the 2^20 loop-free masks to the
+        # sieve, and the classes are decoded from the filter's rows
+        sieved = []
+        perm_sieve = _backend.perm_sieve
+
+        def counting_sieve(masks, table):
+            sieved.append(len(masks))
+            return perm_sieve(masks, table)
+
+        monkeypatch.setattr(_backend, "perm_sieve", counting_sieve)
+        decoded = []
+        for fn in (digraph.make_digraph, digraph.unpack_arcs):
+            def counting(*args, fn=fn):
+                decoded.append(fn.__name__)
+                return fn(*args)
+
+            for mod in (digraph, campaigns):
+                for name, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, name, counting)
+        enumerate_sc_digraphs.cache_clear()
+        try:
+            assert len(enumerate_sc_digraphs(5)) == 5048
+        finally:
+            enumerate_sc_digraphs.cache_clear()
+        assert sieved == [327680]
+        assert decoded == []
 
 
 def test_single_numpy_backend():
