@@ -8,8 +8,8 @@ into its own temporary directory, so neither side runs from the working
 tree and the repository's ``.git`` is left untouched.  For every workload,
 ``WORKLOAD:PAIRS`` pairs run ``python3 perfbench/run.py --trace 0`` once in
 each tree with one seed per pair, counting up from ``--seed``; the side that
-runs first alternates with the seed.  ``--seconds`` defaults to the
-``run_seconds`` of ``BENCHMARK.json``.
+runs first alternates with the seed.  Every run lasts the ``run_seconds``
+of the change's ``BENCHMARK.json``.
 
 Writes ``BENCH_<label>.json``: per workload the seeds, every run's value of
 every end-to-end metric, their median and quartiles (inclusive method), all
@@ -95,12 +95,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args(argv)
 
     plan = [(name, int(pairs)) for name, pairs in (w.split(":") for w in args.workload)]
+    if any(pairs < 2 for _, pairs in plan):
+        parser.error("quartiles need at least 2 pairs per workload")
     shas = {side: git("rev-parse", f"{ref}^{{commit}}") for side, ref in zip(SIDES, (args.parent, args.change))}
-    seconds = args.seconds or json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))["run_seconds"]
+    seconds = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))["run_seconds"]
     record = {
         "what": f"perfbench/run.py --seconds {seconds:g} --trace 0, untraced; parent and change run alternately, "
                 "the side that runs first alternating with the seed, each from its own copy of the tree "
