@@ -16,13 +16,14 @@ import io
 import json
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import _backend
 from .digraph import (
+    Arc,
     CanonicalKey,
     Digraph,
     adjacency_rows_from_masks,
@@ -30,10 +31,9 @@ from .digraph import (
     canonical_key,
     canonical_masks,
     contains_bidirected_kpq,
+    delete_arc,
     digraphs_from_rows,
-    is_strongly_connected,
     loop_free_masks,
-    make_digraph,
     masks_strongly_connected,
     retarget_in_arcs,
     subdivide_arc,
@@ -87,7 +87,9 @@ class VerificationReport:
         return all(v.status in ("pass", "exploratory", "skipped") for v in self.verdicts)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        """The fields in declaration order, items and verdicts as objects."""
+        items, verdicts = [vars(it) for it in self.items], [vars(v) for v in self.verdicts]
+        return json.dumps({**vars(self), "items": items, "verdicts": verdicts}, indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -399,7 +401,9 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
 
     Each attempt draws one coin per ordered pair (i, j), i != j, in
     row-major order, and tests strong connectivity on the bitmasks before
-    any Digraph is built.
+    any Digraph is built.  The accepted arcs come in that order, sorted,
+    loop-free and distinct, so the Digraph is built without
+    :func:`~alphaspectra.digraph.make_digraph`.
     """
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for _ in range(100_000):
@@ -409,22 +413,32 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
             out_masks[i] |= 1 << j
             in_masks[j] |= 1 << i
         if masks_strongly_connected(n, out_masks, in_masks):
-            return make_digraph(n, arcs)
+            return Digraph(n, tuple(arcs))
     raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
 
 
-def _deletable_arcs(d: Digraph) -> list[tuple[int, int]]:
-    """The arcs of d whose deletion keeps it strongly connected, tested by
-    toggling each arc's bits in the neighbour masks."""
-    out_masks, in_masks = list(d.out_masks), list(d.in_masks)
-    keep = []
-    for i, j in d.arcs:
-        out_masks[i] ^= 1 << j
-        in_masks[j] ^= 1 << i
-        if masks_strongly_connected(d.n, out_masks, in_masks):
-            keep.append((i, j))
-        out_masks[i] ^= 1 << j
-        in_masks[j] ^= 1 << i
+def _deletable_arcs(digraphs: list[Digraph]) -> list[list[Arc]]:
+    """Per digraph, the arcs whose deletion keeps it strongly connected, in
+    arc order.
+
+    Every (digraph, arc) pair is one row: the digraph's out-neighbour masks
+    with the arc's bit cleared.  The rows of each vertex count go through
+    one ``sc_filter`` call.
+    """
+    keep: list[list[Arc]] = [[] for _ in digraphs]
+    groups: dict[int, list[int]] = {}
+    for k, d in enumerate(digraphs):
+        groups.setdefault(d.n, []).append(k)
+    for n, members in groups.items():
+        owners = [k for k in members for _ in digraphs[k].arcs]
+        arcs = [a for k in members for a in digraphs[k].arcs]
+        masks = np.array([digraphs[k].out_masks for k in members], dtype=np.int64)
+        rows = np.repeat(masks, [len(digraphs[k].arcs) for k in members], axis=0)
+        tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+        rows[np.arange(len(rows)), tails] ^= 1 << heads
+        for k, arc, strong in zip(owners, arcs, _backend.sc_filter(rows, n).tolist()):
+            if strong:
+                keep[k].append(arc)
     return keep
 
 
@@ -476,14 +490,17 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     Eigenvector entries, which have no enclosures, are compared beyond
     ``DECISION_MARGIN``.
 
-    The run has four phases.  Every base is drawn first: the ``trials``
+    The run has five phases.  Every base is drawn first: the ``trials``
     random digraphs (each an ``n``, an alpha and a sampled digraph), then
     each fleet digraph at alpha 0 and 0.5.  All bases are solved in one
-    :func:`~alphaspectra.spectral.spectral_radii` call.  Each base then
-    draws its derived digraphs from its own result, since its Perron
-    vector steers the retarget draws; their claims are queued.  The queue
-    is solved in a second batch call and judged in queue order.  So a seed
-    fixes every random base before any transform draw is made.
+    :func:`~alphaspectra.spectral.spectral_radii` call, and their deletable
+    arcs come from one :func:`_deletable_arcs` pass, which draws nothing.
+    Each base then draws its derived digraphs from its own result, since
+    its Perron vector steers the retarget draws; a retarget move is tested
+    on toggled neighbour masks and built only if strongly connected.  The
+    claims are queued, solved in a second batch call and judged in queue
+    order.  So a seed fixes every random base before any transform draw is
+    made.
     """
     if trials <= 0:
         raise InvalidParamsError(f"trials must be positive, got {trials}")
@@ -499,16 +516,15 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     # text), solved in one batch once every base is done
     queued: list[tuple[str, Digraph, float, SpectralResult, str]] = []
 
-    def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult):
+    def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult, candidates: list[Arc]):
         report.items.append(_item(label, alpha, base))
-        x = base.perron
+        x = base.perron.tolist()
+        n, out_masks, in_masks = d.n, d.out_masks, d.in_masks
 
         # subdigraph lemma: strict decrease when an arc can go
-        candidates = _deletable_arcs(d)
         if candidates:
             pick = candidates[int(rng.integers(len(candidates)))]
-            sub = make_digraph(d.n, [b for b in d.arcs if b != pick])
-            queued.append(("subdigraph", sub, alpha, base, f"{label} arc {pick} alpha={alpha}"))
+            queued.append(("subdigraph", delete_arc(d, pick), alpha, base, f"{label} arc {pick} alpha={alpha}"))
 
         # subdivision lemma: excluded on directed cycles
         if len(d.arcs) == d.n:
@@ -518,28 +534,30 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
             queued.append(("subdivision", subdivide_arc(d, pick), alpha, base, f"{label} arc {pick} alpha={alpha}"))
 
         # retargeting lemma
-        pairs = [(pp, qq) for pp in range(d.n) for qq in range(d.n) if pp != qq]
+        pairs = [(pp, qq) for pp in range(n) for qq in range(n) if pp != qq]
         order = rng.permutation(len(pairs))
         for idx in order[:4]:
             pp, qq = pairs[int(idx)]
-            sources = [s for s in d.in_neighbors(pp) if s != qq and not d.has_arc(s, qq)]
+            sources = [s for s in range(n) if (in_masks[pp] >> s) & 1 and s != qq and not (out_masks[s] >> qq) & 1]
             if not sources or x[qq] < x[pp]:
                 continue
-            take = 1 + int(rng.integers(len(sources)))
-            moved = retarget_in_arcs(d, sources[:take], pp, qq)
-            if not is_strongly_connected(moved):
+            moving = sources[:1 + int(rng.integers(len(sources)))]
+            gone = sum(1 << s for s in moving)
+            outs = [m ^ (1 << pp | 1 << qq) if (gone >> v) & 1 else m for v, m in enumerate(out_masks)]
+            ins = [m ^ gone if v in (pp, qq) else m for v, m in enumerate(in_masks)]
+            if not masks_strongly_connected(n, outs, ins):
                 skips["retarget"] += 1
                 continue
+            moved = retarget_in_arcs(d, moving, pp, qq)
             queued.append(("retarget", moved, alpha, base, f"{label} sources->{qq} alpha={alpha}"))
             break
 
         # eigenvector ordering under nested out-neighbourhoods
-        for i in range(d.n):
-            for j in range(d.n):
-                if i == j or d.has_arc(i, j) or d.has_arc(j, i):
-                    continue
-                ni, nj = d.out_masks[i], d.out_masks[j]
-                if ni & ~nj:
+        for i in range(n):
+            ni = out_masks[i]
+            for j in range(n):
+                nj = out_masks[j]
+                if i == j or (ni >> j) & 1 or (nj >> i) & 1 or ni & ~nj:
                     continue
                 counts["perron-order"] += 1
                 if ni == nj:
@@ -559,8 +577,9 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
 
     digraphs, alphas, labels = zip(*bases)
     report = VerificationReport("transform-lemmas", sorted(set(alphas)))
-    for d, alpha, label, base in zip(digraphs, alphas, labels, spectral_radii(digraphs, alphas)):
-        check_base(d, alpha, label, base)
+    results = spectral_radii(digraphs, alphas)
+    for d, alpha, label, base, candidates in zip(digraphs, alphas, labels, results, _deletable_arcs(digraphs)):
+        check_base(d, alpha, label, base, candidates)
 
     derived = spectral_radii([q[1] for q in queued], [q[2] for q in queued])
     for (lemma, _, _, base, where), res in zip(queued, derived):

@@ -45,9 +45,11 @@ Arc = tuple[int, int]
 class Digraph:
     """Simple directed graph: vertex count plus a sorted, loop-free,
     duplicate-free arc tuple of in-range vertex pairs.  Build through
-    :func:`make_digraph`, which checks that invariant, or, for many packed
-    masks at once, through :func:`digraphs_from_rows`, whose table layout
-    keeps it by construction."""
+    :func:`make_digraph`, which checks that invariant.  Only code that keeps
+    it by construction calls the constructor directly: the mask decoder
+    :func:`digraphs_from_rows`, the transforms :func:`delete_arc` and
+    :func:`subdivide_arc`, and the row-major draw of
+    ``campaigns.random_sc_digraph``."""
 
     n: int
     arcs: tuple[Arc, ...]
@@ -73,10 +75,6 @@ class Digraph:
 
     def has_arc(self, i: int, j: int) -> bool:
         return (self.out_masks[i] >> j) & 1 == 1
-
-    def in_neighbors(self, j: int) -> list[int]:
-        m = self.in_masks[j]
-        return [i for i in range(self.n) if (m >> i) & 1]
 
 
 @dataclass(frozen=True, order=True)
@@ -292,15 +290,24 @@ def canonical_key(d: Digraph) -> CanonicalKey:
 # ---------------------------------------------------------------------------
 # transforms
 
-def subdivide_arc(d: Digraph, arc: Arc) -> Digraph:
-    """Replace (i, j) by (i, w), (w, j) with w the fresh vertex n."""
+def delete_arc(d: Digraph, arc: Arc) -> Digraph:
+    """d without the arc (i, j); the other arcs keep their sorted order."""
     i, j = arc
-    if (i, j) not in d.arc_set:
+    if (i, j) not in d.arcs:
         raise MissingArcError(f"arc ({i}, {j}) not in digraph")
+    return Digraph(d.n, tuple(a for a in d.arcs if a != (i, j)))
+
+
+def subdivide_arc(d: Digraph, arc: Arc) -> Digraph:
+    """Replace (i, j) by (i, w), (w, j) with w the fresh vertex n.
+
+    w exceeds every label, so (i, w) sorts after i's other arcs and (w, j)
+    after every arc: the arc tuple is built sorted."""
+    i, j = arc
+    rest = delete_arc(d, arc).arcs
     w = d.n
-    arcs = [a for a in d.arcs if a != (i, j)]
-    arcs.extend([(i, w), (w, j)])
-    return make_digraph(d.n + 1, arcs)
+    before = tuple(a for a in rest if a[0] <= i)
+    return Digraph(w + 1, before + ((i, w),) + rest[len(before):] + ((w, j),))
 
 
 def retarget_in_arcs(d: Digraph, sources, p: int, q: int) -> Digraph:

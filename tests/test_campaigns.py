@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,8 +22,15 @@ from alphaspectra.campaigns import (
     verify_global_minima,
     verify_transform_lemmas,
 )
-from alphaspectra.digraph import canonical_key, is_strongly_connected, make_digraph
-from alphaspectra.errors import InfeasibleError, InvalidParamsError, TooLargeError
+from alphaspectra.digraph import (
+    canonical_key,
+    delete_arc,
+    is_strongly_connected,
+    make_digraph,
+    masks_strongly_connected,
+    subdivide_arc,
+)
+from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
 
@@ -352,6 +360,86 @@ def per_pair_sc_digraph(rng, n):
     raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
 
 
+def toggle_deletable_arcs(d):
+    """Per-arc oracle for ``campaigns._deletable_arcs``: clear one arc's bit
+    in both neighbour-mask lists and run the scalar strong check."""
+    out_masks, in_masks = list(d.out_masks), list(d.in_masks)
+    keep = []
+    for i, j in d.arcs:
+        out_masks[i] ^= 1 << j
+        in_masks[j] ^= 1 << i
+        if masks_strongly_connected(d.n, out_masks, in_masks):
+            keep.append((i, j))
+        out_masks[i] ^= 1 << j
+        in_masks[j] ^= 1 << i
+    return keep
+
+
+def lemma_bases(seed, per_n=6):
+    """Seeded random bases for n = 2..8, in a shuffled vertex-count order,
+    then every fleet digraph."""
+    rng = np.random.default_rng(seed)
+    ns = rng.permutation(np.repeat(np.arange(2, 9), per_n)).tolist()
+    return [random_sc_digraph(rng, n) for n in ns] + [generate(spec) for spec in campaigns._lemma_fleet()]
+
+
+class TestDeletableArcs:
+    def test_matches_per_arc_toggle_oracle(self):
+        for seed in range(4):
+            bases = lemma_bases(seed)
+            want = [toggle_deletable_arcs(d) for d in bases]
+            assert campaigns._deletable_arcs(bases) == want, seed
+            assert any(want) and not all(want)
+
+    def test_cycles_keep_none_complete_digraphs_every_arc(self):
+        cycles = [generate(FamilySpec.cycle(n)) for n in range(2, 9)]
+        complete = [generate(FamilySpec.complete(n)) for n in range(3, 9)]
+        got = campaigns._deletable_arcs(cycles + complete)
+        assert got == [[] for _ in cycles] + [list(d.arcs) for d in complete]
+
+    def test_no_digraphs(self):
+        assert campaigns._deletable_arcs([]) == []
+
+
+def assert_digraph_invariant(d):
+    """d is what make_digraph builds from its own arcs, with Python ints."""
+    assert d == make_digraph(d.n, d.arcs)
+    assert all(type(v) is int for arc in d.arcs for v in arc)
+
+
+class TestDirectlyBuiltDigraphs:
+    """Digraphs built without make_digraph keep the Digraph invariant and
+    equal the make_digraph build of the same arcs."""
+
+    def test_subdivide_every_arc(self):
+        for d in lemma_bases(5, per_n=3):
+            w = d.n
+            for i, j in d.arcs:
+                grown = subdivide_arc(d, (i, j))
+                assert_digraph_invariant(grown)
+                rest = [a for a in d.arcs if a != (i, j)]
+                assert grown == make_digraph(w + 1, rest + [(i, w), (w, j)])
+
+    def test_delete_each_deletable_arc(self):
+        bases = lemma_bases(6, per_n=3)
+        for d, arcs in zip(bases, campaigns._deletable_arcs(bases)):
+            for arc in arcs:
+                sub = delete_arc(d, arc)
+                assert_digraph_invariant(sub)
+                assert sub == make_digraph(d.n, [a for a in d.arcs if a != arc])
+                assert is_strongly_connected(sub)
+
+    def test_delete_missing_arc(self):
+        with pytest.raises(MissingArcError):
+            delete_arc(generate(FamilySpec.cycle(4)), (0, 2))
+
+    def test_random_sc_digraph(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for n in range(2, 9):
+                assert_digraph_invariant(random_sc_digraph(rng, n))
+
+
 class TestRandomScDigraph:
     def test_always_strongly_connected(self):
         rng = np.random.default_rng(0)
@@ -393,6 +481,19 @@ class TestReports:
         rows = list(csvmod.reader(io.StringIO(report.to_csv())))
         assert rows[1][0].startswith("infty:")
         assert len(rows[1]) == 5
+
+    def test_to_json_matches_asdict(self):
+        # the asdict serializer the report used to call is the oracle
+        reports = [
+            verify_family_extremes("infty", 6, 2, 0.5),
+            verify_family_extremes("bicyclic", 6, 2, 0.9),
+            verify_global_minima(5, 0.5),
+            verify_bipartite_minimum(5, 2, 2, 0.5),
+            verify_transform_lemmas(10, seed=2),
+            merge_reports("family-extremes", [verify_family_extremes("theta", 6, 3, a) for a in (0.0, 0.5)]),
+        ]
+        for report in reports:
+            assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2), report.campaign
 
     def test_merge(self):
         a = verify_family_extremes("infty", 6, 2, 0.0)

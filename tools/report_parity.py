@@ -1,0 +1,83 @@
+"""Byte parity of campaign reports between a parent commit and the working tree.
+
+    python3 tools/report_parity.py --parent REF
+
+Run from the root of a checkout.  The parent is exported with ``git
+archive`` into a temporary directory (``bench_ab.export``); the change side
+is the working tree's ``src/``, so the check can run before a commit.
+Each side runs the same fixed campaign set (``campaign_set``) in its own
+interpreter, zeroes every report's ``runtime_s`` and prints the sha256 of
+its ``to_json()``.  One line per report says whether the two hashes match;
+the exit status is 0 when every one does and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_ab import export, git
+
+ALPHAS = (0.0, 0.5, 0.9)
+
+#: run in each tree: the campaign calls come on stdin, one hash per line out
+CHILD = """
+import hashlib, json, sys
+from alphaspectra import campaigns
+for fn, args in json.load(sys.stdin):
+    report = getattr(campaigns, fn)(*args)
+    report.runtime_s = 0.0
+    print(hashlib.sha256(report.to_json().encode()).hexdigest())
+"""
+
+
+def campaign_set() -> list[tuple[str, list]]:
+    """(campaigns function, arguments) of every report compared."""
+    runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
+    runs.append(("verify_transform_lemmas", [500, 20240]))
+    for alpha in ALPHAS:
+        runs.append(("verify_global_minima", [5, alpha]))
+        for family in ("infty", "theta", "combined"):
+            runs += [("verify_family_extremes", [family, n, s, alpha]) for s in (2, 3) for n in range(s + 1, 9)]
+        runs += [("verify_family_extremes", ["bicyclic", n, 2, alpha]) for n in range(5, 9)]
+        runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
+    return runs
+
+
+def report_hashes(tree: Path, runs: list[tuple[str, list]]) -> list[str]:
+    """sha256 of each run's report as the tree under ``tree`` writes it."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(runs), cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"campaigns in {tree} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout.split()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    args = parser.parse_args(argv)
+
+    sha = git("rev-parse", f"{args.parent}^{{commit}}")
+    runs = campaign_set()
+    with tempfile.TemporaryDirectory(prefix="report_parity_") as tmp:
+        export(sha, Path(tmp))
+        parent = report_hashes(Path(tmp), runs)
+    change = report_hashes(Path.cwd(), runs)
+    print(f"parent {sha} against the working tree, runtime_s zeroed")
+    for (fn, call_args), a, b in zip(runs, parent, change):
+        verdict = f"same {a[:16]}" if a == b else f"DIFF {a[:16]} -> {b[:16]}"
+        print(f"{verdict}  {fn}{tuple(call_args)}")
+    same = sum(a == b for a, b in zip(parent, change))
+    print(f"{same} of {len(runs)} reports identical")
+    return 0 if same == len(runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
