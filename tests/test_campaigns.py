@@ -397,9 +397,6 @@ class TestDeletableArcs:
         got = campaigns._deletable_arcs(cycles + complete)
         assert got == [[] for _ in cycles] + [list(d.arcs) for d in complete]
 
-    def test_no_digraphs(self):
-        assert campaigns._deletable_arcs([]) == []
-
 
 def assert_digraph_invariant(d):
     """d is what make_digraph builds from its own arcs, with Python ints."""
