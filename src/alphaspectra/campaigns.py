@@ -35,7 +35,6 @@ from .digraph import (
     digraphs_from_rows,
     loop_free_masks,
     masks_strongly_connected,
-    retarget_in_arcs,
     subdivide_arc,
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
@@ -400,20 +399,19 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     """Rejection-sampled strongly connected digraph with i.i.d. arcs.
 
     Each attempt draws one coin per ordered pair (i, j), i != j, in
-    row-major order, and tests strong connectivity on the bitmasks before
-    any Digraph is built.  The accepted arcs come in that order, sorted,
-    loop-free and distinct, so the Digraph is built without
-    :func:`~alphaspectra.digraph.make_digraph`.
+    row-major order, sets the arc's bit in the out- and in-neighbour masks,
+    and tests strong connectivity on them.  The accepted out-masks are the
+    Digraph, built without :func:`~alphaspectra.digraph.make_digraph`.
     """
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for _ in range(100_000):
-        arcs = [a for a, coin in zip(pairs, rng.random(len(pairs)).tolist()) if coin < ARC_DENSITY]
         out_masks, in_masks = [0] * n, [0] * n
-        for i, j in arcs:
-            out_masks[i] |= 1 << j
-            in_masks[j] |= 1 << i
+        for (i, j), coin in zip(pairs, rng.random(len(pairs)).tolist()):
+            if coin < ARC_DENSITY:
+                out_masks[i] |= 1 << j
+                in_masks[j] |= 1 << i
         if masks_strongly_connected(n, out_masks, in_masks):
-            return Digraph(n, tuple(arcs))
+            return Digraph(n, tuple(out_masks))
     raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
 
 
@@ -496,11 +494,11 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     :func:`~alphaspectra.spectral.spectral_radii` call, and their deletable
     arcs come from one :func:`_deletable_arcs` pass, which draws nothing.
     Each base then draws its derived digraphs from its own result, since
-    its Perron vector steers the retarget draws; a retarget move is tested
-    on toggled neighbour masks and built only if strongly connected.  The
-    claims are queued, solved in a second batch call and judged in queue
-    order.  So a seed fixes every random base before any transform draw is
-    made.
+    its Perron vector steers the retarget draws; a retarget move toggles
+    the neighbour masks, and out-masks that pass the strong test are the
+    moved digraph.  The claims are queued, solved in a second batch call
+    and judged in queue order.  So a seed fixes every random base before
+    any transform draw is made.
     """
     if trials <= 0:
         raise InvalidParamsError(f"trials must be positive, got {trials}")
@@ -548,8 +546,7 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
             if not masks_strongly_connected(n, outs, ins):
                 skips["retarget"] += 1
                 continue
-            moved = retarget_in_arcs(d, moving, pp, qq)
-            queued.append(("retarget", moved, alpha, base, f"{label} sources->{qq} alpha={alpha}"))
+            queued.append(("retarget", Digraph(n, tuple(outs)), alpha, base, f"{label} sources->{qq} alpha={alpha}"))
             break
 
         # eigenvector ordering under nested out-neighbourhoods

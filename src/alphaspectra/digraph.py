@@ -1,7 +1,9 @@
 """Digraph values, structural predicates, canonical keys, and arc transforms.
 
-Vertices are 0-indexed.  A :class:`Digraph` is immutable; every transform
-returns a fresh value, so everything here is safe to use concurrently.
+Vertices are 0-indexed.  A :class:`Digraph` is immutable, and every
+transform returns a fresh value, so everything here is safe to use
+concurrently.  It stores one out-neighbour mask per vertex, an unbounded
+Python int; its arcs, in-neighbour masks and predicates derive from those.
 
 Batch code packs an adjacency into one integer, the *mask*: the n x n
 matrix row-major, cell (i, j) at bit ``n*n-1-(i*n+j)``, so integer order is
@@ -17,6 +19,7 @@ The text format ``DGR1`` is one header line ``dgr1 <n>`` followed by one
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -43,28 +46,26 @@ Arc = tuple[int, int]
 
 @dataclass(frozen=True)
 class Digraph:
-    """Simple directed graph: vertex count plus a sorted, loop-free,
-    duplicate-free arc tuple of in-range vertex pairs.  Build through
-    :func:`make_digraph`, which checks that invariant.  Only code that keeps
-    it by construction calls the constructor directly: the mask decoder
-    :func:`digraphs_from_rows`, the transforms :func:`delete_arc` and
-    :func:`subdivide_arc`, and the row-major draw of
-    ``campaigns.random_sc_digraph``."""
+    """Simple directed graph: vertex count plus one out-neighbour mask per
+    vertex, a Python int below 2^n with bit j of ``out_masks[i]`` for the
+    arc (i, j) and bit i clear.  Build through :func:`make_digraph`, which
+    checks the endpoints.  Only code that already holds valid masks calls
+    the constructor: :func:`digraphs_from_rows`, the three transforms, and
+    the campaigns' sampler and retarget moves."""
 
     n: int
-    arcs: tuple[Arc, ...]
+    out_masks: tuple[int, ...]
 
     @cached_property
-    def arc_set(self) -> frozenset[Arc]:
-        return frozenset(self.arcs)
-
-    @cached_property
-    def out_masks(self) -> tuple[int, ...]:
-        """Per-vertex out-neighbour sets as n-bit masks (n <= 64)."""
-        masks = [0] * self.n
-        for i, j in self.arcs:
-            masks[i] |= 1 << j
-        return tuple(masks)
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs sorted by (tail, head), lowest set bit first."""
+        arcs = []
+        for i, m in enumerate(self.out_masks):
+            while m:
+                low = m & -m
+                arcs.append((i, low.bit_length() - 1))
+                m ^= low
+        return tuple(arcs)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
@@ -97,32 +98,30 @@ class CanonicalKey:
 
 
 def make_digraph(n: int, arcs) -> Digraph:
-    """Validate and normalize an arc list into a Digraph.
+    """Validate an arc list into a Digraph's out-neighbour masks.
 
     Rejects loops, endpoints outside [0, n), and duplicates (duplicates are
-    an error, never silently merged).  Arcs come out sorted by (tail, head).
+    an error, never silently merged).  Endpoints go through
+    ``operator.index``, so numpy integers give Python-int masks.
     """
     if n < 1:
         raise OutOfRangeError(f"vertex count must be positive, got {n}")
-    seen = set()
+    masks = [0] * n
     for arc in arcs:
-        i, j = arc
+        i, j = map(operator.index, arc)
         if i == j:
             raise LoopArcError(f"loop arc ({i}, {j}) not allowed")
         if not (0 <= i < n and 0 <= j < n):
             raise OutOfRangeError(f"arc ({i}, {j}) has endpoint outside 0..{n - 1}")
-        if (i, j) in seen:
+        if (masks[i] >> j) & 1:
             raise DuplicateArcError(f"arc ({i}, {j}) supplied more than once")
-        seen.add((i, j))
-    return Digraph(n, tuple(sorted(seen)))
+        masks[i] |= 1 << j
+    return Digraph(n, tuple(masks))
 
 
 def out_degrees(d: Digraph) -> tuple[int, ...]:
     """Out-degree of every vertex; the sum equals the arc count."""
-    degs = [0] * d.n
-    for i, _ in d.arcs:
-        degs[i] += 1
-    return tuple(degs)
+    return tuple([m.bit_count() for m in d.out_masks])
 
 
 def is_strongly_connected(d: Digraph) -> bool:
@@ -241,37 +240,20 @@ def canonical_masks(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _row_arcs(n: int) -> tuple[dict[int, tuple[Arc, ...]], ...]:
-    """Per vertex i: n-bit row value (bit n-1-j for head j) -> the arcs
-    (i, j) it holds, sorted by head.  Rows with the diagonal bit set have no
-    entry."""
-    return tuple(
-        {
-            r: tuple((i, j) for j in range(n) if (r >> (n - 1 - j)) & 1)
-            for r in range(1 << n)
-            if not (r >> (n - 1 - i)) & 1
-        }
-        for i in range(n)
-    )
+def _bit_reversal(n: int) -> np.ndarray:
+    """table[r] = the n-bit value r with its bit order reversed."""
+    return np.array([int(f"{r:0{n}b}"[::-1], 2) for r in range(1 << n)], dtype=np.int64)
 
 
 def digraphs_from_rows(rows: np.ndarray, n: int) -> list[Digraph]:
     """The digraph of each row of :func:`adjacency_rows_from_masks`, in
-    order, without a :func:`make_digraph` call.
-
-    Each vertex's arcs come from a cached table of in-range, loop-free arcs
-    sorted by head, and the tables are joined in tail order, so the arc
-    tuple is sorted and duplicate-free by construction.  A row with a
-    diagonal bit set has no table entry and raises ``KeyError``.
-    """
-    tables = _row_arcs(n)
-    digraphs = []
-    for row in rows[:, ::-1].tolist():
-        arcs = ()
-        for table, r in zip(tables, row):
-            arcs += table[r]
-        digraphs.append(Digraph(n, arcs))
-    return digraphs
+    order: vertex i's out-neighbour mask is column n-1-i with its bits
+    reversed through one cached table.  A diagonal bit raises
+    :class:`LoopArcError`."""
+    outs = _bit_reversal(n)[rows[:, ::-1]]
+    if ((outs >> np.arange(n)) & 1).any():
+        raise LoopArcError("adjacency row with its diagonal bit set")
+    return [Digraph(n, tuple(masks)) for masks in outs.tolist()]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -291,23 +273,23 @@ def canonical_key(d: Digraph) -> CanonicalKey:
 # transforms
 
 def delete_arc(d: Digraph, arc: Arc) -> Digraph:
-    """d without the arc (i, j); the other arcs keep their sorted order."""
+    """d with the bit of the arc (i, j) cleared."""
     i, j = arc
-    if (i, j) not in d.arcs:
+    if not (0 <= i < d.n and 0 <= j < d.n and d.has_arc(i, j)):
         raise MissingArcError(f"arc ({i}, {j}) not in digraph")
-    return Digraph(d.n, tuple(a for a in d.arcs if a != (i, j)))
+    masks = list(d.out_masks)
+    masks[i] ^= 1 << j
+    return Digraph(d.n, tuple(masks))
 
 
 def subdivide_arc(d: Digraph, arc: Arc) -> Digraph:
-    """Replace (i, j) by (i, w), (w, j) with w the fresh vertex n.
-
-    w exceeds every label, so (i, w) sorts after i's other arcs and (w, j)
-    after every arc: the arc tuple is built sorted."""
+    """Replace (i, j) by (i, w), (w, j) with w the fresh vertex n: clear
+    bit j of i's mask, set bit w, and append w's mask, bit j alone."""
     i, j = arc
-    rest = delete_arc(d, arc).arcs
     w = d.n
-    before = tuple(a for a in rest if a[0] <= i)
-    return Digraph(w + 1, before + ((i, w),) + rest[len(before):] + ((w, j),))
+    masks = list(delete_arc(d, arc).out_masks)
+    masks[i] |= 1 << w
+    return Digraph(w + 1, (*masks, 1 << j))
 
 
 def retarget_in_arcs(d: Digraph, sources, p: int, q: int) -> Digraph:
@@ -334,10 +316,10 @@ def retarget_in_arcs(d: Digraph, sources, p: int, q: int) -> Digraph:
             raise PreconditionError(f"source {s} already points at q={q}")
     if not srcs:
         return d
-    moved = {(s, p) for s in srcs}
-    arcs = [a for a in d.arcs if a not in moved]
-    arcs.extend((s, q) for s in srcs)
-    return make_digraph(d.n, arcs)
+    masks = list(d.out_masks)
+    for s in srcs:
+        masks[s] ^= 1 << p | 1 << q
+    return Digraph(d.n, tuple(masks))
 
 
 # ---------------------------------------------------------------------------

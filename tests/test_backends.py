@@ -23,6 +23,7 @@ from alphaspectra.digraph import (
     pack_arcs,
     unpack_arcs,
 )
+from alphaspectra.errors import LoopArcError
 from alphaspectra.families import FamilySpec, generate
 from alphaspectra.spectral import build_alpha_matrix
 
@@ -142,7 +143,7 @@ class TestNumpyKernels:
                 assert isinstance(d.arcs, tuple) and list(d.arcs) == sorted(d.arcs)
                 assert all(type(v) is int for arc in d.arcs for v in arc)
         # column 0 is vertex 2's row, and its bit 0 the loop (2, 2)
-        with pytest.raises(KeyError):
+        with pytest.raises(LoopArcError):
             digraphs_from_rows(np.array([[0b001, 0, 0]]), 3)
 
     def test_enumeration_matches_labeled_pipeline(self):

@@ -23,11 +23,13 @@ from alphaspectra.campaigns import (
     verify_transform_lemmas,
 )
 from alphaspectra.digraph import (
+    Digraph,
     canonical_key,
     delete_arc,
     is_strongly_connected,
     make_digraph,
     masks_strongly_connected,
+    retarget_in_arcs,
     subdivide_arc,
 )
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
@@ -435,6 +437,46 @@ class TestDirectlyBuiltDigraphs:
             rng = np.random.default_rng(seed)
             for n in range(2, 9):
                 assert_digraph_invariant(random_sc_digraph(rng, n))
+
+
+class TestRetargetMoves:
+    def test_queued_moves_equal_retarget_in_arcs(self, monkeypatch):
+        """check_base queues each retarget digraph from the out-masks that
+        passed its strong test.  Each must equal retarget_in_arcs of the
+        move, read back from the in-masks of the same test: p loses the
+        sources' bits and q gains them."""
+        solve, item = campaigns.spectral_radii, campaigns._item
+        for seed in range(8):
+            batches, bases, moves = [], [], []
+
+            def spy_solve(digraphs, alphas):
+                batches.append(list(digraphs))
+                return solve(digraphs, alphas)
+
+            def spy_item(*args):
+                # check_base reports its base first, in batch order
+                bases.append(batches[0][len(bases)])
+                return item(*args)
+
+            def spy_strong(n, outs, ins):
+                strong = masks_strongly_connected(n, outs, ins)
+                if bases and strong:
+                    moves.append((bases[-1], Digraph(n, tuple(outs)), ins))
+                return strong
+
+            monkeypatch.setattr(campaigns, "spectral_radii", spy_solve)
+            monkeypatch.setattr(campaigns, "_item", spy_item)
+            monkeypatch.setattr(campaigns, "masks_strongly_connected", spy_strong)
+            report = verify_transform_lemmas(100, seed)
+            queued = iter(batches[1])
+            for d, moved, ins in moves:
+                p = next(v for v in range(d.n) if ins[v] < d.in_masks[v])
+                q = next(v for v in range(d.n) if ins[v] > d.in_masks[v])
+                sources = [s for s in range(d.n) if (d.in_masks[p] & ~ins[p]) >> s & 1]
+                assert moved == retarget_in_arcs(d, sources, p, q), seed
+                assert any(moved == other for other in queued), seed
+            detail = next(v.detail for v in report.verdicts if v.claim == "retarget lemma")
+            assert moves and detail.startswith(f"{len(moves)} instances checked"), seed
 
 
 class TestRandomScDigraph:

@@ -41,7 +41,7 @@ def random_digraph(rng, n, density=0.4):
 def brute_force_key(d):
     """Least row-major adjacency bitstring over every relabeling, as the
     key's left-aligned bytes."""
-    n, arcs = d.n, d.arc_set
+    n, arcs = d.n, frozenset(d.arcs)
     bits = min(
         "".join("1" if (tau[a], tau[b]) in arcs else "0" for a in range(n) for b in range(n))
         for tau in itertools.permutations(range(n))
@@ -73,6 +73,13 @@ class TestMakeDigraph:
     def test_arcs_sorted(self):
         d = make_digraph(3, [(2, 0), (0, 1), (1, 2)])
         assert d.arcs == ((0, 1), (1, 2), (2, 0))
+
+    def test_numpy_endpoints_give_python_int_masks(self):
+        # int64 endpoints would shift into int64 masks and overflow past 63
+        arcs = [(i, (i + 1) % 70) for i in range(70)] + [(0, 65)]
+        d = make_digraph(70, np.array(arcs, dtype=np.int64))
+        assert d == make_digraph(70, arcs)
+        assert all(type(m) is int for m in d.out_masks)
 
 
 class TestStrongConnectivity:
@@ -211,7 +218,7 @@ class TestRetarget:
     def test_cycle_example(self):
         d = cycle(4)
         moved = retarget_in_arcs(d, {3}, 0, 1)
-        assert moved.arc_set == frozenset([(0, 1), (1, 2), (2, 3), (3, 1)])
+        assert frozenset(moved.arcs) == frozenset([(0, 1), (1, 2), (2, 3), (3, 1)])
         assert not is_strongly_connected(moved)
 
     def test_empty_sources_identity(self):

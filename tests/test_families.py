@@ -49,18 +49,18 @@ class TestGenerate:
     def test_infty_11(self):
         d = generate(FamilySpec.infty(1, 1))
         assert d.n == 3
-        assert d.arc_set == frozenset([(0, 1), (1, 0), (0, 2), (2, 0)])
+        assert frozenset(d.arcs) == frozenset([(0, 1), (1, 0), (0, 2), (2, 0)])
 
     def test_theta_010(self):
         d = generate(FamilySpec.theta((0, 1), 0))
         assert d.n == 3
-        assert d.arc_set == frozenset([(0, 1), (0, 2), (2, 1), (1, 0)])
+        assert frozenset(d.arcs) == frozenset([(0, 1), (0, 2), (2, 1), (1, 0)])
 
     def test_bip5_622(self):
         d = generate(FamilySpec.bip(5, 6, 2, 2))
         kpq_arcs = {(u, w) for u in (0, 1) for w in (2, 3)}
         kpq_arcs |= {(w, u) for u in (0, 1) for w in (2, 3)}
-        assert d.arc_set == frozenset(kpq_arcs | {(0, 4), (4, 5), (5, 2)})
+        assert frozenset(d.arcs) == frozenset(kpq_arcs | {(0, 4), (4, 5), (5, 2)})
 
     def test_all_strongly_connected(self):
         for spec in all_small_specs():

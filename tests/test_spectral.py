@@ -375,6 +375,16 @@ class TestDetScan:
             b = det_scan_largest_real_root(d, alpha)
             assert abs(a - b) <= 1e-10
 
+    def test_agrees_with_power_iteration_past_64_vertices(self):
+        # masks wider than int64: arcs, outdegrees and the strong check read
+        # Python ints.  Alphas 0.35-0.6 are left out because there the
+        # descent on infty(30,40) needs more than its 100 secant steps.
+        for spec in (FamilySpec.cycle(70), FamilySpec.infty(30, 40)):
+            d = generate(spec)
+            assert max(d.out_masks).bit_length() > 64
+            for alpha in (0.0, 0.25, 0.75, 0.9):
+                assert abs(spectral_radius(d, alpha).radius - det_scan_largest_real_root(d, alpha)) <= 1e-10
+
     def test_three_roots_in_one_coarse_bracket(self):
         # roots 2.926, 2.85 and 2.785 lie within 0.15 of each other; the
         # secant descent from above stops at the top one

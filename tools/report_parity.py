@@ -1,4 +1,4 @@
-"""Byte parity of campaign reports between a parent commit and the working tree.
+"""Byte parity of reports and digraph sets between a parent commit and the working tree.
 
     python3 tools/report_parity.py --parent REF
 
@@ -7,8 +7,13 @@ archive`` into a temporary directory (``bench_ab.export``); the change side
 is the working tree's ``src/``, so the check can run before a commit.
 Each side runs the same fixed campaign set (``campaign_set``) in its own
 interpreter, zeroes every report's ``runtime_s`` and prints the sha256 of
-its ``to_json()``.  One line per report says whether the two hashes match;
-the exit status is 0 when every one does and 1 otherwise.
+its ``to_json()``.  It also prints the sha256 of the concatenated DGR1 text
+of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, the
+criterion-1 family grid, the lemma fleet and the bidirected K_{p,q}.
+Reports list only radii, so these catch a change in how digraphs are
+decoded or in their arc order.  One line per report or set says whether
+the two hashes match; the exit status is 0 when every one does and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -25,19 +30,37 @@ from bench_ab import export, git
 
 ALPHAS = (0.0, 0.5, 0.9)
 
-#: run in each tree: the campaign calls come on stdin, one hash per line out
+#: run in each tree: the campaign calls and digraph sets come on stdin, one
+#: hash per line out
 CHILD = """
 import hashlib, json, sys
 from alphaspectra import campaigns
+from alphaspectra.digraph import to_dgr1
+from alphaspectra.families import FamilySpec, generate
+from perfbench.workloads import criterion1_grid
+sets = {
+    "enumerate_sc_digraphs": lambda n: [d for d, _ in campaigns.enumerate_sc_digraphs(n)],
+    "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
+    "lemma_fleet": lambda: [generate(spec) for spec in campaigns._lemma_fleet()],
+    "kpq": lambda: [generate(FamilySpec.kpq(p, q)) for p in range(1, 6) for q in range(1, 6)],
+}
 for fn, args in json.load(sys.stdin):
-    report = getattr(campaigns, fn)(*args)
-    report.runtime_s = 0.0
-    print(hashlib.sha256(report.to_json().encode()).hexdigest())
+    if fn in sets:
+        text = "".join(to_dgr1(d) for d in sets[fn](*args))
+    else:
+        report = getattr(campaigns, fn)(*args)
+        report.runtime_s = 0.0
+        text = report.to_json()
+    print(hashlib.sha256(text.encode()).hexdigest())
 """
+
+#: digraph sets compared by the DGR1 text of their members, in order
+DIGRAPH_SETS = [("enumerate_sc_digraphs", [n]) for n in range(2, 6)] + [
+    ("criterion1_grid", []), ("lemma_fleet", []), ("kpq", [])]
 
 
 def campaign_set() -> list[tuple[str, list]]:
-    """(campaigns function, arguments) of every report compared."""
+    """(campaigns function or digraph set, arguments) of everything compared."""
     runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
     runs.append(("verify_transform_lemmas", [500, 20240]))
     for alpha in ALPHAS:
@@ -46,7 +69,7 @@ def campaign_set() -> list[tuple[str, list]]:
             runs += [("verify_family_extremes", [family, n, s, alpha]) for s in (2, 3) for n in range(s + 1, 9)]
         runs += [("verify_family_extremes", ["bicyclic", n, 2, alpha]) for n in range(5, 9)]
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
-    return runs
+    return runs + DIGRAPH_SETS
 
 
 def report_hashes(tree: Path, runs: list[tuple[str, list]]) -> list[str]:
@@ -75,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = f"same {a[:16]}" if a == b else f"DIFF {a[:16]} -> {b[:16]}"
         print(f"{verdict}  {fn}{tuple(call_args)}")
     same = sum(a == b for a, b in zip(parent, change))
-    print(f"{same} of {len(runs)} reports identical")
+    print(f"{same} of {len(runs)} reports and digraph sets identical")
     return 0 if same == len(runs) else 1
 
 
