@@ -24,6 +24,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 #: kept for run records that log the active backend
 BACKEND = "numpy"
@@ -33,19 +34,11 @@ HAVE_NUMBA = False
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """z[k] with a[k] z[k] = b[k]; a row of NaN where a[k] is singular.
 
-    One stacked LAPACK call; numpy rejects the whole stack if one member is
-    singular, and only then are the members solved one by one.
+    The stacked LAPACK gufunc behind ``np.linalg.solve``, bit-equal to it,
+    without the wrapper that raises for the whole stack; the invalid flag a
+    singular member sets is left to the caller's ``np.errstate``.
     """
-    try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        z = np.full_like(b, np.nan)
-        for k in range(len(a)):
-            try:
-                z[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                pass
-        return z
+    return _umath_linalg.solve(a, b[:, :, None], signature="dd->d")[:, :, 0]
 
 
 def _shifted_solve(m: np.ndarray, x: np.ndarray, sigma: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -67,6 +60,8 @@ def _quotient_bounds(m: np.ndarray, x: np.ndarray):
     return np.minimum.reduce(q, axis=1), np.maximum.reduce(q, axis=1)
 
 
+# one errstate per call, not per round, for the flags _solve leaves
+@np.errstate(all="ignore")
 def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
     """Noda iteration on a stack m of shape (N, n, n), from the flat start
     vector, until each row's spread of the quotients (Mx)_i/x_i is at most

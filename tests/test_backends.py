@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -74,10 +75,9 @@ class TestNumpyKernels:
                 assert lok - 1e-12 <= true <= hik + 1e-12
 
     def test_power_iteration_singular_member(self):
-        # [[2, 0], [0, 1]] makes every shifted matrix 2I - M singular: the
-        # stack falls back to one solve per member, the singular one takes
-        # the retry shift 3 each round until the cap, and the irreducible
-        # member is unaffected
+        # [[2, 0], [0, 1]] makes every shifted matrix 2I - M singular: its
+        # solve gives a NaN row, the singular member takes the retry shift 3
+        # each round until the cap, and the irreducible member is unaffected
         m = np.array([[0.25, 0.75], [0.75, 0.0]])
         stack = np.array([[[2.0, 0.0], [0.0, 1.0]], m])
         x, lo, hi, iters = _backend.power_iteration(stack, np.full(2, 1e-12), 100)
@@ -86,6 +86,37 @@ class TestNumpyKernels:
         assert (lo[1], hi[1], iters[1]) == (alone[1][0], alone[2][0], alone[3][0])
         assert hi[1] - lo[1] <= 1e-12
         assert iters[0] == 100 and (x[0] > 0).all() and x[0, 0] > 0.99
+
+    def test_solve_matches_numpy_solve(self):
+        # the stacked gufunc call gives np.linalg.solve's bits, stacked or
+        # one member at a time
+        rng = np.random.default_rng(7)
+        for n in range(2, 13):
+            a = rng.uniform(-1, 1, (6, n, n)) + n * np.eye(n)
+            b = rng.uniform(0, 1, (6, n))
+            got = _backend._solve(a, b)
+            assert got.tobytes() == np.linalg.solve(a, b[:, :, None])[:, :, 0].tobytes(), n
+            assert got.tobytes() == np.array([np.linalg.solve(ak, bk) for ak, bk in zip(a, b)]).tobytes(), n
+
+    def test_solve_singular_member_is_a_nan_row(self):
+        # a zero column gives LU an exact zero pivot; the other members keep
+        # their bits.  _solve runs under the errstate power_iteration holds,
+        # and the kernel on a stack with a singular member warns of nothing
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-1, 1, (3, 5, 5)) + 5 * np.eye(5)
+        a[1, :, 2] = 0.0
+        b = rng.uniform(0, 1, (3, 5))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a[1], b[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                z = _backend._solve(a, b)
+            stack = np.array([[[2.0, 0.0], [0.0, 1.0]], [[0.25, 0.75], [0.75, 0.0]]])
+            _backend.power_iteration(stack, np.full(2, 1e-12), 100)
+        assert np.isnan(z[1]).all()
+        for k in (0, 2):
+            assert z[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
 
     def test_det_directed_cycle_closed_form(self):
         # det(xI - M) = (x - alpha)^n - (1 - alpha)^n on the directed n-cycle

@@ -5,7 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alphaspectra.digraph import is_strongly_connected, make_digraph, out_degrees
+from alphaspectra.digraph import (
+    delete_arc,
+    is_strongly_connected,
+    is_strongly_connected_bfs,
+    make_digraph,
+    out_degrees,
+)
 from alphaspectra.errors import (
     AlphaRangeError,
     ConvergenceError,
@@ -67,7 +73,8 @@ class TestBuildMatrix:
         for n in (1, 2, 5, 8):
             digraphs = [random_sc_digraph(rng, n) for _ in range(6)]
             alphas = [0.0, 0.1, 0.5, 0.75, 0.9, 0.95]
-            stack, tops = _alpha_stack(digraphs, n, alphas)
+            stack, tops, strong = _alpha_stack(digraphs, n, alphas)
+            assert strong.tolist() == [True] * len(digraphs)
             for d, alpha, m, top in zip(digraphs, alphas, stack, tops):
                 assert np.array_equal(m, build_alpha_matrix(d, alpha))
                 assert top == max(out_degrees(d))
@@ -75,13 +82,50 @@ class TestBuildMatrix:
     def test_det_scan_build_matches_noda_build(self):
         # the two oracles fill their matrices by separate code, to the bit
         rng = np.random.default_rng(12)
-        for n in range(2, 9):
-            for _ in range(8):
-                d = random_sc_digraph(rng, n)
-                for alpha in (0.0, 0.5, 0.95):
-                    want = build_alpha_matrix(d, alpha)
-                    got = _det_scan_matrix(d, alpha, out_degrees(d))
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d.arcs, alpha)
+        digraphs = [random_sc_digraph(rng, n) for n in range(2, 9) for _ in range(8)]
+        # infty(30, 40) has 71 vertices: masks wider than 64 bits
+        for d in digraphs + [generate(FamilySpec.infty(30, 40))]:
+            for alpha in (0.0, 0.5, 0.95):
+                want = build_alpha_matrix(d, alpha)
+                got = _det_scan_matrix(d, alpha, out_degrees(d))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d.arcs, alpha)
+
+
+def random_digraph(rng, n, density):
+    """Each of the n(n-1) possible arcs independently with probability density."""
+    return make_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density])
+
+
+class TestStackStrongFlag:
+    """The strong flag of the stack build against the reachability oracle."""
+
+    def test_random_digraphs_match_bfs(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 10):
+            digraphs = [random_digraph(rng, n, density) for density in (0.2, 0.3, 0.4, 0.5) for _ in range(30)]
+            want = [is_strongly_connected_bfs(d) for d in digraphs]
+            assert True in want and (n == 1 or False in want), n
+            assert _alpha_stack(digraphs, n, [0.5] * len(digraphs))[2].tolist() == want, n
+
+    def test_cycles_and_cycles_less_one_arc(self):
+        # a cycle needs every path of up to n - 1 arcs: one squaring fewer
+        # leaves a zero in (I + A)^(2^k) and calls it not strong
+        for n in [*range(2, 13), 70]:
+            d = cycle(n)
+            broken = delete_arc(d, d.arcs[n // 2])
+            assert is_strongly_connected_bfs(d) and not is_strongly_connected_bfs(broken)
+            assert _alpha_stack([d, broken], n, [0.0, 0.9])[2].tolist() == [True, False], n
+
+    def test_mixed_sizes_later_group_not_strong(self, monkeypatch):
+        # the non-strong member sits in the last group, past 64 vertices,
+        # after two strong groups; the call raises before any solve
+        monkeypatch.setattr(_backend, "power_iteration", lambda *args: pytest.fail("solved before the check"))
+        wide = generate(FamilySpec.infty(30, 40))
+        broken = delete_arc(wide, wide.arcs[0])
+        assert wide.n == 71 and not is_strongly_connected_bfs(broken)
+        for digraphs in ([cycle(3), cycle(5), wide, broken], [cycle(3), broken, cycle(5), wide]):
+            with pytest.raises(NotStronglyConnectedError):
+                spectral_radii(digraphs, 0.5)
 
 
 class TestRowSumBounds:

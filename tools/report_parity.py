@@ -11,9 +11,13 @@ its ``to_json()``.  It also prints the sha256 of the concatenated DGR1 text
 of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, the
 criterion-1 family grid, the lemma fleet and the bidirected K_{p,q}.
 Reports list only radii, so these catch a change in how digraphs are
-decoded or in their arc order.  One line per report or set says whether
-the two hashes match; the exit status is 0 when every one does and 1
-otherwise.
+decoded or in their arc order.  Last come fixed solver sets
+(``SOLVER_SETS``): the ``radius``, enclosure, ``iterations`` and Perron
+vector bytes of every result of one ``spectral_radii`` call over the
+n = 5 classes per alpha, and of one-at-a-time ``spectral_radius`` calls
+over the criterion-1 grid at the oracle-grid workload's alphas, which
+reports do not carry.  One line per report or set says whether the two
+hashes match; the exit status is 0 when every one does and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,14 +34,21 @@ from bench_ab import export, git
 
 ALPHAS = (0.0, 0.5, 0.9)
 
-#: run in each tree: the campaign calls and digraph sets come on stdin, one
-#: hash per line out
+#: run in each tree: the campaign calls, digraph sets and solver sets come
+#: on stdin, one hash per line out
 CHILD = """
-import hashlib, json, sys
+import functools, hashlib, json, sys
 from alphaspectra import campaigns
 from alphaspectra.digraph import to_dgr1
 from alphaspectra.families import FamilySpec, generate
-from perfbench.workloads import criterion1_grid
+from alphaspectra.spectral import spectral_radii, spectral_radius
+from perfbench.workloads import ORACLE_ALPHAS, criterion1_grid
+n5_classes = functools.cache(lambda: [d for d, _ in campaigns.enumerate_sc_digraphs(5)])
+solvers = {
+    "spectral_radii_n5": lambda alpha: spectral_radii(n5_classes(), alpha),
+    "spectral_radius_oracle_grid": lambda: [
+        spectral_radius(generate(spec), alpha) for spec in criterion1_grid() for alpha in ORACLE_ALPHAS],
+}
 sets = {
     "enumerate_sc_digraphs": lambda n: [d for d, _ in campaigns.enumerate_sc_digraphs(n)],
     "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
@@ -45,7 +56,10 @@ sets = {
     "kpq": lambda: [generate(FamilySpec.kpq(p, q)) for p in range(1, 6) for q in range(1, 6)],
 }
 for fn, args in json.load(sys.stdin):
-    if fn in sets:
+    if fn in solvers:
+        text = "".join(f"{r.radius!r} {r.enclosure!r} {r.iterations} {r.perron.tobytes().hex()}\\n"
+                       for r in solvers[fn](*args))
+    elif fn in sets:
         text = "".join(to_dgr1(d) for d in sets[fn](*args))
     else:
         report = getattr(campaigns, fn)(*args)
@@ -58,9 +72,14 @@ for fn, args in json.load(sys.stdin):
 DIGRAPH_SETS = [("enumerate_sc_digraphs", [n]) for n in range(2, 6)] + [
     ("criterion1_grid", []), ("lemma_fleet", []), ("kpq", [])]
 
+#: solver results compared field by field, Perron vectors to the byte
+SOLVER_SETS = [("spectral_radii_n5", [alpha]) for alpha in (0.0, 0.5, 0.9, 0.99)] + [
+    ("spectral_radius_oracle_grid", [])]
+
 
 def campaign_set() -> list[tuple[str, list]]:
-    """(campaigns function or digraph set, arguments) of everything compared."""
+    """(campaigns function, digraph set or solver set, arguments) of
+    everything compared."""
     runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
     runs.append(("verify_transform_lemmas", [500, 20240]))
     for alpha in ALPHAS:
@@ -69,7 +88,7 @@ def campaign_set() -> list[tuple[str, list]]:
             runs += [("verify_family_extremes", [family, n, s, alpha]) for s in (2, 3) for n in range(s + 1, 9)]
         runs += [("verify_family_extremes", ["bicyclic", n, 2, alpha]) for n in range(5, 9)]
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
-    return runs + DIGRAPH_SETS
+    return runs + DIGRAPH_SETS + SOLVER_SETS
 
 
 def report_hashes(tree: Path, runs: list[tuple[str, list]]) -> list[str]:
@@ -98,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = f"same {a[:16]}" if a == b else f"DIFF {a[:16]} -> {b[:16]}"
         print(f"{verdict}  {fn}{tuple(call_args)}")
     same = sum(a == b for a, b in zip(parent, change))
-    print(f"{same} of {len(runs)} reports and digraph sets identical")
+    print(f"{same} of {len(runs)} reports, digraph sets and solver sets identical")
     return 0 if same == len(runs) else 1
 
 
