@@ -7,9 +7,9 @@ rounding bound gamma_{n+2}, give a certified enclosure at every step.
 :func:`spectral_radii` solves a list of digraphs at once: per vertex
 count one stack build from the out-masks, which also tests strong
 connectivity on the stack, and one kernel call, every digraph at its own
-alpha and shift; :func:`spectral_radius` is its one-element case.  An independent
-determinant-scan root finder is kept deliberately free of any shared code
-with the iteration path so the two can check each other.
+alpha and shift; :func:`spectral_radius` is its one-element case.  An
+independent determinant-scan root finder shares no code with the
+iteration path, so the two can check each other.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def spectral_radii(
     :class:`NotStronglyConnectedError` before anything is solved.  Each
     group is then solved in one stacked call of the Noda kernel, each
     digraph at its own alpha; a member that converges slowly or needs a
-    retry holds up no other.  Every result obeys the
-    rules of the one-digraph case, and one that misses tol raises
+    retry holds up no other.  Every result obeys the rules of the
+    one-digraph case, and one that misses tol raises
     :class:`ConvergenceError` for the whole call.
     """
     digraphs = list(digraphs)
