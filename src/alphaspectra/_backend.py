@@ -128,9 +128,9 @@ def sc_filter(rows: np.ndarray, n: int) -> np.ndarray:
     """Strong-connectivity flags for a batch of bitmask adjacency rows.
 
     rows[t, i] holds the out-neighbour set of vertex i of digraph t as an
-    n-bit mask.  Runs the two searches from vertex 0 of
-    ``digraph.is_strongly_connected`` across the batch, one vertex column
-    at a time; n - 1 rounds reach every vertex within distance n - 1.
+    n-bit mask.  Runs the sweep of ``digraph.is_strongly_connected``
+    across the batch, one vertex column at a time, for a fixed n - 1
+    sweeps, which reach every vertex within distance n - 1.
     """
     fwd = np.ones(rows.shape[0], dtype=np.int64)
     back = fwd.copy()

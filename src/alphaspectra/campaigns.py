@@ -33,8 +33,9 @@ from .digraph import (
     contains_bidirected_kpq,
     delete_arc,
     digraphs_from_rows,
+    is_strongly_connected,
     loop_free_masks,
-    masks_strongly_connected,
+    retarget_in_arcs,
     subdivide_arc,
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
@@ -399,19 +400,19 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     """Rejection-sampled strongly connected digraph with i.i.d. arcs.
 
     Each attempt draws one coin per ordered pair (i, j), i != j, in
-    row-major order, sets the arc's bit in the out- and in-neighbour masks,
-    and tests strong connectivity on them.  The accepted out-masks are the
-    Digraph, built without :func:`~alphaspectra.digraph.make_digraph`.
+    row-major order into out-neighbour masks, and the first Digraph of
+    them (built without :func:`~alphaspectra.digraph.make_digraph`) that
+    is strongly connected is returned.
     """
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for _ in range(100_000):
-        out_masks, in_masks = [0] * n, [0] * n
+        out_masks = [0] * n
         for (i, j), coin in zip(pairs, rng.random(len(pairs)).tolist()):
             if coin < ARC_DENSITY:
                 out_masks[i] |= 1 << j
-                in_masks[j] |= 1 << i
-        if masks_strongly_connected(n, out_masks, in_masks):
-            return Digraph(n, tuple(out_masks))
+        d = Digraph(n, tuple(out_masks))
+        if is_strongly_connected(d):
+            return d
     raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
 
 
@@ -494,10 +495,10 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     :func:`~alphaspectra.spectral.spectral_radii` call, and their deletable
     arcs come from one :func:`_deletable_arcs` pass, which draws nothing.
     Each base then draws its derived digraphs from its own result, since
-    its Perron vector steers the retarget draws; a retarget move toggles
-    the neighbour masks, and out-masks that pass the strong test are the
-    moved digraph.  The claims are queued, solved in a second batch call
-    and judged in queue order.  So a seed fixes every random base before
+    its Perron vector steers the retarget draws; a retarget move is checked
+    only if its :func:`~alphaspectra.digraph.retarget_in_arcs` digraph stays
+    strongly connected.  The claims are queued, solved in a second batch
+    call and judged in queue order.  So a seed fixes every random base before
     any transform draw is made.
     """
     if trials <= 0:
@@ -517,7 +518,7 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult, candidates: list[Arc]):
         report.items.append(_item(label, alpha, base))
         x = base.perron.tolist()
-        n, out_masks, in_masks = d.n, d.out_masks, d.in_masks
+        n, out_masks = d.n, d.out_masks
 
         # subdigraph lemma: strict decrease when an arc can go
         if candidates:
@@ -536,17 +537,14 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
         order = rng.permutation(len(pairs))
         for idx in order[:4]:
             pp, qq = pairs[int(idx)]
-            sources = [s for s in range(n) if (in_masks[pp] >> s) & 1 and s != qq and not (out_masks[s] >> qq) & 1]
+            sources = [s for s in range(n) if (out_masks[s] >> pp) & 1 and s != qq and not (out_masks[s] >> qq) & 1]
             if not sources or x[qq] < x[pp]:
                 continue
-            moving = sources[:1 + int(rng.integers(len(sources)))]
-            gone = sum(1 << s for s in moving)
-            outs = [m ^ (1 << pp | 1 << qq) if (gone >> v) & 1 else m for v, m in enumerate(out_masks)]
-            ins = [m ^ gone if v in (pp, qq) else m for v, m in enumerate(in_masks)]
-            if not masks_strongly_connected(n, outs, ins):
+            moved = retarget_in_arcs(d, sources[:1 + int(rng.integers(len(sources)))], pp, qq)
+            if not is_strongly_connected(moved):
                 skips["retarget"] += 1
                 continue
-            queued.append(("retarget", Digraph(n, tuple(outs)), alpha, base, f"{label} sources->{qq} alpha={alpha}"))
+            queued.append(("retarget", moved, alpha, base, f"{label} sources->{qq} alpha={alpha}"))
             break
 
         # eigenvector ordering under nested out-neighbourhoods

@@ -21,9 +21,6 @@ from .errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
 from .families import FamilySpec, validate_spec
 
 DEFAULT_TOL = 1e-12
-#: secant steps before the descent gives up; no root of the criterion-1
-#: grid or of the n = 5 classes, at alpha up to 0.99, takes more than 40
-MAX_DESCENT_STEPS = 100
 
 _EQ_KINDS = ("infty", "theta", "gprime", "bip1", "bip2", "bip5", "bip6")
 
@@ -114,9 +111,9 @@ def _max_outdegree(spec: FamilySpec) -> int:
     return p + 1  # bip2 / bip6
 
 
-def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
+def descend_to_largest_root(f, max_deg: int, n: int, tol: float, what: str) -> float:
     """Largest real root rho of f, the characteristic function of a digraph
-    with maximum outdegree max_deg; shared by both root oracles.
+    on n vertices with maximum outdegree max_deg; shared by both oracles.
 
     f is det(xI - M), or that determinant divided by positive factors whose
     roots are eigenvalues, and every eigenvalue of the nonnegative M has
@@ -128,8 +125,8 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
     with f(x) <= 0, bisects that last step to width tol (or to adjacent
     floats) and returns the false-position point inside it.  f not
     positive at max_deg + 1, not increasing above the root, or without a
-    sign change after ``MAX_DESCENT_STEPS`` steps is a wrong function, so
-    it raises instead of guessing; ``what`` names f in the message.
+    sign change after 100 + 2n steps is a wrong function, so it raises
+    instead of guessing; ``what`` names f in the message.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -139,7 +136,14 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
         raise NoSignChangeError(f"{what} not positive at the upper bound x={up}")
     if f_lo <= 0.0:
         return lo
-    for _ in range(MAX_DESCENT_STEPS):
+    # no root of the criterion-1 grid (n <= 12) or the n = 5 classes takes
+    # over 40 evaluations.  Far above the root f grows like y^n, so a step
+    # lowers y by about a factor 1 - 1/n: uncapped, the worst alpha of a
+    # 0.05 grid takes 55 evaluations on infty:10,20 (n = 31), 117 on
+    # infty:30,40 (n = 71), 164 on infty:40,60 (n = 101) and 243 on
+    # infty:60,90 (n = 151), about 1.6 per vertex, so 2 leaves a margin
+    max_steps = 100 + 2 * n
+    for _ in range(max_steps):
         if f_lo >= f_up:
             raise NoSignChangeError(f"{what} does not increase between x={lo} and x={up}")
         step = max(f_lo * (up - lo) / (f_up - f_lo), tol, math.ulp(lo))
@@ -149,7 +153,7 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
         if f_lo <= 0.0:
             break
     else:
-        raise NoSignChangeError(f"no sign change of {what} in {MAX_DESCENT_STEPS} secant steps")
+        raise NoSignChangeError(f"no sign change of {what} in {max_steps} secant steps")
     while f_lo < 0.0 and up - lo > tol:
         mid = 0.5 * (lo + up)
         if mid == lo or mid == up:
@@ -165,8 +169,9 @@ def descend_to_largest_root(f, max_deg: int, tol: float, what: str) -> float:
 def largest_root(eq: CharEquation, tol: float = DEFAULT_TOL) -> float:
     """Rightmost real root of the characteristic function, by the secant
     descent of :func:`descend_to_largest_root`."""
-    what = f"the characteristic function of {eq.spec}"
-    return descend_to_largest_root(lambda x: eval_char(eq, x), _max_outdegree(eq.spec), tol, what)
+    spec = eq.spec
+    what = f"the characteristic function of {spec}"
+    return descend_to_largest_root(lambda x: eval_char(eq, x), _max_outdegree(spec), spec.n_vertices, tol, what)
 
 
 def kpq_radius(p: int, q: int, alpha: float) -> float:

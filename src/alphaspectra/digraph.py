@@ -51,7 +51,7 @@ class Digraph:
     arc (i, j) and bit i clear.  Build through :func:`make_digraph`, which
     checks the endpoints.  Only code that already holds valid masks calls
     the constructor: :func:`digraphs_from_rows`, the three transforms, and
-    the campaigns' sampler and retarget moves."""
+    the campaigns' sampler."""
 
     n: int
     out_masks: tuple[int, ...]
@@ -125,31 +125,24 @@ def out_degrees(d: Digraph) -> tuple[int, ...]:
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    return masks_strongly_connected(d.n, d.out_masks, d.in_masks)
+    """True iff every ordered vertex pair is joined by a directed path.
 
-
-def masks_strongly_connected(n: int, out_masks, in_masks) -> bool:
-    """:func:`is_strongly_connected` on per-vertex out- and in-neighbour
-    bitmasks, so callers can test an arc set without building a Digraph.
-
-    Vertex 0 must reach every vertex along out-arcs and be reached from
-    every vertex (reach it along in-arcs); each search grows a bitmask
-    frontier over ``out_masks`` / ``in_masks``.
+    From the out-masks alone: sweeps of ``_backend.sc_filter``'s rule,
+    until one changes neither set, grow the vertices vertex 0 reaches
+    (``fwd``) and those that reach it (``back``); both must be all.
     """
-    full = (1 << n) - 1
-    for masks in (out_masks, in_masks):
-        seen = frontier = 1
-        while frontier:
-            step = 0
-            for v in range(n):
-                if (frontier >> v) & 1:
-                    step |= masks[v]
-            frontier = step & ~seen
-            seen |= frontier
-        if seen != full:
-            return False
-    return True
+    outs = d.out_masks
+    full = (1 << d.n) - 1
+    fwd = back = 1
+    while True:
+        seen = fwd, back
+        for v, m in enumerate(outs):
+            if (fwd >> v) & 1:
+                fwd |= m
+            if m & back:
+                back |= 1 << v
+        if (fwd, back) == seen:
+            return fwd == back == full
 
 
 def _reachable_from(d: Digraph, start: int) -> int:
@@ -167,8 +160,8 @@ def _reachable_from(d: Digraph, start: int) -> int:
 
 
 def is_strongly_connected_bfs(d: Digraph) -> bool:
-    """Reachability-from-every-vertex oracle; independent of the two
-    searches from vertex 0 in :func:`is_strongly_connected`."""
+    """Reachability-from-every-vertex oracle; independent of the sweep
+    from vertex 0 in :func:`is_strongly_connected`."""
     full = (1 << d.n) - 1
     return all(_reachable_from(d, v) == full for v in range(d.n))
 

@@ -229,4 +229,4 @@ def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TO
     def char_det(x: float) -> float:
         return _backend.det_via_lu(x * eye - m)
 
-    return descend_to_largest_root(char_det, max(degs), tol, "det(xI - M)")
+    return descend_to_largest_root(char_det, max(degs), d.n, tol, "det(xI - M)")

@@ -23,13 +23,11 @@ from alphaspectra.campaigns import (
     verify_transform_lemmas,
 )
 from alphaspectra.digraph import (
-    Digraph,
     canonical_key,
     delete_arc,
     is_strongly_connected,
+    is_strongly_connected_bfs,
     make_digraph,
-    masks_strongly_connected,
-    retarget_in_arcs,
     subdivide_arc,
 )
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
@@ -363,18 +361,9 @@ def per_pair_sc_digraph(rng, n):
 
 
 def toggle_deletable_arcs(d):
-    """Per-arc oracle for ``campaigns._deletable_arcs``: clear one arc's bit
-    in both neighbour-mask lists and run the scalar strong check."""
-    out_masks, in_masks = list(d.out_masks), list(d.in_masks)
-    keep = []
-    for i, j in d.arcs:
-        out_masks[i] ^= 1 << j
-        in_masks[j] ^= 1 << i
-        if masks_strongly_connected(d.n, out_masks, in_masks):
-            keep.append((i, j))
-        out_masks[i] ^= 1 << j
-        in_masks[j] ^= 1 << i
-    return keep
+    """Per-arc oracle for ``campaigns._deletable_arcs``: delete one arc and
+    run the reachability-from-every-vertex check."""
+    return [arc for arc in d.arcs if is_strongly_connected_bfs(delete_arc(d, arc))]
 
 
 def lemma_bases(seed, per_n=6):
@@ -441,42 +430,34 @@ class TestDirectlyBuiltDigraphs:
 
 class TestRetargetMoves:
     def test_queued_moves_equal_retarget_in_arcs(self, monkeypatch):
-        """check_base queues each retarget digraph from the out-masks that
-        passed its strong test.  Each must equal retarget_in_arcs of the
-        move, read back from the in-masks of the same test: p loses the
-        sources' bits and q gains them."""
-        solve, item = campaigns.spectral_radii, campaigns._item
+        """check_base builds each retarget move with retarget_in_arcs.  The
+        moves that stay strongly connected, by the BFS oracle, are exactly
+        the queued retarget digraphs, in order, and the verdict counts them
+        as checked; the others are the verdict's skipped count."""
+        solve, retarget = campaigns.spectral_radii, campaigns.retarget_in_arcs
         for seed in range(8):
-            batches, bases, moves = [], [], []
+            batches, moves = [], []
 
             def spy_solve(digraphs, alphas):
                 batches.append(list(digraphs))
                 return solve(digraphs, alphas)
 
-            def spy_item(*args):
-                # check_base reports its base first, in batch order
-                bases.append(batches[0][len(bases)])
-                return item(*args)
-
-            def spy_strong(n, outs, ins):
-                strong = masks_strongly_connected(n, outs, ins)
-                if bases and strong:
-                    moves.append((bases[-1], Digraph(n, tuple(outs)), ins))
-                return strong
+            def spy_retarget(*args):
+                moves.append(retarget(*args))
+                return moves[-1]
 
             monkeypatch.setattr(campaigns, "spectral_radii", spy_solve)
-            monkeypatch.setattr(campaigns, "_item", spy_item)
-            monkeypatch.setattr(campaigns, "masks_strongly_connected", spy_strong)
+            monkeypatch.setattr(campaigns, "retarget_in_arcs", spy_retarget)
             report = verify_transform_lemmas(100, seed)
-            queued = iter(batches[1])
-            for d, moved, ins in moves:
-                p = next(v for v in range(d.n) if ins[v] < d.in_masks[v])
-                q = next(v for v in range(d.n) if ins[v] > d.in_masks[v])
-                sources = [s for s in range(d.n) if (d.in_masks[p] & ~ins[p]) >> s & 1]
-                assert moved == retarget_in_arcs(d, sources, p, q), seed
-                assert any(moved == other for other in queued), seed
+            strong = [m for m in moves if is_strongly_connected_bfs(m)]
+            queued = [d for d in batches[1] if any(d is m for m in moves)]
+            assert [id(d) for d in queued] == [id(m) for m in strong], seed
+            skipped = len(moves) - len(strong)
             detail = next(v.detail for v in report.verdicts if v.claim == "retarget lemma")
-            assert moves and detail.startswith(f"{len(moves)} instances checked"), seed
+            want = f"{len(strong)} instances checked"
+            if skipped:
+                want += f"; {skipped} skipped (retarget-disconnected)"
+            assert strong and detail.split("; violations")[0] == want, seed
 
 
 class TestRandomScDigraph:

@@ -197,16 +197,16 @@ class TestDescent:
 
     def test_not_positive_at_the_upper_bound(self):
         with pytest.raises(NoSignChangeError, match="upper bound"):
-            chareq.descend_to_largest_root(lambda x: x - 5.0, 2, 1e-12, "f")
+            chareq.descend_to_largest_root(lambda x: x - 5.0, 2, 3, 1e-12, "f")
 
     def test_not_increasing_above_the_root(self):
         with pytest.raises(NoSignChangeError, match="does not increase"):
-            chareq.descend_to_largest_root(lambda x: 5.0 - x, 2, 1e-12, "f")
+            chareq.descend_to_largest_root(lambda x: 5.0 - x, 2, 3, 1e-12, "f")
 
     def test_no_root_hits_the_step_cap(self):
         # positive, increasing and convex everywhere: the descent never ends
         with pytest.raises(NoSignChangeError, match="secant steps"):
-            chareq.descend_to_largest_root(math.exp, 2, 1e-12, "f")
+            chareq.descend_to_largest_root(math.exp, 2, 3, 1e-12, "f")
 
 
 class TestKpqRadius:

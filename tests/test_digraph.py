@@ -8,6 +8,7 @@ from alphaspectra.digraph import (
     canonical_key,
     bipartition,
     contains_bidirected_kpq,
+    delete_arc,
     from_dgr1,
     is_strongly_connected,
     is_strongly_connected_bfs,
@@ -116,6 +117,16 @@ class TestStrongConnectivity:
             for mask in range(1 << len(pairs)):
                 d = make_digraph(n, [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1])
                 assert is_strongly_connected(d) == is_strongly_connected_bfs(d)
+        # long cycles both ways round, whole and less one arc: on the
+        # reversed one the sweep from vertex 0 grows one set by one vertex
+        # per pass, and masks pass 64 bits
+        for n in range(64, 72):
+            for arcs in ([(i, (i + 1) % n) for i in range(n)], [((i + 1) % n, i) for i in range(n)]):
+                d = make_digraph(n, arcs)
+                assert is_strongly_connected(d) and is_strongly_connected_bfs(d)
+                for arc in (arcs[0], arcs[n // 2], arcs[-1]):
+                    less = delete_arc(d, arc)
+                    assert not is_strongly_connected(less) and not is_strongly_connected_bfs(less)
 
 
 class TestOutDegrees:

@@ -21,6 +21,7 @@ from alphaspectra.errors import (
 from alphaspectra.families import FamilySpec, generate, list_bicyclic
 from alphaspectra.campaigns import enumerate_sc_digraphs, random_sc_digraph, verify_global_minima
 from alphaspectra import _backend
+from alphaspectra.chareq import char_equation_for, largest_root
 from alphaspectra.spectral import (
     _alpha_stack,
     _det_scan_matrix,
@@ -421,13 +422,20 @@ class TestDetScan:
 
     def test_agrees_with_power_iteration_past_64_vertices(self):
         # masks wider than int64: arcs, outdegrees and the strong check read
-        # Python ints.  Alphas 0.35-0.6 are left out because there the
-        # descent on infty(30,40) needs more than its 100 secant steps.
+        # Python ints.  At alpha 0.35-0.5 the descent on infty(30,40) takes
+        # about 117 evaluations, so its step budget has to grow with n; there
+        # the characteristic-equation route is checked too.
         for spec in (FamilySpec.cycle(70), FamilySpec.infty(30, 40)):
             d = generate(spec)
             assert max(d.out_masks).bit_length() > 64
             for alpha in (0.0, 0.25, 0.75, 0.9):
                 assert abs(spectral_radius(d, alpha).radius - det_scan_largest_real_root(d, alpha)) <= 1e-10
+        spec = FamilySpec.infty(30, 40)
+        d = generate(spec)
+        for alpha in (0.35, 0.4, 0.5):
+            radius = spectral_radius(d, alpha).radius
+            assert abs(radius - det_scan_largest_real_root(d, alpha)) <= 1e-9
+            assert abs(radius - largest_root(char_equation_for(spec, alpha))) <= 1e-9
 
     def test_three_roots_in_one_coarse_bracket(self):
         # roots 2.926, 2.85 and 2.785 lie within 0.15 of each other; the

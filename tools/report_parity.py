@@ -11,7 +11,11 @@ its ``to_json()``.  It also prints the sha256 of the concatenated DGR1 text
 of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, the
 criterion-1 family grid, the lemma fleet and the bidirected K_{p,q}.
 Reports list only radii, so these catch a change in how digraphs are
-decoded or in their arc order.  Last come fixed solver sets
+decoded or in their arc order.  The lemma-derived sets (``LEMMA_SETS``)
+hash the DGR1 text and alpha of every digraph the transform-lemma fuzz
+derives from its bases, as passed to its second ``spectral_radii`` call;
+reports carry only the bases' radii, so these catch a change in the
+deleted arcs, subdivisions or retarget moves.  Last come fixed solver sets
 (``SOLVER_SETS``): the ``radius``, enclosure, ``iterations`` and Perron
 vector bytes of every result of one ``spectral_radii`` call over the
 n = 5 classes per alpha, and of one-at-a-time ``spectral_radius`` calls
@@ -49,6 +53,17 @@ solvers = {
     "spectral_radius_oracle_grid": lambda: [
         spectral_radius(generate(spec), alpha) for spec in criterion1_grid() for alpha in ORACLE_ALPHAS],
 }
+def lemma_derived(trials, seed):
+    calls, solve = [], campaigns.spectral_radii
+    def spy(digraphs, alphas):
+        calls.append(list(zip(digraphs, alphas)))
+        return solve(digraphs, alphas)
+    campaigns.spectral_radii = spy
+    try:
+        campaigns.verify_transform_lemmas(trials, seed)
+    finally:
+        campaigns.spectral_radii = solve
+    return calls[1]
 sets = {
     "enumerate_sc_digraphs": lambda n: [d for d, _ in campaigns.enumerate_sc_digraphs(n)],
     "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
@@ -61,6 +76,8 @@ for fn, args in json.load(sys.stdin):
                        for r in solvers[fn](*args))
     elif fn in sets:
         text = "".join(to_dgr1(d) for d in sets[fn](*args))
+    elif fn == "lemma_derived":
+        text = "".join(f"alpha {alpha!r}\\n{to_dgr1(d)}" for d, alpha in lemma_derived(*args))
     else:
         report = getattr(campaigns, fn)(*args)
         report.runtime_s = 0.0
@@ -72,14 +89,17 @@ for fn, args in json.load(sys.stdin):
 DIGRAPH_SETS = [("enumerate_sc_digraphs", [n]) for n in range(2, 6)] + [
     ("criterion1_grid", []), ("lemma_fleet", []), ("kpq", [])]
 
+#: the transform-lemma fuzz's derived digraphs, with their alphas
+LEMMA_SETS = [("lemma_derived", [100, seed]) for seed in range(8)] + [("lemma_derived", [500, 20240])]
+
 #: solver results compared field by field, Perron vectors to the byte
 SOLVER_SETS = [("spectral_radii_n5", [alpha]) for alpha in (0.0, 0.5, 0.9, 0.99)] + [
     ("spectral_radius_oracle_grid", [])]
 
 
 def campaign_set() -> list[tuple[str, list]]:
-    """(campaigns function, digraph set or solver set, arguments) of
-    everything compared."""
+    """(campaigns function, digraph set, lemma-derived set or solver set,
+    arguments) of everything compared."""
     runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
     runs.append(("verify_transform_lemmas", [500, 20240]))
     for alpha in ALPHAS:
@@ -88,7 +108,7 @@ def campaign_set() -> list[tuple[str, list]]:
             runs += [("verify_family_extremes", [family, n, s, alpha]) for s in (2, 3) for n in range(s + 1, 9)]
         runs += [("verify_family_extremes", ["bicyclic", n, 2, alpha]) for n in range(5, 9)]
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
-    return runs + DIGRAPH_SETS + SOLVER_SETS
+    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS
 
 
 def report_hashes(tree: Path, runs: list[tuple[str, list]]) -> list[str]:
@@ -117,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = f"same {a[:16]}" if a == b else f"DIFF {a[:16]} -> {b[:16]}"
         print(f"{verdict}  {fn}{tuple(call_args)}")
     same = sum(a == b for a, b in zip(parent, change))
-    print(f"{same} of {len(runs)} reports, digraph sets and solver sets identical")
+    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets and solver sets identical")
     return 0 if same == len(runs) else 1
 
 
