@@ -5,8 +5,9 @@ Every campaign returns a :class:`VerificationReport` whose verdicts carry
 the exact claim they test.  Two radii are ordered only by their certified
 enclosures: disjoint enclosures decide, and overlapping ones leave the pair
 unordered, so a strict claim on it is ``indistinguishable`` rather than
-silently ordered.  Every rank and inequality verdict, the transform lemmas'
-included, comes from :func:`judge_claim`.
+silently ordered.  Every inequality verdict, the transform lemmas'
+included, comes from :func:`judge_claim`, and every rank verdict from
+:func:`judge_rank`, which fails only on a certified counter-order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .digraph import (
     delete_arc,
     digraphs_from_rows,
     is_strongly_connected,
-    loop_free_masks,
     retarget_in_arcs,
     subdivide_arc,
 )
@@ -146,18 +146,39 @@ def judge_rank(
     """Verdict for "``label`` holds rank ``pos``" in ``ranked``, a list of
     ``(label, result)`` sorted by ``(radius, label)``.
 
-    The member must be the expected one and must separate from its
-    neighbour (the next rank, or the previous one for the last rank) under
-    :func:`judge_claim`.  ``name`` is how details show the expected member.
+    Decided from certified counts, not from the midpoint order.  With X
+    the expected member, ``below`` members have ``hi < X.lo`` and ``above``
+    members ``lo > X.hi``, each counted by bisection in the sorted
+    enclosure ends.  The claim fails iff ``below > pos`` or ``above >
+    N-1-pos`` (or X is not ranked), and the detail names a certified
+    counter-member.  It passes iff both counts are exact, which puts X at
+    ``pos`` separated from its neighbour (the next rank, or the previous
+    one for the last rank).  Otherwise it is ``indistinguishable``, and the
+    detail names the overlapping member nearest X.  ``name`` is how details
+    show the expected member.
     """
-    got = ranked[pos][0]
-    if got != label:
-        return Verdict(claim, "fail", f"expected {name}, found {got}")
+    labels = [lab for lab, _ in ranked]
+    if label not in labels:
+        return Verdict(claim, "fail", f"expected {name}, not among the ranked members")
+    x = ranked[labels.index(label)][1]
+    ends = np.array([res.enclosure for _, res in ranked])
+    by_lo, by_hi = np.argsort(ends[:, 0], kind="stable"), np.argsort(ends[:, 1], kind="stable")
+    below = int(np.searchsorted(ends[by_hi, 1], x.enclosure.lo, "left"))
+    above = len(ranked) - int(np.searchsorted(ends[by_lo, 0], x.enclosure.hi, "right"))
+    if below > pos:
+        return Verdict(claim, "fail", f"expected {name}, found {labels[by_hi[below - 1]]}")
+    if above > len(ranked) - 1 - pos:
+        return Verdict(claim, "fail", f"expected {name}, found {labels[by_lo[-above]]}")
     if len(ranked) == 1:
         return Verdict(claim, "pass", "single member, trivially extremal")
-    nb = pos + 1 if pos + 1 < len(ranked) else pos - 1
-    v = judge_claim(claim, ranked[max(pos, nb)][1], ">", ranked[min(pos, nb)][1])
-    return Verdict(claim, v.status, f"{name} vs {ranked[nb][0]} {v.detail}")
+    if below + above == len(ranked) - 1:
+        nb = pos + 1 if pos + 1 < len(ranked) else pos - 1
+        status, (got, other) = "pass", ranked[nb]
+    else:
+        status, (got, other) = "indistinguishable", min(
+            ((lab, res) for lab, res in ranked if lab != label and decide_order(res, x) is None),
+            key=lambda t: (abs(t[1].radius - x.radius), t[0]))
+    return Verdict(claim, status, f"{name} vs {got} gap {abs(other.radius - x.radius):.3e}")
 
 
 def _item(label: str, alpha: float, res: SpectralResult) -> ReportItem:
@@ -184,11 +205,12 @@ def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
     """One ``(digraph, key)`` pair per isomorphism class of strongly
     connected digraphs, n <= 5.
 
-    Sieves the 2^(n(n-1)) labeled loop-free masks down to the canonical
-    ones (each equal to its own permutation-minimal mask, so one per
-    isomorphism class; :func:`canonical_masks` drops all but 327 680 of
-    the 1 048 576 at n = 5 by vertex 0's row before relabeling any), then
-    runs the strong-connectivity filter on their adjacency rows alone;
+    Takes the canonical masks with no zero out-row (each equal to its own
+    permutation-minimal mask, so one per isomorphism class;
+    :func:`canonical_masks` builds only the 65 892 candidates at n = 5
+    whose vertex 0 has least outdegree and a row 0 of the form 0...01...1,
+    not all 1 048 576 labeled masks), then runs the strong-connectivity
+    filter on their adjacency rows alone;
     strong connectivity does not depend on the labeling, and no labeled
     strongly connected set is built.  The strong rows are decoded into
     digraphs directly (:func:`digraphs_from_rows`).  Each class is
@@ -200,7 +222,7 @@ def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
         raise InvalidParamsError(f"enumeration needs n >= 2, got {n}")
     if n > ENUMERATION_MAX_N:
         raise TooLargeError(f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}")
-    canon = canonical_masks(loop_free_masks(n), n)
+    canon = canonical_masks(n)
     rows = adjacency_rows_from_masks(canon, n)
     strong = _backend.sc_filter(rows, n)
     keys = [CanonicalKey.from_mask(n, c) for c in canon[strong].tolist()]

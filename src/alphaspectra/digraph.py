@@ -220,16 +220,28 @@ def min_relabeled_mask(masks: np.ndarray, n: int) -> np.ndarray:
     return _backend.perm_min(masks.astype(np.int64), _perm_bit_table(n))
 
 
-def canonical_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """The masks equal to their :func:`min_relabeled_mask`, in input order.
+def canonical_masks(n: int) -> np.ndarray:
+    """The loop-free masks with no zero out-row that equal their
+    :func:`min_relabeled_mask`, ascending.
 
-    Only masks whose vertex 0 out-row, diagonal bit aside, reads 0...01...1
-    reach the sieve: any other row 0 is lowered, and with it the mask, by
-    the relabeling that fixes vertex 0 and moves its heads to the top labels.
+    Only candidates that can win reach the sieve, built one block per k =
+    1..n-1 like :func:`loop_free_masks`: row 0 reads 0...01...1 with k ones,
+    and every other row has at least k ones.  Any other row 0 is lowered,
+    and with it the mask, by the relabeling that fixes vertex 0 and moves
+    its heads to the top labels.  A row of k ones in that form lies below
+    every row with more ones, so moving a vertex of smaller outdegree to
+    label 0 lowers row 0 too.  k = 0 is left out, since a vertex with no
+    out-arc rules out strong connectivity.
     """
-    masks = masks.astype(np.int64, copy=False)
-    low = (masks >> _cell_bit(n, 0, n - 1)) & ((1 << (n - 1)) - 1)
-    return _backend.perm_sieve(masks[low & (low + 1) == 0], _perm_bit_table(n))
+    blocks = []
+    for k in range(1, n):
+        masks = np.array([((1 << k) - 1) << _cell_bit(n, 0, n - 1)], dtype=np.int64)
+        for i in range(1, n):
+            row = np.arange(1 << n, dtype=np.int64) << _cell_bit(n, i, n - 1)
+            row = row[((row >> _cell_bit(n, i, i)) & 1 == 0) & (np.bitwise_count(row) >= k)]
+            masks = (masks[:, None] | row).ravel()
+        blocks.append(masks)
+    return _backend.perm_sieve(np.concatenate(blocks), _perm_bit_table(n))
 
 
 @lru_cache(maxsize=None)

@@ -162,7 +162,17 @@ class TestNumpyKernels:
             got = _backend.perm_sieve(masks, table)
             assert got.dtype == masks.dtype
             assert got.tolist() == want.tolist(), n
-            assert canonical_masks(masks, n).tolist() == want.tolist(), n
+
+    def test_canonical_masks_match_sieved_loop_free_masks(self):
+        # the candidates built by the min-outdegree rule sieve to the
+        # canonical masks of every labeled digraph with no zero out-row
+        for n in (2, 3, 4, 5):
+            masks = loop_free_masks(n)
+            no_sink = masks[(adjacency_rows_from_masks(masks, n) != 0).all(axis=1)]
+            want = _backend.perm_sieve(no_sink, _perm_bit_table(n))
+            got = canonical_masks(n)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist(), n
 
     def test_digraphs_from_rows_matches_make_digraph(self):
         samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]
@@ -198,8 +208,9 @@ class TestNumpyKernels:
         assert elapsed < 2.0, elapsed
 
     def test_enumeration_n5_work_counts(self, monkeypatch):
-        # the row-0 rule leaves 5 * 2^16 of the 2^20 loop-free masks to the
-        # sieve, and the classes are decoded from the filter's rows
+        # the sieve gets only the candidates the min-outdegree rule builds,
+        # 15^4 + 11^4 + 5^4 + 1^4 (row 0 with k = 1..4 ones, every other row
+        # with at least k), and the classes are decoded from the filter's rows
         sieved = []
         perm_sieve = _backend.perm_sieve
 
@@ -223,7 +234,7 @@ class TestNumpyKernels:
             assert len(enumerate_sc_digraphs(5)) == 5048
         finally:
             enumerate_sc_digraphs.cache_clear()
-        assert sieved == [327680]
+        assert sieved == [65892]
         assert decoded == []
 
 

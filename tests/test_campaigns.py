@@ -629,3 +629,25 @@ class TestJudgeRank:
     def test_last_rank_uses_previous_neighbour(self):
         assert judge_rank("claim", self.RANKED, 2, "c", "C").status == "indistinguishable"
         assert judge_rank("claim", self.RANKED[:2], 1, "b", "B").detail == "B vs a gap 5.000e-01"
+
+    # a and b overlap, c is certified above both
+    TIED = [("a", fake(1.0, 1e-9)), ("b", fake(1.0 + 5e-10, 1e-9)), ("c", fake(2.0))]
+
+    def test_overlap_only_misorder_is_indistinguishable(self):
+        # the midpoints put a at rank 0, but nothing is certified below b
+        v = judge_rank("claim", self.TIED, 0, "b", "B")
+        assert (v.status, v.detail) == ("indistinguishable", "B vs a gap 5.000e-10")
+        assert judge_rank("claim", self.TIED, 1, "a", "A").status == "indistinguishable"
+
+    def test_certified_counter_member_fails(self):
+        # two members certified below c, which cannot then be rank 0 or 1
+        v = judge_rank("claim", self.TIED, 0, "c", "C")
+        assert (v.status, v.detail) == ("fail", "expected C, found b")
+        assert judge_rank("claim", self.TIED, 1, "c", "C").status == "fail"
+        # c is certified above a, which cannot then be the maximum
+        v = judge_rank("claim", self.TIED, 2, "a", "A")
+        assert (v.status, v.detail) == ("fail", "expected A, found c")
+
+    def test_unranked_label_fails(self):
+        v = judge_rank("claim", self.TIED, 0, "d", "D")
+        assert (v.status, v.detail) == ("fail", "expected D, not among the ranked members")

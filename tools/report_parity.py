@@ -8,14 +8,15 @@ is the working tree's ``src/``, so the check can run before a commit.
 Each side runs the same fixed campaign set (``campaign_set``) in its own
 interpreter, zeroes every report's ``runtime_s`` and prints the sha256 of
 its ``to_json()``.  It also prints the sha256 of the concatenated DGR1 text
-of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, the
-criterion-1 family grid, the lemma fleet and the bidirected K_{p,q}.
-Reports list only radii, so these catch a change in how digraphs are
-decoded or in their arc order.  The lemma-derived sets (``LEMMA_SETS``)
-hash the DGR1 text and alpha of every digraph the transform-lemma fuzz
-derives from its bases, as passed to its second ``spectral_radii`` call;
-reports carry only the bases' radii, so these catch a change in the
-deleted arcs, subdivisions or retarget moves.  Last come fixed solver sets
+of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, each
+after its canonical key's ``hex()``, the criterion-1 family grid, the
+lemma fleet and the bidirected K_{p,q}.  Reports list only radii, and
+only global-min's carry keys (at n = 5), so these catch a change in how
+digraphs are decoded, in their arc order or in their keys.  The
+lemma-derived sets (``LEMMA_SETS``) hash the DGR1 text and alpha of every
+digraph the transform-lemma fuzz derives from its bases, as passed to its
+second ``spectral_radii`` call; reports carry only the bases' radii, so
+these catch a change in the deleted arcs, subdivisions or retarget moves.  Last come fixed solver sets
 (``SOLVER_SETS``): the ``radius``, enclosure, ``iterations`` and Perron
 vector bytes of every result of one ``spectral_radii`` call over the
 n = 5 classes per alpha, and of one-at-a-time ``spectral_radius`` calls
@@ -65,7 +66,6 @@ def lemma_derived(trials, seed):
         campaigns.spectral_radii = solve
     return calls[1]
 sets = {
-    "enumerate_sc_digraphs": lambda n: [d for d, _ in campaigns.enumerate_sc_digraphs(n)],
     "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
     "lemma_fleet": lambda: [generate(spec) for spec in campaigns._lemma_fleet()],
     "kpq": lambda: [generate(FamilySpec.kpq(p, q)) for p in range(1, 6) for q in range(1, 6)],
@@ -74,6 +74,8 @@ for fn, args in json.load(sys.stdin):
     if fn in solvers:
         text = "".join(f"{r.radius!r} {r.enclosure!r} {r.iterations} {r.perron.tobytes().hex()}\\n"
                        for r in solvers[fn](*args))
+    elif fn == "enumerate_sc_digraphs":
+        text = "".join(f"key {key.hex()}\\n{to_dgr1(d)}" for d, key in campaigns.enumerate_sc_digraphs(*args))
     elif fn in sets:
         text = "".join(to_dgr1(d) for d in sets[fn](*args))
     elif fn == "lemma_derived":
