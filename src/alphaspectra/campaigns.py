@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,12 +27,13 @@ from .digraph import (
     CanonicalKey,
     Digraph,
     adjacency_rows_from_masks,
+    adjacency_stack_from_masks,
     bipartition,
     canonical_key,
     canonical_masks,
     contains_bidirected_kpq,
     delete_arc,
-    digraphs_from_rows,
+    digraphs_from_masks,
     is_strongly_connected,
     retarget_in_arcs,
     subdivide_arc,
@@ -185,14 +185,11 @@ def _item(label: str, alpha: float, res: SpectralResult) -> ReportItem:
     return ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
 
 
-def _rank(
-    report: VerificationReport, pairs: Iterable[tuple[str, Digraph]], alpha: float
-) -> list[tuple[str, SpectralResult]]:
-    """``(label, result)`` for each ``(label, digraph)`` pair, sorted by
-    ``(radius, label)``; the ranked items are appended to the report."""
-    pairs = list(pairs)
-    ranked = list(zip([label for label, _ in pairs], spectral_radii([d for _, d in pairs], alpha)))
-    ranked.sort(key=lambda t: (t[1].radius, t[0]))
+def _rank(report: VerificationReport, labels: list[str], members, alpha: float) -> list[tuple[str, SpectralResult]]:
+    """``(label, result)`` of each label and member, sorted by ``(radius,
+    label)``; the members go to :func:`spectral_radii` as they are, and the
+    ranked items are appended to the report."""
+    ranked = sorted(zip(labels, spectral_radii(members, alpha)), key=lambda t: (t[1].radius, t[0]))
     report.items += [_item(label, alpha, res) for label, res in ranked]
     return ranked
 
@@ -201,32 +198,29 @@ def _rank(
 # exhaustive enumeration
 
 @lru_cache(maxsize=None)
-def enumerate_sc_digraphs(n: int) -> tuple[tuple[Digraph, CanonicalKey], ...]:
-    """One ``(digraph, key)`` pair per isomorphism class of strongly
-    connected digraphs, n <= 5.
+def enumerate_sc_digraphs(n: int) -> np.ndarray:
+    """The canonical mask of each isomorphism class of strongly connected
+    digraphs, n <= 5, as a read-only int64 array, ascending.
 
-    Takes the canonical masks with no zero out-row (each equal to its own
-    permutation-minimal mask, so one per isomorphism class;
-    :func:`canonical_masks` builds only the 65 892 candidates at n = 5
-    whose vertex 0 has least outdegree and a row 0 of the form 0...01...1,
-    not all 1 048 576 labeled masks), then runs the strong-connectivity
-    filter on their adjacency rows alone;
-    strong connectivity does not depend on the labeling, and no labeled
-    strongly connected set is built.  The strong rows are decoded into
-    digraphs directly (:func:`digraphs_from_rows`).  Each class is
-    represented by the labeling with the minimal mask, and ``key`` is built
-    from the same mask, so it equals ``canonical_key(digraph)`` without
-    recomputing it.  Classes come out sorted by canonical mask.
+    :func:`canonical_masks` gives the canonical masks with no zero out-row,
+    one per isomorphism class, from only the 65 892 candidates at n = 5
+    whose vertex 0 has least outdegree and a row 0 of the form 0...01...1
+    (not all 1 048 576 labeled masks), sieved in int32 words.  The
+    strong-connectivity filter runs on their adjacency rows alone, since
+    strong connectivity does not depend on the labeling.  No digraph and no
+    key is built: a class's key is ``CanonicalKey.from_mask(n, mask)``,
+    its digraph (the labeling with that mask) comes from
+    :func:`digraphs_from_masks`, and its adjacency matrix from
+    :func:`adjacency_stack_from_masks`.
     """
     if n < 2:
         raise InvalidParamsError(f"enumeration needs n >= 2, got {n}")
     if n > ENUMERATION_MAX_N:
         raise TooLargeError(f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}")
     canon = canonical_masks(n)
-    rows = adjacency_rows_from_masks(canon, n)
-    strong = _backend.sc_filter(rows, n)
-    keys = [CanonicalKey.from_mask(n, c) for c in canon[strong].tolist()]
-    return tuple(zip(digraphs_from_rows(rows[strong], n), keys))
+    masks = canon[_backend.sc_filter(adjacency_rows_from_masks(canon, n), n)]
+    masks.flags.writeable = False
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,7 @@ def verify_family_extremes(family: str, n: int, s: int, alpha: float) -> Verific
         raise InvalidParamsError(f"unknown family campaign {family!r}")
 
     report = VerificationReport(f"family-extremes:{family}", [alpha])
-    results = _rank(report, ((format_spec(spec), generate(spec)) for spec in specs), alpha)
+    results = _rank(report, [format_spec(spec) for spec in specs], [generate(spec) for spec in specs], alpha)
 
     a_str = f"alpha={alpha}"
     if family == "bicyclic":
@@ -296,6 +290,10 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
     """Rank every isomorphism class at n = 5 and check the first four ranks:
     the cycle, then the three claimed near-minimal digraphs.
 
+    Ranks from the enumerated masks: labels are their keys' ``hex()``, and
+    radii come from one solve of their :func:`adjacency_stack_from_masks`
+    stack, so no class becomes a :class:`Digraph`.
+
     The ranking claim is asserted for alpha <= 1/2; above that it is the
     conjectured ordering, so the verdicts become exploratory observations
     that never fail the campaign.
@@ -306,7 +304,9 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
         raise InvalidParamsError(f"rank claims are stated at n=5, got {n}")
     t0 = time.perf_counter()
     report = VerificationReport("global-min", [alpha])
-    results = _rank(report, ((key.hex(), d) for d, key in enumerate_sc_digraphs(n)), alpha)
+    masks = np.asarray(enumerate_sc_digraphs(n), dtype=np.int64)
+    labels = [CanonicalKey.from_mask(n, m).hex() for m in masks.tolist()]
+    results = _rank(report, labels, adjacency_stack_from_masks(masks, n), alpha)
 
     expected = [
         ("rank 1 is the directed cycle", FamilySpec.cycle(n)),
@@ -390,12 +390,11 @@ def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> Verificati
 
     # exhaustive branch: only reachable enumeration size is (5, 2, 2)
     if n <= ENUMERATION_MAX_N:
-        pairs = (
-            (key.hex(), d)
-            for d, key in enumerate_sc_digraphs(n)
-            if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)
-        )
-        results = _rank(report, pairs, alpha)
+        masks = enumerate_sc_digraphs(n)
+        kept = [(CanonicalKey.from_mask(n, m).hex(), d)
+                for m, d in zip(masks.tolist(), digraphs_from_masks(masks, n))
+                if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)]
+        results = _rank(report, [label for label, _ in kept], [d for _, d in kept], alpha)
         want = bip(1 if rem % 2 == 1 else 5)
         label = canonical_key(generate(want)).hex()
         claim = f"unique bipartite minimum by enumeration {loc}"

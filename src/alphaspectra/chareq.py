@@ -168,10 +168,14 @@ def descend_to_largest_root(f, max_deg: int, n: int, tol: float, what: str) -> f
 
 def largest_root(eq: CharEquation, tol: float = DEFAULT_TOL) -> float:
     """Rightmost real root of the characteristic function, by the secant
-    descent of :func:`descend_to_largest_root`."""
+    descent of :func:`descend_to_largest_root`; an evaluation that
+    overflows a float raises :class:`NoSignChangeError`."""
     spec = eq.spec
     what = f"the characteristic function of {spec}"
-    return descend_to_largest_root(lambda x: eval_char(eq, x), _max_outdegree(spec), spec.n_vertices, tol, what)
+    try:
+        return descend_to_largest_root(lambda x: eval_char(eq, x), _max_outdegree(spec), spec.n_vertices, tol, what)
+    except OverflowError:
+        raise NoSignChangeError(f"{what} overflows a float") from None
 
 
 def kpq_radius(p: int, q: int, alpha: float) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import campaigns
 from .chareq import char_equation_for, eval_char, kpq_radius, largest_root
-from .digraph import read_dgr1, to_dgr1, write_dgr1
+from .digraph import CanonicalKey, digraphs_from_masks, read_dgr1, to_dgr1, write_dgr1
 from .errors import AlphaRangeError, InfeasibleError, InvalidParamsError, SpectraError, TooLargeError
 from .families import FamilySpec, format_spec, generate, parse_spec
 from .spectral import DEFAULT_TOL, spectral_radii, spectral_radius
@@ -168,20 +168,20 @@ def _cmd_char_root(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    classes = campaigns.enumerate_sc_digraphs(args.n)
-    manifest = {"n": args.n, "count": len(classes), "classes": []}
+    masks = campaigns.enumerate_sc_digraphs(args.n)
+    manifest = {"n": args.n, "count": len(masks), "classes": []}
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    for idx, (d, key) in enumerate(classes):
+    for idx, (d, m) in enumerate(zip(digraphs_from_masks(masks, args.n), masks.tolist())):
         name = f"sc_n{args.n}_{idx:05d}.dgr"
-        manifest["classes"].append({"file": name, "arcs": len(d.arcs), "key": key.hex()})
+        manifest["classes"].append({"file": name, "arcs": len(d.arcs), "key": CanonicalKey.from_mask(args.n, m).hex()})
         if outdir is not None:
             write_dgr1(d, outdir / name)
     text = json.dumps(manifest, indent=2)
     if outdir is not None:
         (outdir / "manifest.json").write_text(text + "\n")
-        print(f"wrote {len(classes)} classes to {outdir}")
+        print(f"wrote {len(masks)} classes to {outdir}")
     else:
         print(text)
     return 0

@@ -231,17 +231,19 @@ def canonical_masks(n: int) -> np.ndarray:
     its heads to the top labels.  A row of k ones in that form lies below
     every row with more ones, so moving a vertex of smaller outdegree to
     label 0 lowers row 0 too.  k = 0 is left out, since a vertex with no
-    out-arc rules out strong connectivity.
+    out-arc rules out strong connectivity.  The candidates are np.int32
+    words while n*n <= 32 and int64 above; the result is int64.
     """
+    word = np.int32 if n * n <= 32 else np.int64
     blocks = []
     for k in range(1, n):
-        masks = np.array([((1 << k) - 1) << _cell_bit(n, 0, n - 1)], dtype=np.int64)
+        masks = np.array([((1 << k) - 1) << _cell_bit(n, 0, n - 1)], dtype=word)
         for i in range(1, n):
-            row = np.arange(1 << n, dtype=np.int64) << _cell_bit(n, i, n - 1)
+            row = np.arange(1 << n, dtype=word) << _cell_bit(n, i, n - 1)
             row = row[((row >> _cell_bit(n, i, i)) & 1 == 0) & (np.bitwise_count(row) >= k)]
             masks = (masks[:, None] | row).ravel()
         blocks.append(masks)
-    return _backend.perm_sieve(np.concatenate(blocks), _perm_bit_table(n))
+    return _backend.perm_sieve(np.concatenate(blocks), _perm_bit_table(n)).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -259,6 +261,16 @@ def digraphs_from_rows(rows: np.ndarray, n: int) -> list[Digraph]:
     if ((outs >> np.arange(n)) & 1).any():
         raise LoopArcError("adjacency row with its diagonal bit set")
     return [Digraph(n, tuple(masks)) for masks in outs.tolist()]
+
+
+def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:
+    """The digraph of each packed mask, in order."""
+    return digraphs_from_rows(adjacency_rows_from_masks(masks, n), n)
+
+
+def adjacency_stack_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 adjacency matrix of each packed mask, uint8, shape (N, n, n)."""
+    return ((masks[:, None] >> np.arange(n * n - 1, -1, -1)) & 1).astype(np.uint8).reshape(len(masks), n, n)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -54,8 +54,8 @@ class InfeasibleError(SpectraError):
 
 
 class NoSignChangeError(SpectraError):
-    """The secant descent found f not positive, not increasing, or without
-    a sign change above the largest root: f is wrong."""
+    """The secant descent found f not positive, not increasing, without a
+    sign change above the largest root (f is wrong), or overflowing a float."""
 
 
 class InvalidParamsError(SpectraError):

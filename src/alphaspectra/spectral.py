@@ -4,12 +4,12 @@ For a strongly connected digraph the radius is a simple positive eigenvalue
 with a positive eigenvector.  Noda's shifted inverse iteration converges to
 it in a few solves, and the min/max quotients (Mx)_i / x_i, widened by the
 rounding bound gamma_{n+2}, give a certified enclosure at every step.
-:func:`spectral_radii` solves a list of digraphs at once: per vertex
-count one stack build from the out-masks, which also tests strong
-connectivity on the stack, and one kernel call, every digraph at its own
-alpha and shift; :func:`spectral_radius` is its one-element case.  An
-independent determinant-scan root finder shares no code with the
-iteration path, so the two can check each other.
+:func:`spectral_radii` solves many digraphs at once: per vertex count
+one 0/1 adjacency stack, from the out-masks or given, one matrix build
+that also tests strong connectivity, and one kernel call, every digraph
+at its own alpha and shift; :func:`spectral_radius` is its one-element
+case.  An independent determinant-scan root finder shares no code with
+the iteration path, so the two can check each other.
 """
 
 from __future__ import annotations
@@ -63,26 +63,28 @@ class SpectralResult:
     residual: float
 
 
-def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
-    """alpha_k*D + (1-alpha_k)*A of each n-vertex digraph, shape (N, n, n),
-    each digraph's largest outdegree, and its strong-connectivity flag.
-
-    One ``np.unpackbits`` call turns the out-masks into 0/1 rows.  The flag
-    squares I + A, clipped to 0/1, until it covers every path of up to
-    n - 1 arcs, and asks that no entry be zero; float products are exact on
-    0/1 entries and faster than boolean ones.
-    """
-    width = (n + 7) // 8
-    raw = b"".join([m.to_bytes(width, "little") for d in digraphs for m in d.out_masks])
-    bits = np.frombuffer(raw, np.uint8).reshape(len(digraphs), n, width)
-    adj = np.unpackbits(bits, axis=2, count=n, bitorder="little")
+def _matrix_stack(adj: np.ndarray, alphas: list[float]):
+    """alpha_k*D + (1-alpha_k)*A of each 0/1 matrix of the adjacency stack
+    adj, shape (N, n, n), each one's largest outdegree, and its strong
+    flag: I + A squared, clipped to 0/1, until it covers every path of up
+    to n - 1 arcs, with no zero entry.  Float products are exact on 0/1
+    entries and faster than boolean ones."""
+    n = adj.shape[1]
     degs, alpha = adj.sum(axis=2), np.array(alphas)
     m = adj * (1.0 - alpha)[:, None, None]
-    m.reshape(len(digraphs), n * n)[:, :: n + 1] = alpha[:, None] * degs
+    m.reshape(len(adj), n * n)[:, :: n + 1] = alpha[:, None] * degs
     reach = adj + _backend._eye(n)
     for _ in range((n - 2).bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
     return m, degs.max(axis=1).tolist(), (reach > 0).all(axis=(1, 2))
+
+
+def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
+    """:func:`_matrix_stack` of n-vertex digraphs, unpacked from the out-masks."""
+    width = (n + 7) // 8
+    raw = b"".join([m.to_bytes(width, "little") for d in digraphs for m in d.out_masks])
+    bits = np.frombuffer(raw, np.uint8).reshape(len(digraphs), n, width)
+    return _matrix_stack(np.unpackbits(bits, axis=2, count=n, bitorder="little"), alphas)
 
 
 def build_alpha_matrix(d: Digraph, alpha: float) -> np.ndarray:
@@ -133,13 +135,14 @@ def rounding_safe(lo: float, hi: float, n: int) -> Interval:
 
 
 def spectral_radii(
-    digraphs: Iterable[Digraph], alphas: float | Iterable[float], tol: float = DEFAULT_TOL
+    digraphs: Iterable[Digraph] | np.ndarray, alphas: float | Iterable[float], tol: float = DEFAULT_TOL
 ) -> list[SpectralResult]:
     """:func:`spectral_radius` of every digraph, in input order.
 
     ``alphas`` is one alpha for all or one per digraph.  The digraphs are
-    grouped by vertex count.  Every group's stack is built and tested for
-    strong connectivity first, so a digraph that fails raises
+    grouped by vertex count, or come as one group: a 0/1 adjacency stack,
+    shape (N, n, n).  Every group's stack is built and tested for strong
+    connectivity first, so a digraph that fails raises
     :class:`NotStronglyConnectedError` before anything is solved.  Each
     group is then solved in one stacked call of the Noda kernel, each
     digraph at its own alpha; a member that converges slowly or needs a
@@ -147,7 +150,7 @@ def spectral_radii(
     one-digraph case, and one that misses tol raises
     :class:`ConvergenceError` for the whole call.
     """
-    digraphs = list(digraphs)
+    digraphs = digraphs if isinstance(digraphs, np.ndarray) else list(digraphs)
     if isinstance(alphas, numbers.Real):
         alphas = [alphas] * len(digraphs)
     alphas = [check_alpha(a) for a in alphas]
@@ -155,11 +158,14 @@ def spectral_radii(
         raise ValueError(f"{len(alphas)} alphas for {len(digraphs)} digraphs")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    groups: dict[int, list[int]] = {}
-    for k, d in enumerate(digraphs):
-        groups.setdefault(d.n, []).append(k)
-    stacks = [(n, members, *_alpha_stack([digraphs[k] for k in members], n, [alphas[k] for k in members]))
-              for n, members in groups.items()]
+    if isinstance(digraphs, np.ndarray):
+        stacks = [(digraphs.shape[1], range(len(digraphs)), *_matrix_stack(digraphs, alphas))] if len(digraphs) else []
+    else:
+        groups: dict[int, list[int]] = {}
+        for k, d in enumerate(digraphs):
+            groups.setdefault(d.n, []).append(k)
+        stacks = [(n, members, *_alpha_stack([digraphs[k] for k in members], n, [alphas[k] for k in members]))
+                  for n, members in groups.items()]
     if not all(strong.all() for *_, strong in stacks):
         raise NotStronglyConnectedError("spectral radius defined here for strongly connected digraphs")
     results = [None] * len(digraphs)

@@ -9,13 +9,14 @@ import pytest
 
 import alphaspectra as ap
 from alphaspectra import _backend, campaigns, digraph
-from alphaspectra.campaigns import SC_LABELED_COUNTS, enumerate_sc_digraphs, random_sc_digraph
+from alphaspectra.campaigns import SC_CLASS_COUNTS, SC_LABELED_COUNTS, enumerate_sc_digraphs, random_sc_digraph
 from alphaspectra.digraph import (
     CanonicalKey,
     _cell_bit,
     _perm_bit_table,
     adjacency_rows_from_masks,
     canonical_masks,
+    digraphs_from_masks,
     digraphs_from_rows,
     is_strongly_connected_bfs,
     loop_free_masks,
@@ -128,6 +129,19 @@ class TestNumpyKernels:
                     got = _backend.det_via_lu(x * np.eye(n) - m)
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, alpha, x)
 
+    def test_det_via_lu_bit_equal_to_numpy_det(self):
+        # random, singular (a zero column) and zero matrices, with no warning
+        rng = np.random.default_rng(23)
+        for n in [*range(1, 13), 71]:
+            a = rng.standard_normal((n, n))
+            singular = a.copy()
+            singular[:, -1] = 0.0
+            for m in (a, singular, np.zeros((n, n))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got, want = _backend.det_via_lu(m), np.linalg.det(m)
+                assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), n
+
     def test_sc_filter_small(self):
         # n = 3: 64 labeled digraphs, 18 strongly connected
         masks = loop_free_masks(3)
@@ -196,8 +210,8 @@ class TestNumpyKernels:
             assert len(sc_masks) == SC_LABELED_COUNTS[n]
             want = np.unique(min_relabeled_mask(sc_masks, n)).tolist()
             classes = enumerate_sc_digraphs(n)
-            assert [pack_arcs(d) for d, _ in classes] == want, n
-            assert [key for _, key in classes] == [CanonicalKey.from_mask(n, c) for c in want], n
+            assert classes.tolist() == want, n
+            assert [pack_arcs(d) for d in digraphs_from_masks(classes, n)] == want, n
 
     def test_enumeration_n5_cold_is_fast(self):
         enumerate_sc_digraphs.cache_clear()
@@ -236,6 +250,33 @@ class TestNumpyKernels:
             enumerate_sc_digraphs.cache_clear()
         assert sieved == [65892]
         assert decoded == []
+
+    def test_enumeration_returns_read_only_ascending_masks(self):
+        for n in (2, 3, 4, 5):
+            masks = enumerate_sc_digraphs(n)
+            assert masks.dtype == np.int64 and len(masks) == SC_CLASS_COUNTS[n], n
+            assert (np.diff(masks) > 0).all(), n
+            assert [CanonicalKey.from_mask(n, m) for m in masks.tolist()] == [
+                ap.canonical_key(d) for d in digraphs_from_masks(masks, n)], n
+            with pytest.raises(ValueError):
+                masks[0] = 0
+
+    def test_int32_sieve_matches_int64(self, monkeypatch):
+        # up to n = 5 the candidates are sieved in int32 words; the same
+        # candidates in int64 words leave the same masks
+        seen = []
+        perm_sieve = _backend.perm_sieve
+
+        def recording(masks, table):
+            seen.append((masks, table))
+            return perm_sieve(masks, table)
+
+        monkeypatch.setattr(_backend, "perm_sieve", recording)
+        for n in (2, 3, 4, 5):
+            got = canonical_masks(n)
+            masks, table = seen[-1]
+            assert masks.dtype == np.int32 and got.dtype == np.int64, n
+            assert np.array_equal(got, perm_sieve(masks.astype(np.int64), table)), n
 
 
 def test_single_numpy_backend():

@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from alphaspectra import _backend, campaigns, spectral
+from alphaspectra import _backend, campaigns, digraph, families, spectral
 from alphaspectra.campaigns import (
     SC_CLASS_COUNTS,
     SC_LABELED_COUNTS,
@@ -23,8 +23,10 @@ from alphaspectra.campaigns import (
     verify_transform_lemmas,
 )
 from alphaspectra.digraph import (
+    CanonicalKey,
     canonical_key,
     delete_arc,
+    digraphs_from_masks,
     is_strongly_connected,
     is_strongly_connected_bfs,
     make_digraph,
@@ -33,6 +35,12 @@ from alphaspectra.digraph import (
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
+
+
+def decoded_classes(n):
+    """(digraph, key) of every enumerated class, decoded from its mask."""
+    masks = enumerate_sc_digraphs(n)
+    return list(zip(digraphs_from_masks(masks, n), [CanonicalKey.from_mask(n, m) for m in masks.tolist()]))
 
 
 def oracle_classes(n):
@@ -92,11 +100,11 @@ class TestEnumeration:
     def test_output_pinned(self, n, digest):
         # order, representatives and keys of every class, as first recorded;
         # the global-min reference pins class indices through this order
-        text = "\n".join(f"{key.hex()} {d.arcs}" for d, key in enumerate_sc_digraphs(n))
+        text = "\n".join(f"{key.hex()} {d.arcs}" for d, key in decoded_classes(n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_all_strongly_connected_and_distinct(self):
-        classes = enumerate_sc_digraphs(4)
+        classes = decoded_classes(4)
         keys = {key for _, key in classes}
         assert len(keys) == len(classes)
         assert all(is_strongly_connected(d) for d, _ in classes)
@@ -111,7 +119,7 @@ class TestEnumeration:
     def test_bicyclic_classes_match_enumeration(self):
         # the bicyclic generator must hit exactly the |E| = |V| + 1 classes
         for n in (4, 5):
-            enumerated = {key for d, key in enumerate_sc_digraphs(n) if len(d.arcs) == n + 1}
+            enumerated = {key for d, key in decoded_classes(n) if len(d.arcs) == n + 1}
             generated = {canonical_key(generate(s)) for s in list_bicyclic(n)}
             assert generated == enumerated
 
@@ -185,6 +193,23 @@ class TestGlobalMinima:
         v = verify_global_minima(5, 0.3).verdicts[0]
         assert v.status == "fail"
         assert v.detail.endswith("is not 1, gap 1.000e-06")
+
+    def test_ranks_from_masks_without_decoding(self, monkeypatch):
+        # no class becomes a Digraph: make_digraph builds only the four
+        # claimed members (through generate, for their keys); the one
+        # (5048, 5, 5) kernel call is pinned in test_spectral
+        built = []
+        for mod, name in ((digraph, "digraphs_from_rows"), (digraph, "make_digraph"), (families, "make_digraph")):
+            def counting(*args, fn=getattr(mod, name), name=name):
+                built.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(mod, name, counting)
+        report = verify_global_minima(5, 0.5)
+        assert report.passed()
+        assert built == ["make_digraph"] * 4
+        want = sorted(CanonicalKey.from_mask(5, m).hex() for m in enumerate_sc_digraphs(5).tolist())
+        assert sorted(it.label for it in report.items) == want
 
     def test_bad_params(self):
         with pytest.raises(TooLargeError):

@@ -136,6 +136,12 @@ class TestDeterminantIdentity:
 
 
 class TestLargestRoot:
+    def test_float_overflow_is_a_typed_error(self):
+        # y ** 150 overflows at the descent's upper start
+        eq = char_equation_for(FamilySpec.infty(60, 90), 0.99)
+        with pytest.raises(NoSignChangeError, match="overflows a float"):
+            largest_root(eq)
+
     def test_infty_11(self):
         eq = CharEquation(FamilySpec.infty(1, 1), 0.0)
         assert abs(largest_root(eq) - math.sqrt(2)) <= 1e-11

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from alphaspectra.digraph import (
+    adjacency_stack_from_masks,
     delete_arc,
+    digraphs_from_masks,
     is_strongly_connected,
     is_strongly_connected_bfs,
     make_digraph,
@@ -25,6 +27,7 @@ from alphaspectra.chareq import char_equation_for, largest_root
 from alphaspectra.spectral import (
     _alpha_stack,
     _det_scan_matrix,
+    _matrix_stack,
     build_alpha_matrix,
     cw_enclosure,
     det_scan_largest_real_root,
@@ -127,6 +130,41 @@ class TestStackStrongFlag:
         for digraphs in ([cycle(3), cycle(5), wide, broken], [cycle(3), broken, cycle(5), wide]):
             with pytest.raises(NotStronglyConnectedError):
                 spectral_radii(digraphs, 0.5)
+
+
+class TestMaskStack:
+    """The adjacency stack of canonical masks against the out-mask route."""
+
+    def test_matches_out_mask_adjacency(self):
+        for n in (2, 3, 4, 5):
+            masks = enumerate_sc_digraphs(n)
+            digraphs = digraphs_from_masks(masks, n)
+            adj = adjacency_stack_from_masks(masks, n)
+            want = [[[(m >> j) & 1 for j in range(n)] for m in d.out_masks] for d in digraphs]
+            assert adj.dtype == np.uint8 and adj.tolist() == want, n
+            for alpha in (0.0, 0.5, 0.9):
+                alphas = [alpha] * len(masks)
+                (m, tops, strong), (m0, tops0, strong0) = _matrix_stack(adj, alphas), _alpha_stack(digraphs, n, alphas)
+                assert m.dtype == m0.dtype and m.tobytes() == m0.tobytes(), (n, alpha)
+                assert tops == tops0 and strong.all() and strong0.all()
+
+    def test_radii_of_stack_match_digraphs(self):
+        masks = enumerate_sc_digraphs(4)
+        digraphs = digraphs_from_masks(masks, 4)
+        for alpha in (0.0, 0.9):
+            got = spectral_radii(adjacency_stack_from_masks(masks, 4), alpha)
+            for a, b in zip(got, spectral_radii(digraphs, alpha), strict=True):
+                assert (a.radius, a.enclosure, a.iterations) == (b.radius, b.enclosure, b.iterations)
+                assert a.perron.tobytes() == b.perron.tobytes()
+
+    def test_stack_input_checks(self, monkeypatch):
+        monkeypatch.setattr(_backend, "power_iteration", lambda *args: pytest.fail("solved before the check"))
+        adj = np.array([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]], dtype=np.uint8)
+        with pytest.raises(NotStronglyConnectedError):
+            spectral_radii(adj, 0.5)
+        with pytest.raises(ValueError):
+            spectral_radii(adj, [0.5])
+        assert spectral_radii(adj[:0], 0.5) == []
 
 
 class TestRowSumBounds:
@@ -244,7 +282,7 @@ class TestRoundingSafety:
         # exactly, for the float matrix and for the matrix of the exact alpha
         rng = np.random.default_rng(8)
         digraphs = [random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(40)]
-        digraphs += [d for d, _ in enumerate_sc_digraphs(5)[::50]]
+        digraphs += digraphs_from_masks(enumerate_sc_digraphs(5)[::50], 5)
         for d in digraphs:
             for alpha in (0.0, 0.5, 0.75, 0.9, 0.95):
                 res = spectral_radius(d, alpha)
@@ -271,13 +309,13 @@ class TestHighAlpha:
             assert abs(res.radius - largest_real_eigenvalue(d, alpha)) <= 1e-9, (d.arcs, alpha)
 
     def test_iteration_count_n5(self):
-        worst = max(spectral_radius(d, 0.95).iterations for d, _ in enumerate_sc_digraphs(5))
+        worst = max(spectral_radius(d, 0.95).iterations for d in digraphs_from_masks(enumerate_sc_digraphs(5), 5))
         assert worst <= 40
 
 
 class TestSpectralRadii:
     def test_n5_classes_match_one_at_a_time(self):
-        digraphs = [d for d, _ in enumerate_sc_digraphs(5)]
+        digraphs = digraphs_from_masks(enumerate_sc_digraphs(5), 5)
         for alpha in (0.0, 0.5, 0.9, 0.95):
             for d, got in zip(digraphs, spectral_radii(digraphs, alpha)):
                 want = spectral_radius(d, alpha)
@@ -456,7 +494,7 @@ class TestDetScan:
             return original(a)
 
         monkeypatch.setattr(_backend, "det_via_lu", counted)
-        digraphs = [d for d, _ in enumerate_sc_digraphs(5)]
+        digraphs = digraphs_from_masks(enumerate_sc_digraphs(5), 5)
         wrong = []
         for d, res in zip(digraphs, spectral_radii(digraphs, alpha)):
             calls.append(0)

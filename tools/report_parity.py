@@ -48,7 +48,15 @@ from alphaspectra.digraph import to_dgr1
 from alphaspectra.families import FamilySpec, generate
 from alphaspectra.spectral import spectral_radii, spectral_radius
 from perfbench.workloads import ORACLE_ALPHAS, criterion1_grid
-n5_classes = functools.cache(lambda: [d for d, _ in campaigns.enumerate_sc_digraphs(5)])
+# (digraph, key) of every enumerated class, decoded from the masks, or as
+# trees whose enumeration returns the pairs give them
+def classes(n):
+    out = campaigns.enumerate_sc_digraphs(n)
+    if isinstance(out, tuple):
+        return out
+    from alphaspectra.digraph import CanonicalKey, digraphs_from_masks
+    return list(zip(digraphs_from_masks(out, n), [CanonicalKey.from_mask(n, m) for m in out.tolist()]))
+n5_classes = functools.cache(lambda: [d for d, _ in classes(5)])
 solvers = {
     "spectral_radii_n5": lambda alpha: spectral_radii(n5_classes(), alpha),
     "spectral_radius_oracle_grid": lambda: [
@@ -75,7 +83,7 @@ for fn, args in json.load(sys.stdin):
         text = "".join(f"{r.radius!r} {r.enclosure!r} {r.iterations} {r.perron.tobytes().hex()}\\n"
                        for r in solvers[fn](*args))
     elif fn == "enumerate_sc_digraphs":
-        text = "".join(f"key {key.hex()}\\n{to_dgr1(d)}" for d, key in campaigns.enumerate_sc_digraphs(*args))
+        text = "".join(f"key {key.hex()}\\n{to_dgr1(d)}" for d, key in classes(*args))
     elif fn in sets:
         text = "".join(to_dgr1(d) for d in sets[fn](*args))
     elif fn == "lemma_derived":
