@@ -304,6 +304,7 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
         raise InvalidParamsError(f"rank claims are stated at n=5, got {n}")
     t0 = time.perf_counter()
     report = VerificationReport("global-min", [alpha])
+    # asarray: a sequence of masks, such as a sample of the classes, ranks too
     masks = np.asarray(enumerate_sc_digraphs(n), dtype=np.int64)
     labels = [CanonicalKey.from_mask(n, m).hex() for m in masks.tolist()]
     results = _rank(report, labels, adjacency_stack_from_masks(masks, n), alpha)
