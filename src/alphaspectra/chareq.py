@@ -15,7 +15,7 @@ lives in :func:`kpq_radius`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
 from .families import FamilySpec, validate_spec
@@ -36,16 +36,28 @@ def check_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class CharEquation:
-    """One scalar characteristic function: a family member plus alpha."""
+    """One scalar characteristic function: a family member plus alpha.
+
+    ``cycle_terms`` is, for infty and theta, (s, n - 1, the powers of y
+    the s cycle terms take), read off the spec once; None otherwise.
+    """
 
     spec: FamilySpec
     alpha: float
+    cycle_terms: tuple[int, int, tuple[int, ...]] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.spec.kind not in _EQ_KINDS:
-            raise InvalidSpecError(f"no scalar characteristic function for {self.spec.kind!r}")
-        validate_spec(self.spec)
+        spec = self.spec
+        if spec.kind not in _EQ_KINDS:
+            raise InvalidSpecError(f"no scalar characteristic function for {spec.kind!r}")
+        validate_spec(spec)
         check_alpha(self.alpha)
+        terms = None
+        if spec.kind in ("infty", "theta"):
+            n = spec.n_vertices
+            top = n - 1 if spec.kind == "infty" else n - 2 - spec.l1
+            terms = (spec.s, n - 1, tuple(top - k for k in spec.ks))
+        object.__setattr__(self, "cycle_terms", terms)
 
 
 def char_equation_for(spec: FamilySpec, alpha: float) -> CharEquation:
@@ -71,19 +83,14 @@ def _bip_cubic(x: float, alpha: float, p: int, q: int) -> float:
 def eval_char(eq: CharEquation, x: float) -> float:
     """Value of the characteristic function at x."""
     a = eq.alpha
-    spec = eq.spec
     y = (x - a) / (1 - a)
+    if eq.cycle_terms is not None:
+        s, top, powers = eq.cycle_terms
+        head = (x - s * a) / (1 - a) * y ** top
+        return head - sum(y ** p for p in powers)
+    spec = eq.spec
     n = spec.n_vertices
     kind = spec.kind
-    if kind == "infty":
-        s = spec.s
-        head = (x - s * a) / (1 - a) * y ** (n - 1)
-        return head - sum(y ** (n - 1 - k) for k in spec.ks)
-    if kind == "theta":
-        s = spec.s
-        l1 = spec.l1
-        head = (x - s * a) / (1 - a) * y ** (n - 1)
-        return head - sum(y ** (n - 2 - l1 - k) for k in spec.ks)
     if kind == "gprime":
         t = (x - 2 * a) / (1 - a)
         return t * t * y ** (n - 2) - (2 * x - 3 * a) / (1 - a) - 1.0

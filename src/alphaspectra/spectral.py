@@ -1,9 +1,11 @@
 """Spectral radius of the convex combination alpha*D + (1-alpha)*A.
 
 For a strongly connected digraph the radius is a simple positive eigenvalue
-with a positive eigenvector.  Noda's shifted inverse iteration converges to
-it in a few solves, and the min/max quotients (Mx)_i / x_i, widened by the
-rounding bound gamma_{n+2}, give a certified enclosure at every step.
+with a positive eigenvector.  Noda's shifted inverse iteration, started
+from a repeated-squaring power iterate, often certifies it with no solve
+at all and otherwise in a few, and the min/max quotients (Mx)_i / x_i,
+widened by the rounding bound gamma_{n+2}, give a certified enclosure at
+every step.
 :func:`spectral_radii` solves many digraphs at once: per vertex count
 one 0/1 adjacency stack, from the out-masks or given, one matrix build
 that also tests strong connectivity, and one kernel call, every digraph
@@ -27,9 +29,11 @@ from .chareq import DEFAULT_TOL, check_alpha, descend_to_largest_root
 from .digraph import Digraph, is_strongly_connected, out_degrees
 from .errors import ConvergenceError, NonpositiveVectorError, NotStronglyConnectedError
 
-#: Noda iteration converges quadratically near the root: over every n = 5
-#: class and the criterion-1 family grid up to n = 12, at alpha up to 0.99,
-#: no solve needs more than 26 steps.
+#: Noda iteration converges quadratically near the root, and its start is
+#: already close: over every n = 5 class and the criterion-1 family grid up
+#: to n = 12, at alpha 0, 0.3, 0.5, 0.75, 0.85, 0.9, 0.95 and 0.99, no solve
+#: needs more than 10 steps on the classes and 25 on the grid (both at 0.99),
+#: and the mean on the classes is at most 1.75 steps.
 ITERATION_CAP = 100
 
 
