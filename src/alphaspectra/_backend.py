@@ -77,13 +77,16 @@ def _squared_start(m: np.ndarray) -> np.ndarray:
 
     B_k has row sums at most 1, so its powers cannot overflow; they
     underflow only where the radius lies far below the largest row sum, or
-    the Perron entries span some 300 decades, and the caller checks.
+    the Perron entries span some 300 decades, and the caller checks.  The
+    row sums are scaled to a largest entry of 1 before their length is
+    taken, so the squares in the length do not underflow.
     """
     b = m + _eye(m.shape[1])
     b /= np.maximum.reduce(b.sum(axis=2), axis=1)[:, None, None]
     for _ in range(SQUARINGS):
         b = b @ b
     x = b.sum(axis=2)
+    x /= np.maximum.reduce(x, axis=1)[:, None]
     x /= np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
     return x
 
@@ -121,7 +124,7 @@ def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
     count, n = m.shape[0], m.shape[1]
     eye = _eye(n)
     x = _squared_start(m)
-    flat = ~(x >= _TINY).all(axis=1)
+    flat = ~((x >= _TINY) & (x < math.inf)).all(axis=1)
     if flat.any():
         x[flat] = 1.0 / math.sqrt(n)
     lo, hi = _quotient_bounds(m, x)

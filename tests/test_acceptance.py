@@ -18,7 +18,7 @@ from alphaspectra.campaigns import (
 )
 from alphaspectra.chareq import char_equation_for, kpq_radius, largest_root
 from alphaspectra.families import FamilySpec, format_spec, generate, list_compositions
-from alphaspectra.spectral import det_scan_largest_real_root, spectral_radius
+from alphaspectra.spectral import det_scan_largest_real_root, spectral_radii, spectral_radius
 
 ALPHA_GRID = [0.0, 0.25, 0.5, 0.75]
 #: criterion 1 also covers the alphas where roots crowd below the radius
@@ -82,6 +82,20 @@ def test_criterion_1_oracle_agreement():
         f"{checked} (spec, alpha) triples agree; worst root gap {worst_root:.2e}, "
         f"worst det gap {worst_det:.2e}, {elapsed:.1f}s",
     )
+
+
+def test_criterion_1_noda_rounds():
+    # one stacked solve of the whole grid at the criterion-1 alphas: the
+    # squared start leaves 1861 Noda rounds in all (the flat start took
+    # 27 862), most radii certifying with none
+    specs = family_grid()
+    digraphs = [generate(spec) for spec in specs for _ in ORACLE_ALPHAS]
+    alphas = ORACLE_ALPHAS * len(specs)
+    results = spectral_radii(digraphs, alphas)
+    total = sum(r.iterations for r in results)
+    assert total <= 3000, total
+    assert sum(r.iterations == 0 for r in results) > len(results) // 2
+    assert max(r.enclosure.width for r in results) <= 1e-12
 
 
 def test_oracles_above_criterion_1_alphas():

@@ -88,6 +88,49 @@ class TestNumpyKernels:
         assert hi[1] - lo[1] <= 1e-12
         assert iters[0] == 100 and (x[0] > 0).all() and x[0, 0] > 0.99
 
+    def test_underflowing_start_falls_back_to_flat(self, monkeypatch):
+        # radius sqrt(1e-3) against a largest row sum of 1000: B^128 of
+        # (I + M) / 1001 underflows to 0, so that member starts from the
+        # flat vector, bit for bit, and still certifies; its neighbour
+        # keeps its squared start
+        under = np.array([[0.0, 1000.0], [1e-6, 0.0]])
+        fine = np.array([[0.25, 0.75], [0.75, 0.0]])
+        stack = np.array([under, fine])
+        with np.errstate(all="ignore"):
+            start = _backend._squared_start(stack)
+        assert not (start[0] >= np.finfo(float).tiny).all() and (start[1] > 0).all()
+        x, lo, hi, iters = _backend.power_iteration(stack, np.full(2, 1e-12), 100)
+        assert hi[0] - lo[0] <= 1e-12 and lo[0] - 1e-12 <= np.sqrt(1e-3) <= hi[0] + 1e-12
+        assert (x[0] > 0).all() and iters[0] > 0
+        alone = _backend.power_iteration(fine[None], np.full(1, 1e-12), 100)
+        assert (x[1] == alone[0][0]).all() and (lo[1], hi[1], iters[1]) == (alone[1][0], alone[2][0], alone[3][0])
+        monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 1.0 / np.sqrt(m.shape[1])))
+        flat = _backend.power_iteration(under[None], np.full(1, 1e-12), 100)
+        assert (x[0] == flat[0][0]).all() and (lo[0], hi[0], iters[0]) == (flat[1][0], flat[2][0], flat[3][0])
+
+    def test_start_not_positive_normal_falls_back_to_flat(self, monkeypatch):
+        # a start row with a zero, negative, NaN, infinite or subnormal entry
+        # is replaced by the flat vector; a positive normal row is kept
+        ms = [m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:6]
+        stack = np.array(ms)
+        tol = np.full(len(ms), 1e-12)
+        squared = _backend._squared_start(stack)
+        flat = np.full(stack.shape[:2], 0.5)
+        want = {}
+        for name, start in (("squared", squared), ("flat", flat)):
+            monkeypatch.setattr(_backend, "_squared_start", lambda m, start=start: start.copy())
+            want[name] = _backend.power_iteration(stack, tol, 100)
+        bad = squared.copy()
+        for k, value in enumerate((0.0, -0.1, np.nan, np.inf, 1e-310)):
+            bad[k, 1] = value
+        monkeypatch.setattr(_backend, "_squared_start", lambda m: bad.copy())
+        x, lo, hi, iters = _backend.power_iteration(stack, tol, 100)
+        for k in range(len(ms)):
+            side = want["flat"] if k < 5 else want["squared"]
+            assert (x[k] == side[0][k]).all() and (lo[k], hi[k], iters[k]) == tuple(a[k] for a in side[1:]), k
+            assert hi[k] - lo[k] <= 1e-12
+        assert want["squared"][3].sum() < want["flat"][3].sum()
+
     def test_solve_matches_numpy_solve(self):
         # the stacked gufunc call gives np.linalg.solve's bits, stacked or
         # one member at a time

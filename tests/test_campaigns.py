@@ -152,6 +152,16 @@ class TestFamilyExtremes:
         assert report.items[-1].label == "infty:1,1,6"
         assert report.items[0].label == "theta:0,1,1;5"
 
+    def test_theta_40_4_at_095_certifies_every_member(self):
+        # 5766 members whose Perron entries span up to 63 decades; from the
+        # flat start ten of them stalled and raised ConvergenceError.  The
+        # minimum pair is left to deflated roots; no verdict may fail
+        report = verify_family_extremes("theta", 40, 4, 0.95)
+        status = {v.claim.split()[1]: v.status for v in report.verdicts}
+        assert status["maximum"] == "pass"
+        assert "fail" not in status.values()
+        assert len(report.items) == 5766 and max(it.hi - it.lo for it in report.items) <= 1e-12
+
     def test_bicyclic_needs_n5(self):
         with pytest.raises(InfeasibleError):
             verify_family_extremes("bicyclic", 4, 2, 0.0)

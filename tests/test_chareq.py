@@ -62,6 +62,16 @@ class TestEvalChar:
         eq = CharEquation(FamilySpec.gprime(5), 0.0)
         assert eval_char(eq, 1.0) == -2.0  # x^5 - 2x - 1 at 1
 
+    def test_cycle_terms_read_off_the_spec(self):
+        # (s, n - 1, powers): n - 1 - k for infty, n - 2 - l1 - k for theta;
+        # a derived field, so equality, hashing and repr ignore it
+        assert CharEquation(FamilySpec.infty(1, 2), 0.5).cycle_terms == (2, 3, (2, 1))
+        assert CharEquation(FamilySpec.theta((0, 2), 1), 0.5).cycle_terms == (2, 4, (2, 0))
+        assert CharEquation(FamilySpec.gprime(5), 0.5).cycle_terms is None
+        eq = CharEquation(FamilySpec.infty(1, 2), 0.5)
+        assert eq == CharEquation(FamilySpec.infty(1, 2), 0.5) and len({eq, CharEquation(eq.spec, 0.5)}) == 1
+        assert "cycle_terms" not in repr(eq)
+
     def test_unsupported_kind(self):
         with pytest.raises(InvalidSpecError):
             CharEquation(FamilySpec.cycle(4), 0.0)
