@@ -55,8 +55,8 @@ class CharEquation:
         terms = None
         if spec.kind in ("infty", "theta"):
             n = spec.n_vertices
-            top = n - 1 if spec.kind == "infty" else n - 2 - spec.l1
-            terms = (spec.s, n - 1, tuple(top - k for k in spec.ks))
+            base = n - 1 if spec.kind == "infty" else n - 2 - spec.l1
+            terms = (spec.s, n - 1, tuple(base - k for k in spec.ks))
         object.__setattr__(self, "cycle_terms", terms)
 
 

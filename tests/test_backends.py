@@ -103,33 +103,29 @@ class TestNumpyKernels:
         assert hi[0] - lo[0] <= 1e-12 and lo[0] - 1e-12 <= np.sqrt(1e-3) <= hi[0] + 1e-12
         assert (x[0] > 0).all() and iters[0] > 0
         alone = _backend.power_iteration(fine[None], np.full(1, 1e-12), 100)
-        assert (x[1] == alone[0][0]).all() and (lo[1], hi[1], iters[1]) == (alone[1][0], alone[2][0], alone[3][0])
+        assert all((a[1] == b[0]).all() for a, b in zip((x, lo, hi, iters), alone))
         monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 1.0 / np.sqrt(m.shape[1])))
         flat = _backend.power_iteration(under[None], np.full(1, 1e-12), 100)
-        assert (x[0] == flat[0][0]).all() and (lo[0], hi[0], iters[0]) == (flat[1][0], flat[2][0], flat[3][0])
+        assert all((a[0] == b[0]).all() for a, b in zip((x, lo, hi, iters), flat))
 
     def test_start_not_positive_normal_falls_back_to_flat(self, monkeypatch):
         # a start row with a zero, negative, NaN, infinite or subnormal entry
         # is replaced by the flat vector; a positive normal row is kept
-        ms = [m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:6]
-        stack = np.array(ms)
-        tol = np.full(len(ms), 1e-12)
-        squared = _backend._squared_start(stack)
-        flat = np.full(stack.shape[:2], 0.5)
-        want = {}
-        for name, start in (("squared", squared), ("flat", flat)):
-            monkeypatch.setattr(_backend, "_squared_start", lambda m, start=start: start.copy())
-            want[name] = _backend.power_iteration(stack, tol, 100)
-        bad = squared.copy()
+        stack = np.array([m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:6])
+        tol = np.full(len(stack), 1e-12)
+        squared = _backend.power_iteration(stack, tol, 100)
+        start = _backend._squared_start(stack)
+        monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 0.5))
+        flat = _backend.power_iteration(stack, tol, 100)
         for k, value in enumerate((0.0, -0.1, np.nan, np.inf, 1e-310)):
-            bad[k, 1] = value
-        monkeypatch.setattr(_backend, "_squared_start", lambda m: bad.copy())
-        x, lo, hi, iters = _backend.power_iteration(stack, tol, 100)
-        for k in range(len(ms)):
-            side = want["flat"] if k < 5 else want["squared"]
-            assert (x[k] == side[0][k]).all() and (lo[k], hi[k], iters[k]) == tuple(a[k] for a in side[1:]), k
-            assert hi[k] - lo[k] <= 1e-12
-        assert want["squared"][3].sum() < want["flat"][3].sum()
+            start[k, 1] = value
+        monkeypatch.setattr(_backend, "_squared_start", lambda m: start.copy())
+        got = _backend.power_iteration(stack, tol, 100)
+        for k in range(len(stack)):
+            want = flat if k < 5 else squared
+            assert all((a[k] == b[k]).all() for a, b in zip(got, want)), k
+        assert (got[2] - got[1] <= 1e-12).all()
+        assert squared[3].sum() < flat[3].sum()
 
     def test_solve_matches_numpy_solve(self):
         # the stacked gufunc call gives np.linalg.solve's bits, stacked or

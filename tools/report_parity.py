@@ -23,6 +23,13 @@ n = 5 classes per alpha, and of one-at-a-time ``spectral_radius`` calls
 over the criterion-1 grid at the oracle-grid workload's alphas, which
 reports do not carry.  One line per report or set says whether the two
 hashes match; the exit status is 0 when every one does and 1 otherwise.
+
+A change that moves radii in their last bits changes every report's hash,
+so reports are also compared by verdict: the (claim, status) list of the
+two sides, and whether each item's radius lies inside the other side's
+enclosure for the same label and alpha.  A report whose hash differs says
+whether its verdicts are the same and how many radii fall outside, and
+each verdict that differs is listed with both details.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from bench_ab import export, git
 ALPHAS = (0.0, 0.5, 0.9)
 
 #: run in each tree: the campaign calls, digraph sets and solver sets come
-#: on stdin, one hash per line out
+#: on stdin; one JSON object per line out, the hash and, for a report, its
+#: verdicts and items
 CHILD = """
 import functools, hashlib, json, sys
 from alphaspectra import campaigns
@@ -79,6 +87,7 @@ sets = {
     "kpq": lambda: [generate(FamilySpec.kpq(p, q)) for p in range(1, 6) for q in range(1, 6)],
 }
 for fn, args in json.load(sys.stdin):
+    extra = {}
     if fn in solvers:
         text = "".join(f"{r.radius!r} {r.enclosure!r} {r.iterations} {r.perron.tobytes().hex()}\\n"
                        for r in solvers[fn](*args))
@@ -92,7 +101,9 @@ for fn, args in json.load(sys.stdin):
         report = getattr(campaigns, fn)(*args)
         report.runtime_s = 0.0
         text = report.to_json()
-    print(hashlib.sha256(text.encode()).hexdigest())
+        extra = {"verdicts": [[v.claim, v.status, v.detail] for v in report.verdicts],
+                 "items": [[it.label, it.alpha, it.radius, it.lo, it.hi] for it in report.items]}
+    print(json.dumps({"hash": hashlib.sha256(text.encode()).hexdigest(), **extra}))
 """
 
 #: digraph sets compared by the DGR1 text of their members, in order
@@ -121,14 +132,43 @@ def campaign_set() -> list[tuple[str, list]]:
     return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS
 
 
-def report_hashes(tree: Path, runs: list[tuple[str, list]]) -> list[str]:
-    """sha256 of each run's report as the tree under ``tree`` writes it."""
+def run_tree(tree: Path, runs: list[tuple[str, list]]) -> list[dict]:
+    """Each run's sha256 (``hash``) as the tree under ``tree`` writes it,
+    plus ``verdicts`` and ``items`` for a report."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(runs), cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"campaigns in {tree} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return proc.stdout.split()
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def _keyed(items: list[list]) -> dict:
+    """(label, alpha, occurrence) -> (radius, lo, hi) of a report's items."""
+    seen: dict = {}
+    out = {}
+    for label, alpha, radius, lo, hi in items:
+        k = seen[label, alpha] = seen.get((label, alpha), -1) + 1
+        out[label, alpha, k] = (radius, lo, hi)
+    return out
+
+
+def compare_verdicts(a: dict, b: dict) -> tuple[list[str], int, int]:
+    """The verdicts of two reports that differ in claim or status, one line
+    each with both details; the number of items on either side whose radius
+    lies outside the other side's enclosure, or has no counterpart; and the
+    number of items compared."""
+    lines = [f"    {ca!r}: {sa} ({da}) -> {sb} ({db})" if ca == cb else f"    {ca!r} ({sa}) -> {cb!r} ({sb})"
+             for (ca, sa, da), (cb, sb, db) in zip(a["verdicts"], b["verdicts"]) if (ca, sa) != (cb, sb)]
+    extra = len(b["verdicts"]) - len(a["verdicts"])
+    if extra:
+        lines.append(f"    {abs(extra)} verdicts only on the {'change' if extra > 0 else 'parent'} side")
+    ka, kb = _keyed(a["items"]), _keyed(b["items"])
+    outside = len(ka.keys() ^ kb.keys())
+    for key in ka.keys() & kb.keys():
+        (ra, loa, hia), (rb, lob, hib) = ka[key], kb[key]
+        outside += (not lob <= ra <= hib) + (not loa <= rb <= hia)
+    return lines, outside, len(ka.keys() | kb.keys())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -140,14 +180,27 @@ def main(argv: list[str] | None = None) -> int:
     runs = campaign_set()
     with tempfile.TemporaryDirectory(prefix="report_parity_") as tmp:
         export(sha, Path(tmp))
-        parent = report_hashes(Path(tmp), runs)
-    change = report_hashes(Path.cwd(), runs)
+        parent = run_tree(Path(tmp), runs)
+    change = run_tree(Path.cwd(), runs)
     print(f"parent {sha} against the working tree, runtime_s zeroed")
+    reports = same_verdicts = outside_total = items_total = 0
     for (fn, call_args), a, b in zip(runs, parent, change):
-        verdict = f"same {a[:16]}" if a == b else f"DIFF {a[:16]} -> {b[:16]}"
-        print(f"{verdict}  {fn}{tuple(call_args)}")
-    same = sum(a == b for a, b in zip(parent, change))
+        ha, hb = a["hash"], b["hash"]
+        line = f"same {ha[:16]}" if ha == hb else f"DIFF {ha[:16]} -> {hb[:16]}"
+        lines = []
+        if "verdicts" in a:
+            reports += 1
+            lines, outside, compared = compare_verdicts(a, b)
+            same_verdicts += not lines
+            outside_total += outside
+            items_total += compared
+            if ha != hb:
+                line += f"  verdicts {'DIFF' if lines else 'same'}, {outside} of {compared} radii outside"
+        print(f"{line}  {fn}{tuple(call_args)}", *lines, sep="\n")
+    same = sum(a["hash"] == b["hash"] for a, b in zip(parent, change))
     print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets and solver sets identical")
+    print(f"{same_verdicts} of {reports} reports with the same verdicts; "
+          f"{outside_total} of {items_total} report radii outside the other side's enclosure")
     return 0 if same == len(runs) else 1
 
 
