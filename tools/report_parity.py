@@ -26,10 +26,15 @@ hashes match; the exit status is 0 when every one does and 1 otherwise.
 
 A change that moves radii in their last bits changes every report's hash,
 so reports are also compared by verdict: the (claim, status) list of the
-two sides, and whether each item's radius lies inside the other side's
-enclosure for the same label and alpha.  A report whose hash differs says
-whether its verdicts are the same and how many radii fall outside, and
-each verdict that differs is listed with both details.
+two sides, and, for the items of the same label and alpha, whether each
+radius lies inside the other side's enclosure and whether the two
+enclosures meet.  Both enclosures are certified, so disjoint ones mean one
+side is wrong; a radius just outside the other side's enclosure only
+means the two midpoints differ by more than the distance from the root to
+that enclosure's edge.  A report whose hash differs says whether its
+verdicts are the same, how many radii fall outside and by how much at
+most, and how many enclosure pairs are disjoint; each verdict that
+differs is listed with both details.
 """
 
 from __future__ import annotations
@@ -153,22 +158,34 @@ def _keyed(items: list[list]) -> dict:
     return out
 
 
-def compare_verdicts(a: dict, b: dict) -> tuple[list[str], int, int]:
+def compare_verdicts(a: dict, b: dict) -> tuple[list[str], dict]:
     """The verdicts of two reports that differ in claim or status, one line
-    each with both details; the number of items on either side whose radius
-    lies outside the other side's enclosure, or has no counterpart; and the
-    number of items compared."""
+    each with both details, and counts over their items: ``items``
+    compared, ``unmatched`` (on one side only), ``outside`` (radii outside
+    the other side's enclosure), ``farthest`` (the largest such distance)
+    and ``disjoint`` (pairs of enclosures that do not meet)."""
     lines = [f"    {ca!r}: {sa} ({da}) -> {sb} ({db})" if ca == cb else f"    {ca!r} ({sa}) -> {cb!r} ({sb})"
              for (ca, sa, da), (cb, sb, db) in zip(a["verdicts"], b["verdicts"]) if (ca, sa) != (cb, sb)]
     extra = len(b["verdicts"]) - len(a["verdicts"])
     if extra:
         lines.append(f"    {abs(extra)} verdicts only on the {'change' if extra > 0 else 'parent'} side")
     ka, kb = _keyed(a["items"]), _keyed(b["items"])
-    outside = len(ka.keys() ^ kb.keys())
+    counts = {"items": len(ka.keys() | kb.keys()), "unmatched": len(ka.keys() ^ kb.keys()),
+              "outside": 0, "farthest": 0.0, "disjoint": 0}
     for key in ka.keys() & kb.keys():
         (ra, loa, hia), (rb, lob, hib) = ka[key], kb[key]
-        outside += (not lob <= ra <= hib) + (not loa <= rb <= hia)
-    return lines, outside, len(ka.keys() | kb.keys())
+        for r, lo, hi in ((ra, lob, hib), (rb, loa, hia)):
+            if not lo <= r <= hi:
+                counts["outside"] += 1
+                counts["farthest"] = max(counts["farthest"], lo - r, r - hi)
+        counts["disjoint"] += hia < lob or hib < loa
+    return lines, counts
+
+
+def describe(counts: dict) -> str:
+    return (f"{counts['outside']} radii of {counts['items']} items outside the other side's enclosure "
+            f"(by at most {counts['farthest']:.1e}), {counts['disjoint']} disjoint enclosure pairs, "
+            f"{counts['unmatched']} unmatched")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,24 +200,24 @@ def main(argv: list[str] | None = None) -> int:
         parent = run_tree(Path(tmp), runs)
     change = run_tree(Path.cwd(), runs)
     print(f"parent {sha} against the working tree, runtime_s zeroed")
-    reports = same_verdicts = outside_total = items_total = 0
+    reports = same_verdicts = 0
+    total = {"items": 0, "unmatched": 0, "outside": 0, "farthest": 0.0, "disjoint": 0}
     for (fn, call_args), a, b in zip(runs, parent, change):
         ha, hb = a["hash"], b["hash"]
         line = f"same {ha[:16]}" if ha == hb else f"DIFF {ha[:16]} -> {hb[:16]}"
         lines = []
         if "verdicts" in a:
             reports += 1
-            lines, outside, compared = compare_verdicts(a, b)
+            lines, counts = compare_verdicts(a, b)
             same_verdicts += not lines
-            outside_total += outside
-            items_total += compared
+            for k, v in counts.items():
+                total[k] = max(total[k], v) if k == "farthest" else total[k] + v
             if ha != hb:
-                line += f"  verdicts {'DIFF' if lines else 'same'}, {outside} of {compared} radii outside"
+                line += f"  verdicts {'DIFF' if lines else 'same'}, {describe(counts)}"
         print(f"{line}  {fn}{tuple(call_args)}", *lines, sep="\n")
     same = sum(a["hash"] == b["hash"] for a, b in zip(parent, change))
     print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets and solver sets identical")
-    print(f"{same_verdicts} of {reports} reports with the same verdicts; "
-          f"{outside_total} of {items_total} report radii outside the other side's enclosure")
+    print(f"{same_verdicts} of {reports} reports with the same verdicts; items: {describe(total)}")
     return 0 if same == len(runs) else 1
 
 
