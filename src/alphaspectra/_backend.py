@@ -112,11 +112,13 @@ def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
 
     Each step solves (hi I - M) z = x with hi the current max quotient,
     which bounds the root from above (T. Noda, Numer. Math. 17, 1971);
-    convergence is quadratic near the root and needs no primitivity.  A
-    round makes one stacked solve over the rows still iterating, each at
-    its own shift.  A row whose solve is singular or sign-mixed is retried
-    once with the shift hi + (hi - lo); if that fails too, the row stops
-    where it is while the others go on.  Every M must be irreducible and
+    convergence is quadratic near the root and needs no primitivity.  The
+    rounds are one loop over the live rows, those still iterating: each
+    round gathers them from x, lo and hi, makes one stacked solve, each row
+    at its own shift, scatters the results back and drops the rows that
+    stopped.  A row whose solve is singular or sign-mixed is retried once
+    with the shift hi + (hi - lo); if that fails too, the row stops where
+    it is while the others go on.  Every M must be irreducible and
     nonnegative so the iterates stay positive.  Returns ``x`` (N, n),
     ``lo``, ``hi`` and ``iterations`` (N,); a row's iterations count its
     rounds, the one whose retry failed included.
@@ -129,39 +131,23 @@ def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
         x[flat] = 1.0 / math.sqrt(n)
     lo, hi = _quotient_bounds(m, x)
     iterations = np.zeros(count, dtype=np.int64)
-    # live: the rows still iterating, whose state is kept compacted; while
-    # every row iterates, nothing is indexed or copied
     live = np.flatnonzero(hi - lo > tol)
-    ml, xl, lol, hil, toll = m, x, lo, hi, tol
-    if live.size < count:
-        if not live.size:
-            return x, lo, hi, iterations
-        ml, xl, lol, hil, toll = m[live], x[live], lo[live], hi[live], tol[live]
-    for rounds in range(1, max_iter + 1):
+    rounds = 0
+    while live.size and rounds < max_iter:
+        rounds += 1
+        ml, xl, lol, hil = m[live], x[live], lo[live], hi[live]
         z = _shifted_solve(ml, xl, hil, eye)
-        failed = None
+        going = np.ones(live.size, dtype=bool)
         if not np.minimum.reduce(z, axis=None) > 0:
             bad = np.flatnonzero(~(z > 0).all(axis=1))
             z[bad] = _shifted_solve(ml[bad], xl[bad], hil[bad] + (hil[bad] - lol[bad]), eye)
             failed = bad[~(z[bad] > 0).all(axis=1)]
             z[failed] = xl[failed]
-        xl = z
-        lol, hil = _quotient_bounds(ml, z)
-        going = hil - lol > toll
-        if failed is not None:
             going[failed] = False
-        if np.logical_and.reduce(going):
-            continue
-        if live.size == count and not np.logical_or.reduce(going):
-            return xl, lol, hil, np.full(count, rounds)
-        stop = ~going
-        done = live[stop]
-        x[done], lo[done], hi[done], iterations[done] = xl[stop], lol[stop], hil[stop], rounds
+        lol, hil = _quotient_bounds(ml, z)
+        x[live], lo[live], hi[live], iterations[live] = z, lol, hil, rounds
+        going &= hil - lol > tol[live]
         live = live[going]
-        if not live.size:
-            return x, lo, hi, iterations
-        ml, xl, lol, hil, toll = ml[going], xl[going], lol[going], hil[going], toll[going]
-    x[live], lo[live], hi[live], iterations[live] = xl, lol, hil, max_iter
     return x, lo, hi, iterations
 
 

@@ -50,7 +50,7 @@ class Digraph:
     vertex, a Python int below 2^n with bit j of ``out_masks[i]`` for the
     arc (i, j) and bit i clear.  Build through :func:`make_digraph`, which
     checks the endpoints.  Only code that already holds valid masks calls
-    the constructor: :func:`digraphs_from_rows`, the three transforms, and
+    the constructor: :func:`digraphs_from_masks`, the three transforms, and
     the campaigns' sampler."""
 
     n: int
@@ -252,20 +252,15 @@ def _bit_reversal(n: int) -> np.ndarray:
     return np.array([int(f"{r:0{n}b}"[::-1], 2) for r in range(1 << n)], dtype=np.int64)
 
 
-def digraphs_from_rows(rows: np.ndarray, n: int) -> list[Digraph]:
-    """The digraph of each row of :func:`adjacency_rows_from_masks`, in
-    order: vertex i's out-neighbour mask is column n-1-i with its bits
+def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:
+    """The digraph of each packed mask, in order: vertex i's out-neighbour
+    mask is column n-1-i of :func:`adjacency_rows_from_masks` with its bits
     reversed through one cached table.  A diagonal bit raises
     :class:`LoopArcError`."""
-    outs = _bit_reversal(n)[rows[:, ::-1]]
+    outs = _bit_reversal(n)[adjacency_rows_from_masks(masks, n)[:, ::-1]]
     if ((outs >> np.arange(n)) & 1).any():
-        raise LoopArcError("adjacency row with its diagonal bit set")
-    return [Digraph(n, tuple(masks)) for masks in outs.tolist()]
-
-
-def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:
-    """The digraph of each packed mask, in order."""
-    return digraphs_from_rows(adjacency_rows_from_masks(masks, n), n)
+        raise LoopArcError("mask with a diagonal bit set")
+    return [Digraph(n, tuple(row)) for row in outs.tolist()]
 
 
 def adjacency_stack_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
@@ -436,5 +431,12 @@ def write_dgr1(d: Digraph, path) -> None:
 
 
 def read_dgr1(path) -> Digraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return from_dgr1(fh.read())
+    """Parse a DGR1 file; a byte outside ASCII raises :class:`ParseError`
+    at its position."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        pos = next(i for i, c in enumerate(text) if not c.isascii())
+        byte = text[pos].encode("ascii", "surrogateescape")
+        raise ParseError(f"non-ASCII byte {byte!r} at {pos}", pos=pos, expected="ASCII")
+    return from_dgr1(text)

@@ -17,7 +17,6 @@ from alphaspectra.digraph import (
     adjacency_rows_from_masks,
     canonical_masks,
     digraphs_from_masks,
-    digraphs_from_rows,
     is_strongly_connected_bfs,
     loop_free_masks,
     make_digraph,
@@ -87,6 +86,37 @@ class TestNumpyKernels:
         assert (lo[1], hi[1], iters[1]) == (alone[1][0], alone[2][0], alone[3][0])
         assert hi[1] - lo[1] <= 1e-12
         assert iters[0] == 100 and (x[0] > 0).all() and x[0, 0] > 0.99
+
+    def test_retry_failure_stops_the_row(self, monkeypatch):
+        # row 1's solve and its retry both come back sign-mixed in round 2:
+        # that row stops there on its round-1 iterate, and the other rows
+        # keep the bits each gets alone; from the flat start every row
+        # iterates past round 2
+        stack = np.array([m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:3])
+        monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 0.5))
+        tol = np.full(1, 1e-12)
+        alone = [_backend.power_iteration(m[None], tol, 100) for m in stack]
+        assert min(a[3][0] for a in alone) > 2
+        round1 = _backend.power_iteration(stack[1:2], tol, 1)
+        solve = _backend._shifted_solve
+        seen = []
+
+        def mixed(m, x, sigma, eye):
+            z = solve(m, x, sigma, eye)
+            hit = (m == stack[1]).all(axis=(1, 2))
+            if hit.any():
+                seen.append(len(m))
+                if len(seen) >= 2:
+                    z[hit, -1] = -abs(z[hit, -1])
+            return z
+
+        monkeypatch.setattr(_backend, "_shifted_solve", mixed)
+        got = _backend.power_iteration(stack, np.full(3, 1e-12), 100)
+        # round 1's solve, round 2's solve and round 2's retry of row 1 alone
+        assert seen == [3, 3, 1]
+        assert all((a[1] == b[0]).all() for a, b in zip(got[:3], round1)) and got[3][1] == 2
+        for k in (0, 2):
+            assert all((a[k] == b[0]).all() for a, b in zip(got, alone[k])), k
 
     def test_underflowing_start_falls_back_to_flat(self, monkeypatch):
         # radius sqrt(1e-3) against a largest row sum of 1000: B^128 of
@@ -227,18 +257,19 @@ class TestNumpyKernels:
             assert got.dtype == np.int64
             assert got.tolist() == want.tolist(), n
 
-    def test_digraphs_from_rows_matches_make_digraph(self):
+    def test_digraphs_from_masks_matches_make_digraph(self):
         samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]
         samples += [(5, sampled_loop_free_masks(5, 3000, seed=5)), (6, sampled_loop_free_masks(6, 500, seed=6))]
         for n, masks in samples:
-            got = digraphs_from_rows(adjacency_rows_from_masks(masks, n), n)
+            got = digraphs_from_masks(masks, n)
             assert got == [make_digraph(n, unpack_arcs(int(m), n)) for m in masks], n
             for d in got:
                 assert isinstance(d.arcs, tuple) and list(d.arcs) == sorted(d.arcs)
                 assert all(type(v) is int for arc in d.arcs for v in arc)
-        # column 0 is vertex 2's row, and its bit 0 the loop (2, 2)
-        with pytest.raises(LoopArcError):
-            digraphs_from_rows(np.array([[0b001, 0, 0]]), 3)
+        # the loop (i, i) of any vertex, beside the arc (0, 1)
+        for i in range(3):
+            with pytest.raises(LoopArcError):
+                digraphs_from_masks(np.array([1 << _cell_bit(3, 0, 1) | 1 << _cell_bit(3, i, i)]), 3)
 
     def test_enumeration_matches_labeled_pipeline(self):
         # the pipeline before the sieve: filter every labeled digraph for

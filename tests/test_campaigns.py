@@ -209,7 +209,7 @@ class TestGlobalMinima:
         # claimed members (through generate, for their keys); the one
         # (5048, 5, 5) kernel call is pinned in test_spectral
         built = []
-        for mod, name in ((digraph, "digraphs_from_rows"), (digraph, "make_digraph"), (families, "make_digraph")):
+        for mod, name in ((campaigns, "digraphs_from_masks"), (digraph, "make_digraph"), (families, "make_digraph")):
             def counting(*args, fn=getattr(mod, name), name=name):
                 built.append(name)
                 return fn(*args)

@@ -62,6 +62,15 @@ class TestRadius:
         assert data["error"] == "NotStronglyConnectedError"
 
 
+    def test_non_ascii_graph_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.dgr"
+        path.write_bytes(b"dgr1 3\n0 1\n1 \xc32\n")
+        assert main(["radius", "--graph", str(path), "--alpha", "0.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["radius", "--graph", str(path), "--alpha", "0.0", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
 class TestFamily:
     def test_writes_dgr1(self, tmp_path):
         out = tmp_path / "t.dgr"

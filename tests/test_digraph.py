@@ -14,6 +14,7 @@ from alphaspectra.digraph import (
     is_strongly_connected_bfs,
     make_digraph,
     out_degrees,
+    read_dgr1,
     retarget_in_arcs,
     subdivide_arc,
     to_dgr1,
@@ -340,6 +341,13 @@ class TestDgr1:
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             from_dgr1(text)
+
+    def test_read_rejects_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "bad.dgr"
+        path.write_bytes(b"dgr1 3\n0 1\n1 \xc32\n")
+        with pytest.raises(ParseError) as err:
+            read_dgr1(path)
+        assert (err.value.pos, err.value.expected) == (13, "ASCII")
 
     def test_rejects_bad_arcs(self):
         with pytest.raises(LoopArcError):
