@@ -437,6 +437,5 @@ def read_dgr1(path) -> Digraph:
         text = fh.read()
     if not text.isascii():
         pos = next(i for i, c in enumerate(text) if not c.isascii())
-        byte = text[pos].encode("ascii", "surrogateescape")
-        raise ParseError(f"non-ASCII byte {byte!r} at {pos}", pos=pos, expected="ASCII")
+        raise ParseError(f"non-ASCII byte at {pos}", pos=pos, expected="ASCII")
     return from_dgr1(text)

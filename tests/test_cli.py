@@ -61,7 +61,6 @@ class TestRadius:
         data = json.loads(capsys.readouterr().out)
         assert data["error"] == "NotStronglyConnectedError"
 
-
     def test_non_ascii_graph_file_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "bad.dgr"
         path.write_bytes(b"dgr1 3\n0 1\n1 \xc32\n")
@@ -70,6 +69,7 @@ class TestRadius:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert main(["radius", "--graph", str(path), "--alpha", "0.0", "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
 
 class TestFamily:
     def test_writes_dgr1(self, tmp_path):
