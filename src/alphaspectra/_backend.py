@@ -2,13 +2,13 @@
 
 Kernels:
 
-* ``power_iteration(m, tol, max_iter)`` -- Noda's shifted inverse iteration
-  (power iteration on ``(sigma I - M)^-1``) for the Perron roots of a stack
-  of irreducible nonnegative matrices, shape ``(N, n, n)``, started from a
-  repeated-squaring power iterate, one stacked solve per round; returns
-  the iterates and their min/max quotient bounds ``(x, lo, hi,
-  iterations)``, one row per matrix.  The name predates Noda
-  iteration and is kept because the benchmark's tracer binds it.
+* ``power_iteration(m, x, tol, max_iter)`` -- Noda's shifted inverse
+  iteration (power iteration on ``(sigma I - M)^-1``) for the Perron roots
+  of a stack of irreducible nonnegative matrices, shape ``(N, n, n)``, from
+  the start x that ``_squared_start(m)`` makes with the matrices' strong
+  flags, one stacked solve per round; returns the iterates and their
+  min/max quotient bounds ``(x, lo, hi, iterations)``, one row per matrix.
+  The name predates Noda iteration; the benchmark's tracer binds it.
 * ``det_via_lu(a)`` -- determinant from LAPACK's LU factorization.
 * ``sc_filter(rows, n)`` -- strong-connectivity flags for a batch of
   digraphs given as per-vertex out-neighbour bitmasks.
@@ -71,10 +71,14 @@ def _quotient_bounds(m: np.ndarray, x: np.ndarray):
 SQUARINGS = 7
 
 
-def _squared_start(m: np.ndarray) -> np.ndarray:
+def _squared_start(m: np.ndarray):
     """Row sums of B_k^(2^SQUARINGS), each row scaled to unit length, with
-    B_k = (I + M_k) / (1 + largest row sum of M_k), by stacked squaring.
-
+    B_k = (I + M_k) / (1 + largest row sum of M_k), by stacked squaring,
+    and the flags that B_k^(2^r), r = min(ceil(log2(n-1)), SQUARINGS), has
+    no zero entry.  B_k has the zero pattern of I + M_k, and float sums of
+    nonnegative products are zero where the exact ones are, so a flag
+    proves (I + M_k)^(n-1) > 0: M_k is irreducible (Horn & Johnson, *Matrix
+    Analysis*, Thm 6.2.24).  Underflow or n > 2^SQUARINGS + 1 also clear it.
     B_k has row sums at most 1, so its powers cannot overflow; they
     underflow only where the radius lies far below the largest row sum, or
     the Perron entries span some 300 decades, and the caller checks.  The
@@ -83,32 +87,36 @@ def _squared_start(m: np.ndarray) -> np.ndarray:
     """
     b = m + _eye(m.shape[1])
     b /= np.maximum.reduce(b.sum(axis=2), axis=1)[:, None, None]
-    for _ in range(SQUARINGS):
+    reach = min((m.shape[1] - 2).bit_length(), SQUARINGS)
+    for _ in range(reach):
+        b = b @ b
+    strong = np.ones(len(b), dtype=bool) if np.minimum.reduce(b, axis=None) > 0 else (b > 0).all(axis=(1, 2))
+    for _ in range(SQUARINGS - reach):
         b = b @ b
     x = b.sum(axis=2)
     x /= np.maximum.reduce(x, axis=1)[:, None]
     x /= np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
-    return x
+    return x, strong
 
 
 # one errstate per call, not per round, for the flags _solve leaves
 @np.errstate(all="ignore")
-def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
-    """Noda iteration on a stack m of shape (N, n, n), from a power
-    iterate of each matrix, until each row's spread of the quotients
-    (Mx)_i/x_i is at most its entry of tol, shape (N,).
+def power_iteration(m: np.ndarray, x: np.ndarray, tol: np.ndarray, max_iter: int):
+    """Noda iteration on a stack m of shape (N, n, n), from the start x,
+    shape (N, n), which it overwrites, until each row's spread of the
+    quotients (Mx)_i/x_i is at most its entry of tol, shape (N,).
 
-    The start is :func:`_squared_start`: B^K 1 with B = (I + M) / c,
-    c = 1 + the largest row sum, and K = 2^SQUARINGS.  The quotients of M
-    are c (Bx)_i / x_i - 1, and for B >= 0 the quotient interval of Bx lies
-    inside that of x, so in exact arithmetic the start's interval is never
-    wider than the flat vector's; near the root it is usually within tol
-    already.  B has a positive diagonal, so B^K 1 is positive; a row whose
-    start has an entry that is not a positive normal float (underflow)
-    starts from the flat vector instead.  The enclosure is the quotient
-    interval of whatever positive iterate a row ends on, so the start
-    changes no certificate, and a row's start depends only on its own
-    matrix, so a row gets the same bits in any stack.
+    The caller's start is :func:`_squared_start`'s: B^K 1 with B = (I + M)
+    / c, c = 1 + the largest row sum, and K = 2^SQUARINGS.  The quotients of
+    M are c (Bx)_i / x_i - 1, and for B >= 0 the quotient interval of Bx
+    lies inside that of x, so in exact arithmetic the start's interval is
+    never wider than the flat vector's; near the root it is usually within
+    tol already.  B has a positive diagonal, so B^K 1 is positive; a row
+    whose start has an entry that is not a positive normal float
+    (underflow) starts from the flat vector instead.  The enclosure is the
+    quotient interval of whatever positive iterate a row ends on, so the
+    start changes no certificate, and a row's start depends only on its
+    own matrix, so a row gets the same bits in any stack.
 
     Each step solves (hi I - M) z = x with hi the current max quotient,
     which bounds the root from above (T. Noda, Numer. Math. 17, 1971);
@@ -125,10 +133,8 @@ def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
     """
     count, n = m.shape[0], m.shape[1]
     eye = _eye(n)
-    x = _squared_start(m)
-    flat = ~((x >= _TINY) & (x < math.inf)).all(axis=1)
-    if flat.any():
-        x[flat] = 1.0 / math.sqrt(n)
+    if not (np.minimum.reduce(x, axis=None) >= _TINY and np.maximum.reduce(x, axis=None) < math.inf):
+        x[~((x >= _TINY) & (x < math.inf)).all(axis=1)] = 1.0 / math.sqrt(n)
     lo, hi = _quotient_bounds(m, x)
     iterations = np.zeros(count, dtype=np.int64)
     live = np.flatnonzero(hi - lo > tol)
@@ -154,7 +160,7 @@ def power_iteration(m: np.ndarray, tol: np.ndarray, max_iter: int):
 def det_via_lu(a: np.ndarray) -> float:
     """Determinant of the float64 matrix a by LAPACK's LU factorization: the
     gufunc behind ``numpy.linalg.det``, bit-equal to it, minus its casts."""
-    return float(_umath_linalg.det(a, signature="d->d"))
+    return float(_umath_linalg.det(a))
 
 
 def sc_filter(rows: np.ndarray, n: int) -> np.ndarray:

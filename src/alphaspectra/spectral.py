@@ -6,12 +6,12 @@ from a repeated-squaring power iterate, often certifies it with no solve
 at all and otherwise in a few, and the min/max quotients (Mx)_i / x_i,
 widened by the rounding bound gamma_{n+2}, give a certified enclosure at
 every step.
-:func:`spectral_radii` solves many digraphs at once: per vertex count
-one 0/1 adjacency stack, from the out-masks or given, one matrix build
-that also tests strong connectivity, and one kernel call, every digraph
-at its own alpha and shift; :func:`spectral_radius` is its one-element
-case.  An independent determinant-scan root finder shares no code with
-the iteration path, so the two can check each other.
+:func:`spectral_radii` solves many digraphs at once: per vertex count one
+0/1 adjacency stack, from the out-masks or given, one matrix build, one
+start whose squarings also prove strong connectivity, and one kernel
+call, each digraph at its own alpha; :func:`spectral_radius` is its
+one-element case.  An independent determinant-scan root finder shares
+no code with the iteration path, so the two can check each other.
 """
 
 from __future__ import annotations
@@ -69,18 +69,21 @@ class SpectralResult:
 
 def _matrix_stack(adj: np.ndarray, alphas: list[float]):
     """alpha_k*D + (1-alpha_k)*A of each 0/1 matrix of the adjacency stack
-    adj, shape (N, n, n), each one's largest outdegree, and its strong
-    flag: I + A squared, clipped to 0/1, until it covers every path of up
-    to n - 1 arcs, with no zero entry.  Float products are exact on 0/1
-    entries and faster than boolean ones."""
+    adj, shape (N, n, n), and each one's largest outdegree."""
     n = adj.shape[1]
     degs, alpha = adj.sum(axis=2), np.array(alphas)
     m = adj * (1.0 - alpha)[:, None, None]
     m.reshape(len(adj), n * n)[:, :: n + 1] = alpha[:, None] * degs
-    reach = adj + _backend._eye(n)
-    for _ in range((n - 2).bit_length()):
+    return m, degs.max(axis=1).tolist()
+
+
+def _reach_strong(m: np.ndarray) -> np.ndarray:
+    """Exact strong flags of the stack m: no zero entry in I + A (from m's
+    zeros) squared, clipped to 0/1, until it covers paths of n - 1 arcs."""
+    reach = (m != 0) + _backend._eye(m.shape[1])
+    for _ in range((m.shape[1] - 2).bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
-    return m, degs.max(axis=1).tolist(), (reach > 0).all(axis=(1, 2))
+    return (reach > 0).all(axis=(1, 2))
 
 
 def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
@@ -145,12 +148,12 @@ def spectral_radii(
 
     ``alphas`` is one alpha for all or one per digraph.  The digraphs are
     grouped by vertex count, or come as one group: a 0/1 adjacency stack,
-    shape (N, n, n).  Every group's stack is built and tested for strong
-    connectivity first, so a digraph that fails raises
+    shape (N, n, n).  Every group's matrices and start are built first; the
+    start's squarings prove most digraphs strongly connected and the exact
+    reach squaring checks the rest, so one that fails raises
     :class:`NotStronglyConnectedError` before anything is solved.  Each
     group is then solved in one stacked call of the Noda kernel, each
-    digraph at its own alpha; a member that converges slowly or needs a
-    retry holds up no other.  Every result obeys the rules of the
+    digraph at its own alpha; one that is slow or retries holds up no other.  Every result obeys the rules of the
     one-digraph case, and one that misses tol raises
     :class:`ConvergenceError` for the whole call.
     """
@@ -170,14 +173,15 @@ def spectral_radii(
             groups.setdefault(d.n, []).append(k)
         stacks = [(n, members, *_alpha_stack([digraphs[k] for k in members], n, [alphas[k] for k in members]))
                   for n, members in groups.items()]
-    if not all(strong.all() for *_, strong in stacks):
+    stacks = [(n, members, m, tops, *_backend._squared_start(m)) for n, members, m, tops in stacks]
+    if not all(strong.all() or _reach_strong(m[~strong]).all() for _, _, m, _, _, strong in stacks):
         raise NotStronglyConnectedError("spectral radius defined here for strongly connected digraphs")
     results = [None] * len(digraphs)
-    for n, members, m, tops, _ in stacks:
+    for n, members, m, tops, x, _ in stacks:
         # the quotients never exceed the largest row sum, so stopping the raw
         # spread twice that sum's widening below tol leaves room for the widening
         raw_tol = np.array([tol - 2.0 * rounding_safe(top, top, n).width for top in tops])
-        x, lo, hi, iters = _backend.power_iteration(m, raw_tol, ITERATION_CAP)
+        x, lo, hi, iters = _backend.power_iteration(m, x, raw_tol, ITERATION_CAP)
         for k, xk, lok, hik, it in zip(members, x, lo.tolist(), hi.tolist(), iters.tolist()):
             enclosure = rounding_safe(lok, hik, n)
             if enclosure.width > tol:

@@ -37,6 +37,11 @@ def random_matrices(count, seed):
         yield build_alpha_matrix(d, alpha)
 
 
+def noda(stack, tol, max_iter):
+    """The Noda kernel from the squared start, as spectral_radii runs it."""
+    return _backend.power_iteration(stack, _backend._squared_start(stack)[0], tol, max_iter)
+
+
 def brute_min_mask(mask, n):
     """Smallest pack_arcs value over every relabeling of the packed digraph."""
     arcs = unpack_arcs(mask, n)
@@ -65,7 +70,7 @@ class TestNumpyKernels:
             stacks.setdefault(m.shape[0], []).append(m)
         for ms in stacks.values():
             stack = np.array(ms)
-            x, lo, hi, iters = _backend.power_iteration(stack, np.full(len(ms), 1e-12), 100)
+            x, lo, hi, iters = noda(stack, np.full(len(ms), 1e-12), 100)
             assert x.shape == stack.shape[:2] and lo.shape == hi.shape == iters.shape == (len(ms),)
             for m, xk, lok, hik, itk in zip(ms, x, lo, hi, iters):
                 assert hik - lok <= 1e-12
@@ -80,8 +85,8 @@ class TestNumpyKernels:
         # each round until the cap, and the irreducible member is unaffected
         m = np.array([[0.25, 0.75], [0.75, 0.0]])
         stack = np.array([[[2.0, 0.0], [0.0, 1.0]], m])
-        x, lo, hi, iters = _backend.power_iteration(stack, np.full(2, 1e-12), 100)
-        alone = _backend.power_iteration(m[None], np.full(1, 1e-12), 100)
+        x, lo, hi, iters = noda(stack, np.full(2, 1e-12), 100)
+        alone = noda(m[None], np.full(1, 1e-12), 100)
         assert (x[1] == alone[0][0]).all()
         assert (lo[1], hi[1], iters[1]) == (alone[1][0], alone[2][0], alone[3][0])
         assert hi[1] - lo[1] <= 1e-12
@@ -93,11 +98,13 @@ class TestNumpyKernels:
         # keep the bits each gets alone; from the flat start every row
         # iterates past round 2
         stack = np.array([m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:3])
-        monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 0.5))
+        def flat(m):
+            return np.full(m.shape[:2], 0.5)
+
         tol = np.full(1, 1e-12)
-        alone = [_backend.power_iteration(m[None], tol, 100) for m in stack]
+        alone = [_backend.power_iteration(m[None], flat(m[None]), tol, 100) for m in stack]
         assert min(a[3][0] for a in alone) > 2
-        round1 = _backend.power_iteration(stack[1:2], tol, 1)
+        round1 = _backend.power_iteration(stack[1:2], flat(stack[1:2]), tol, 1)
         solve = _backend._shifted_solve
         seen = []
 
@@ -111,14 +118,14 @@ class TestNumpyKernels:
             return z
 
         monkeypatch.setattr(_backend, "_shifted_solve", mixed)
-        got = _backend.power_iteration(stack, np.full(3, 1e-12), 100)
+        got = _backend.power_iteration(stack, flat(stack), np.full(3, 1e-12), 100)
         # round 1's solve, round 2's solve and round 2's retry of row 1 alone
         assert seen == [3, 3, 1]
         assert all((a[1] == b[0]).all() for a, b in zip(got[:3], round1)) and got[3][1] == 2
         for k in (0, 2):
             assert all((a[k] == b[0]).all() for a, b in zip(got, alone[k])), k
 
-    def test_underflowing_start_falls_back_to_flat(self, monkeypatch):
+    def test_underflowing_start_falls_back_to_flat(self):
         # radius sqrt(1e-3) against a largest row sum of 1000: B^128 of
         # (I + M) / 1001 underflows to 0, so that member starts from the
         # flat vector, bit for bit, and still certifies; its neighbour
@@ -127,30 +134,28 @@ class TestNumpyKernels:
         fine = np.array([[0.25, 0.75], [0.75, 0.0]])
         stack = np.array([under, fine])
         with np.errstate(all="ignore"):
-            start = _backend._squared_start(stack)
+            start, strong = _backend._squared_start(stack)
         assert not (start[0] >= np.finfo(float).tiny).all() and (start[1] > 0).all()
-        x, lo, hi, iters = _backend.power_iteration(stack, np.full(2, 1e-12), 100)
+        assert strong.tolist() == [True, True]
+        x, lo, hi, iters = _backend.power_iteration(stack, start, np.full(2, 1e-12), 100)
         assert hi[0] - lo[0] <= 1e-12 and lo[0] - 1e-12 <= np.sqrt(1e-3) <= hi[0] + 1e-12
         assert (x[0] > 0).all() and iters[0] > 0
-        alone = _backend.power_iteration(fine[None], np.full(1, 1e-12), 100)
+        alone = noda(fine[None], np.full(1, 1e-12), 100)
         assert all((a[1] == b[0]).all() for a, b in zip((x, lo, hi, iters), alone))
-        monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 1.0 / np.sqrt(m.shape[1])))
-        flat = _backend.power_iteration(under[None], np.full(1, 1e-12), 100)
+        flat = _backend.power_iteration(under[None], np.full((1, 2), 1.0 / np.sqrt(2)), np.full(1, 1e-12), 100)
         assert all((a[0] == b[0]).all() for a, b in zip((x, lo, hi, iters), flat))
 
-    def test_start_not_positive_normal_falls_back_to_flat(self, monkeypatch):
+    def test_start_not_positive_normal_falls_back_to_flat(self):
         # a start row with a zero, negative, NaN, infinite or subnormal entry
         # is replaced by the flat vector; a positive normal row is kept
         stack = np.array([m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:6])
         tol = np.full(len(stack), 1e-12)
-        squared = _backend.power_iteration(stack, tol, 100)
-        start = _backend._squared_start(stack)
-        monkeypatch.setattr(_backend, "_squared_start", lambda m: np.full(m.shape[:2], 0.5))
-        flat = _backend.power_iteration(stack, tol, 100)
+        start = _backend._squared_start(stack)[0]
+        squared = _backend.power_iteration(stack, start.copy(), tol, 100)
+        flat = _backend.power_iteration(stack, np.full(stack.shape[:2], 0.5), tol, 100)
         for k, value in enumerate((0.0, -0.1, np.nan, np.inf, 1e-310)):
             start[k, 1] = value
-        monkeypatch.setattr(_backend, "_squared_start", lambda m: start.copy())
-        got = _backend.power_iteration(stack, tol, 100)
+        got = _backend.power_iteration(stack, start, tol, 100)
         for k in range(len(stack)):
             want = flat if k < 5 else squared
             assert all((a[k] == b[k]).all() for a, b in zip(got, want)), k
@@ -183,7 +188,7 @@ class TestNumpyKernels:
             with np.errstate(all="ignore"):
                 z = _backend._solve(a, b)
             stack = np.array([[[2.0, 0.0], [0.0, 1.0]], [[0.25, 0.75], [0.75, 0.0]]])
-            _backend.power_iteration(stack, np.full(2, 1e-12), 100)
+            noda(stack, np.full(2, 1e-12), 100)
         assert np.isnan(z[1]).all()
         for k in (0, 2):
             assert z[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()

@@ -318,9 +318,9 @@ class TestTransformLemmas:
             batches.append(([d.n for d in digraphs], []))
             return real_radii(digraphs, alphas, *args)
 
-        def kernel(m, tol, max_iter):
+        def kernel(m, x, tol, max_iter):
             batches[-1][1].append(m.shape)
-            return real_kernel(m, tol, max_iter)
+            return real_kernel(m, x, tol, max_iter)
 
         def one_digraph(*args):
             raise AssertionError("one-digraph solve in the lemma fuzz")

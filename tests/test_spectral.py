@@ -23,11 +23,12 @@ from alphaspectra.errors import (
 from alphaspectra.families import FamilySpec, generate, list_bicyclic
 from alphaspectra.campaigns import enumerate_sc_digraphs, random_sc_digraph, verify_global_minima
 from alphaspectra import _backend
-from alphaspectra.chareq import char_equation_for, largest_root
+from alphaspectra.chareq import char_equation_for, kpq_radius, largest_root
 from alphaspectra.spectral import (
     _alpha_stack,
     _det_scan_matrix,
     _matrix_stack,
+    _reach_strong,
     build_alpha_matrix,
     cw_enclosure,
     det_scan_largest_real_root,
@@ -77,8 +78,8 @@ class TestBuildMatrix:
         for n in (1, 2, 5, 8):
             digraphs = [random_sc_digraph(rng, n) for _ in range(6)]
             alphas = [0.0, 0.1, 0.5, 0.75, 0.9, 0.95]
-            stack, tops, strong = _alpha_stack(digraphs, n, alphas)
-            assert strong.tolist() == [True] * len(digraphs)
+            stack, tops = _alpha_stack(digraphs, n, alphas)
+            assert strong_flags(stack).tolist() == [True] * len(digraphs)
             for d, alpha, m, top in zip(digraphs, alphas, stack, tops):
                 assert np.array_equal(m, build_alpha_matrix(d, alpha))
                 assert top == max(out_degrees(d))
@@ -100,8 +101,17 @@ def random_digraph(rng, n, density):
     return make_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density])
 
 
+def strong_flags(m):
+    """spectral_radii's strong check, row by row: the squared start's flag,
+    and the exact reach squaring where that certifies nothing."""
+    strong = _backend._squared_start(m)[1]
+    strong[~strong] = _reach_strong(m[~strong])
+    return strong
+
+
 class TestStackStrongFlag:
-    """The strong flag of the stack build against the reachability oracle."""
+    """The strong flags of the squared start and of the reach squaring
+    against the reachability oracle."""
 
     def test_random_digraphs_match_bfs(self):
         rng = np.random.default_rng(19)
@@ -109,7 +119,10 @@ class TestStackStrongFlag:
             digraphs = [random_digraph(rng, n, density) for density in (0.2, 0.3, 0.4, 0.5) for _ in range(30)]
             want = [is_strongly_connected_bfs(d) for d in digraphs]
             assert True in want and (n == 1 or False in want), n
-            assert _alpha_stack(digraphs, n, [0.5] * len(digraphs))[2].tolist() == want, n
+            for alpha in (0.0, 0.5, 0.99):
+                m = _alpha_stack(digraphs, n, [alpha] * len(digraphs))[0]
+                assert _backend._squared_start(m)[1].tolist() == want, (n, alpha)
+                assert _reach_strong(m).tolist() == want, (n, alpha)
 
     def test_cycles_and_cycles_less_one_arc(self):
         # a cycle needs every path of up to n - 1 arcs: one squaring fewer
@@ -118,7 +131,32 @@ class TestStackStrongFlag:
             d = cycle(n)
             broken = delete_arc(d, d.arcs[n // 2])
             assert is_strongly_connected_bfs(d) and not is_strongly_connected_bfs(broken)
-            assert _alpha_stack([d, broken], n, [0.0, 0.9])[2].tolist() == [True, False], n
+            m = _alpha_stack([d, broken], n, [0.0, 0.9])[0]
+            assert _backend._squared_start(m)[1].tolist() == [True, False], n
+            assert _reach_strong(m).tolist() == [True, False], n
+
+    def test_cycle_past_the_squarings_takes_the_reach_check(self, monkeypatch):
+        # 2^SQUARINGS < 199 arcs: the squared start certifies nothing, the
+        # reach squaring proves the cycle strong, and the cycle less one
+        # arc raises before any solve, as a digraph and as a stack
+        d = cycle(200)
+        broken = delete_arc(d, d.arcs[100])
+        for alpha in (0.0, 0.99):
+            m = _alpha_stack([d, broken], 200, [alpha, alpha])[0]
+            assert _backend._squared_start(m)[1].tolist() == [False, False], alpha
+            assert _reach_strong(m).tolist() == [True, False], alpha
+            res = spectral_radius(d, alpha)
+            assert res.enclosure.lo <= 1.0 <= res.enclosure.hi and res.enclosure.width <= 1e-12
+        adj = np.zeros((2, 200, 200), dtype=np.uint8)
+        for k, g in enumerate((d, broken)):
+            for i, j in g.arcs:
+                adj[k, i, j] = 1
+        monkeypatch.setattr(_backend, "power_iteration", lambda *args: pytest.fail("solved before the check"))
+        for alpha in (0.0, 0.99):
+            with pytest.raises(NotStronglyConnectedError):
+                spectral_radius(broken, alpha)
+            with pytest.raises(NotStronglyConnectedError):
+                spectral_radii(adj, alpha)
 
     def test_mixed_sizes_later_group_not_strong(self, monkeypatch):
         # the non-strong member sits in the last group, past 64 vertices,
@@ -144,9 +182,9 @@ class TestMaskStack:
             assert adj.dtype == np.uint8 and adj.tolist() == want, n
             for alpha in (0.0, 0.5, 0.9):
                 alphas = [alpha] * len(masks)
-                (m, tops, strong), (m0, tops0, strong0) = _matrix_stack(adj, alphas), _alpha_stack(digraphs, n, alphas)
+                (m, tops), (m0, tops0) = _matrix_stack(adj, alphas), _alpha_stack(digraphs, n, alphas)
                 assert m.dtype == m0.dtype and m.tobytes() == m0.tobytes(), (n, alpha)
-                assert tops == tops0 and strong.all() and strong0.all()
+                assert tops == tops0 and strong_flags(m).all()
 
     def test_radii_of_stack_match_digraphs(self):
         masks = enumerate_sc_digraphs(4)
@@ -293,6 +331,41 @@ class TestRoundingSafety:
                     assert lo <= min(q) and max(q) <= hi, (d.arcs, alpha)
 
 
+def kpq_brackets(p, q, alpha, lo, hi):
+    """Whether [lo, hi] contains the larger root of kpq_radius's quadratic
+    x^2 - a(p+q)x - pq + 2a*pq for the exact a = alpha, decided in
+    rationals: the root lies above the vertex a(p+q)/2, where the quadratic
+    increases through its sign change."""
+    a, lo, hi = Fraction(alpha), Fraction(lo), Fraction(hi)
+    f = lambda x: x * x - a * (p + q) * x - p * q + 2 * a * p * q
+    vertex = a * (p + q) / 2
+    return (lo <= vertex or f(lo) <= 0) and hi >= vertex and f(hi) >= 0
+
+
+class TestClosedFormEnclosures:
+    """Enclosures against radii known in closed form, for n up to 40 and
+    alpha up to 0.99: a widening too narrow for the rounding shows here."""
+
+    ALPHAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+
+    def test_cycle_and_complete(self):
+        for family, radius in ((FamilySpec.cycle, lambda n: 1.0), (FamilySpec.complete, lambda n: n - 1.0)):
+            digraphs = [generate(family(n)) for n in range(2, 41)]
+            for alpha in self.ALPHAS:
+                for d, res in zip(digraphs, spectral_radii(digraphs, alpha)):
+                    assert res.enclosure.lo <= radius(d.n) <= res.enclosure.hi, (d.n, alpha)
+
+    def test_bidirected_kpq_and_star(self):
+        # the star K_{1,q} is kpq(1, q); kpq_radius's float formula cancels
+        # near alpha 1, so the containment is decided exactly
+        pairs = [(p, q) for p in range(1, 21) for q in range(p, 41 - p)]
+        digraphs = [generate(FamilySpec.kpq(p, q)) for p, q in pairs]
+        for alpha in self.ALPHAS:
+            for (p, q), res in zip(pairs, spectral_radii(digraphs, alpha)):
+                assert kpq_brackets(p, q, alpha, *res.enclosure), (p, q, alpha)
+                assert abs(res.radius - kpq_radius(p, q, alpha)) <= 1e-12 * (p + q), (p, q, alpha)
+
+
 def largest_real_eigenvalue(d, alpha):
     ev = np.linalg.eigvals(build_alpha_matrix(d, alpha))
     return float(ev.real[np.abs(ev.imag) <= 1e-9].max())
@@ -371,9 +444,9 @@ class TestSpectralRadii:
         calls = []
         real = _backend.power_iteration
 
-        def counted(m, tol, max_iter):
+        def counted(m, x, tol, max_iter):
             calls.append(m.shape)
-            return real(m, tol, max_iter)
+            return real(m, x, tol, max_iter)
 
         monkeypatch.setattr(_backend, "power_iteration", counted)
         verify_global_minima(5, 0.5)

@@ -19,9 +19,12 @@ second ``spectral_radii`` call; reports carry only the bases' radii, so
 these catch a change in the deleted arcs, subdivisions or retarget moves.  Last come fixed solver sets
 (``SOLVER_SETS``): the ``radius``, enclosure, ``iterations`` and Perron
 vector bytes of every result of one ``spectral_radii`` call over the
-n = 5 classes per alpha, and of one-at-a-time ``spectral_radius`` calls
-over the criterion-1 grid at the oracle-grid workload's alphas, which
-reports do not carry.  One line per report or set says whether the two
+n = 5 classes per alpha, of one-at-a-time ``spectral_radius`` calls
+over the criterion-1 grid at the oracle-grid workload's alphas, and of
+cycle(200), which takes more arcs than the start's squarings cover, and
+complete(40) at alpha 0 and 0.99, which reports do not carry.  The
+family campaigns also run theta at (40, 4) and infty at (35, 4), alpha
+0.5 and 0.95: large stacks near the float start's limits.  One line per report or set says whether the two
 hashes match; the exit status is 0 when every one does and 1 otherwise.
 
 A change that moves radii in their last bits changes every report's hash,
@@ -74,6 +77,8 @@ solvers = {
     "spectral_radii_n5": lambda alpha: spectral_radii(n5_classes(), alpha),
     "spectral_radius_oracle_grid": lambda: [
         spectral_radius(generate(spec), alpha) for spec in criterion1_grid() for alpha in ORACLE_ALPHAS],
+    "spectral_radii_cycle200_complete40": lambda alpha: spectral_radii(
+        [generate(FamilySpec.cycle(200)), generate(FamilySpec.complete(40))], alpha),
 }
 def lemma_derived(trials, seed):
     calls, solve = [], campaigns.spectral_radii
@@ -120,7 +125,8 @@ LEMMA_SETS = [("lemma_derived", [100, seed]) for seed in range(8)] + [("lemma_de
 
 #: solver results compared field by field, Perron vectors to the byte
 SOLVER_SETS = [("spectral_radii_n5", [alpha]) for alpha in (0.0, 0.5, 0.9, 0.99)] + [
-    ("spectral_radius_oracle_grid", [])]
+    ("spectral_radius_oracle_grid", [])] + [
+    ("spectral_radii_cycle200_complete40", [alpha]) for alpha in (0.0, 0.99)]
 
 
 def campaign_set() -> list[tuple[str, list]]:
@@ -134,6 +140,8 @@ def campaign_set() -> list[tuple[str, list]]:
             runs += [("verify_family_extremes", [family, n, s, alpha]) for s in (2, 3) for n in range(s + 1, 9)]
         runs += [("verify_family_extremes", ["bicyclic", n, 2, alpha]) for n in range(5, 9)]
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
+    runs += [("verify_family_extremes", [family, n, 4, alpha])
+             for family, n in (("theta", 40), ("infty", 35)) for alpha in (0.5, 0.95)]
     return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS
 
 
