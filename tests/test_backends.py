@@ -98,6 +98,7 @@ class TestNumpyKernels:
         # keep the bits each gets alone; from the flat start every row
         # iterates past round 2
         stack = np.array([m for m in random_matrices(40, seed=4) if m.shape[0] == 4][:3])
+
         def flat(m):
             return np.full(m.shape[:2], 0.5)
 
