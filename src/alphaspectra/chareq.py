@@ -4,7 +4,8 @@ Each function is written in the substituted variable y = (x - alpha) /
 (1 - alpha).  Each is det(xI - M) divided by positive factors whose roots
 are eigenvalues, so its largest real root is the spectral radius, and it
 is positive, increasing and convex above it: :func:`largest_root` reaches
-the radius by secant steps from above, which do not step past it.
+the radius by secant steps down from the Brauer-Cassini bound of the two
+largest outdegrees, which do not step past it.
 
 Supported kinds: ``infty``, ``theta``, ``gprime`` (the two chord variants
 ``g1``/``g2`` satisfy the same function), and ``bip1``/``bip2``/``bip5``/
@@ -106,54 +107,72 @@ def eval_char(eq: CharEquation, x: float) -> float:
     return tail_pow * _bip_cubic(x, a, q, p) - (1 - a) * (1 - a) * (x - a * p)
 
 
-def _max_outdegree(spec: FamilySpec) -> int:
-    kind = spec.kind
-    if kind in ("infty", "theta"):
-        return spec.s
-    if kind == "gprime":
-        return 2
+def _top_outdegrees(spec: FamilySpec) -> tuple[int, int]:
+    """The two largest outdegrees of ``generate(spec)``, read off the spec."""
+    if spec.kind in ("infty", "theta"):
+        return spec.s, 1
+    if spec.kind == "gprime":
+        return 2, 2
     _, p, q = spec.npq
-    if kind in ("bip1", "bip5"):
-        return max(q + 1, p)
-    return p + 1  # bip2 / bip6
+    return (max(q + 1, p) if spec.kind in ("bip1", "bip5") else p + 1), p  # p + 1 for bip2 / bip6
 
 
-def descend_to_largest_root(f, max_deg: int, n: int, tol: float, what: str) -> float:
+def cassini_root(d1: int, d2: int, alpha: float) -> float:
+    """Larger root of (x - alpha*d1)(x - alpha*d2) = (1-alpha)^2*d1*d2.  No
+    term is negative, so for outdegrees below 2^25 the radicand carries at
+    most 5 roundings and the root 4.5: it is within 1 -+ 5u of the exact one."""
+    b, gap = 1.0 - alpha, alpha * (d1 - d2)
+    return (alpha * (d1 + d2) + math.sqrt(gap * gap + 4 * d1 * d2 * (b * b))) / 2.0
+
+
+def outdegree_bound(degs, alpha: float) -> float:
+    """Upper bound on the radius rho of alpha*D + (1-alpha)*A from the
+    outdegrees degs (or the two largest, d1 >= d2): d1 or, if lower, the
+    Brauer-Cassini bound :func:`cassini_root` times 1 + 16u (u = 2^-53),
+    which, itself rounded once, lifts the float root above the exact one.
+    Brauer (Horn & Johnson, *Matrix Analysis*, Thm 6.4.7) puts every
+    eigenvalue z in an oval |z - alpha*d_i|*|z - alpha*d_j| <=
+    (1-alpha)^2*d_i*d_j, i != j; as rho >= alpha*d1 (H&J Cor. 8.1.20), both
+    factors are nonnegative at rho, so rho is at most the oval's larger
+    root, which increases in d_i and d_j."""
+    d2, d1 = sorted((0, *degs))[-2:]
+    return min(float(d1), cassini_root(d1, d2, alpha) * (1.0 + 2.0**-49))
+
+
+def descend_to_largest_root(f, bound: float, n: int, tol: float, what: str) -> float:
     """Largest real root rho of f, the characteristic function of a digraph
-    on n vertices with maximum outdegree max_deg; shared by both oracles.
+    on n vertices, below a bound >= rho; shared by both oracles.
 
     f is det(xI - M), or that determinant divided by positive factors whose
     roots are eigenvalues, and every eigenvalue of the nonnegative M has
-    modulus at most rho <= max_deg.  By Gauss-Lucas so do the roots of f'
-    and f'', so f is positive, increasing and convex on (rho, inf), and a
-    secant step between two points above rho stays above rho.  Returns
-    max_deg where f(max_deg) <= 0; else descends from max_deg + 1 and
-    max_deg by such steps, each at least tol and one ulp, to the first x
-    with f(x) <= 0, bisects that last step to width tol (or to adjacent
-    floats) and returns the false-position point inside it.  f not
-    positive at max_deg + 1, not increasing above the root, or without a
-    sign change after 100 + 2n steps is a wrong function, so it raises
-    instead of guessing; ``what`` names f in the message.
+    modulus at most rho.  By Gauss-Lucas so do the roots of f' and f'', so
+    f is positive, increasing and convex on (rho, inf), and a secant step
+    between two points above rho stays above rho.  Returns bound where
+    f(bound) <= 0; else descends from bound + 2^-10*max(1, bound) and bound
+    by such steps, each at least tol/2 and one ulp, to the first x with
+    f(x) <= 0, bisects that last step to width tol if wider (or to adjacent
+    floats) and returns the false-position point inside it.  f not positive
+    above bound, not increasing above the root, or without a sign change
+    after 100 + 2n steps raises instead of guessing; ``what`` names f.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    up, lo = max_deg + 1.0, float(max_deg)
+    up, lo = bound + 2.0**-10 * max(1.0, bound), float(bound)
     f_up, f_lo = f(up), f(lo)
     if not f_up > 0.0:
         raise NoSignChangeError(f"{what} not positive at the upper bound x={up}")
     if f_lo <= 0.0:
         return lo
-    # no root of the criterion-1 grid (n <= 12) or the n = 5 classes takes
-    # over 40 evaluations.  Far above the root f grows like y^n, so a step
-    # lowers y by about a factor 1 - 1/n: uncapped, the worst alpha of a
-    # 0.05 grid takes 55 evaluations on infty:10,20 (n = 31), 117 on
-    # infty:30,40 (n = 71), 164 on infty:40,60 (n = 101) and 243 on
-    # infty:60,90 (n = 151), about 1.6 per vertex, so 2 leaves a margin
+    # no root of the criterion-1 grid (n <= 12) or the n = 5 classes at alpha
+    # 0 to 0.99 takes over 41 evaluations.  Far above the root f grows like
+    # y^n, so a step lowers y by about a factor 1 - 1/n: uncapped, the worst
+    # alpha of a 0.05 grid takes 36, 74, 103 and 154 evaluations on infty:10,20,
+    # :30,40, :40,60 and :60,90 (n = 31, 71, 101, 151), so 2n leaves a margin
     max_steps = 100 + 2 * n
     for _ in range(max_steps):
         if f_lo >= f_up:
             raise NoSignChangeError(f"{what} does not increase between x={lo} and x={up}")
-        step = max(f_lo * (up - lo) / (f_up - f_lo), tol, math.ulp(lo))
+        step = max(f_lo * (up - lo) / (f_up - f_lo), 0.5 * tol, math.ulp(lo))
         up, f_up = lo, f_lo
         lo = up - step
         f_lo = f(lo)
@@ -174,13 +193,14 @@ def descend_to_largest_root(f, max_deg: int, n: int, tol: float, what: str) -> f
 
 
 def largest_root(eq: CharEquation, tol: float = DEFAULT_TOL) -> float:
-    """Rightmost real root of the characteristic function, by the secant
-    descent of :func:`descend_to_largest_root`; an evaluation that
-    overflows a float raises :class:`NoSignChangeError`."""
+    """Rightmost real root of the characteristic function: the descent of
+    :func:`descend_to_largest_root` from the spec's :func:`outdegree_bound`;
+    an evaluation that overflows a float raises :class:`NoSignChangeError`."""
     spec = eq.spec
     what = f"the characteristic function of {spec}"
     try:
-        return descend_to_largest_root(lambda x: eval_char(eq, x), _max_outdegree(spec), spec.n_vertices, tol, what)
+        bound = outdegree_bound(_top_outdegrees(spec), eq.alpha)
+        return descend_to_largest_root(lambda x: eval_char(eq, x), bound, spec.n_vertices, tol, what)
     except OverflowError:
         raise NoSignChangeError(f"{what} overflows a float") from None
 
@@ -190,6 +210,4 @@ def kpq_radius(p: int, q: int, alpha: float) -> float:
     the larger root of x^2 - alpha(p+q)x - pq + 2*alpha*pq."""
     if p < 1 or q < 1:
         raise InvalidSpecError(f"kpq needs p, q >= 1, got {p}, {q}")
-    a = check_alpha(alpha)
-    disc = (a * (p + q)) ** 2 - 8 * a * p * q + 4 * p * q
-    return (a * (p + q) + disc**0.5) / 2.0
+    return cassini_root(q, p, check_alpha(alpha))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _backend
-from .chareq import DEFAULT_TOL, check_alpha, descend_to_largest_root
+from .chareq import DEFAULT_TOL, check_alpha, descend_to_largest_root, outdegree_bound
 from .digraph import Digraph, is_strongly_connected, out_degrees
 from .errors import ConvergenceError, NonpositiveVectorError, NotStronglyConnectedError
 
@@ -226,21 +226,18 @@ def _det_scan_matrix(d: Digraph, alpha: float, degs: tuple[int, ...]) -> np.ndar
 def det_scan_largest_real_root(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> float:
     """Independent oracle: rightmost real root of det(xI - M).
 
-    Descends by secant steps from (max outdegree + 1), where the
-    determinant is positive, increasing and convex down to the radius, with
-    the routine the characteristic-equation oracle also uses,
-    :func:`~alphaspectra.chareq.descend_to_largest_root`.  Builds its matrix by
-    :func:`_det_scan_matrix`, so it shares no code with the Noda-iteration
-    path.
+    Descends by secant steps from just above the Brauer-Cassini bound of
+    its own two largest outdegrees, where the determinant is positive,
+    increasing and convex down to the radius, with the bound and routine the
+    characteristic-equation oracle also uses, ``chareq.outdegree_bound`` and
+    :func:`~alphaspectra.chareq.descend_to_largest_root`.  Its matrix comes
+    from :func:`_det_scan_matrix`, so it shares no code with the
+    Noda-iteration path.
     """
     alpha = check_alpha(alpha)
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("determinant scan needs a strongly connected digraph")
     degs = out_degrees(d)
-    m = _det_scan_matrix(d, alpha, degs)
-    eye = np.eye(d.n)
-
-    def char_det(x: float) -> float:
-        return _backend.det_via_lu(x * eye - m)
-
-    return descend_to_largest_root(char_det, max(degs), d.n, tol, "det(xI - M)")
+    m, eye = _det_scan_matrix(d, alpha, degs), np.eye(d.n)
+    return descend_to_largest_root(lambda x: _backend.det_via_lu(x * eye - m), outdegree_bound(degs, alpha), d.n, tol,
+                                   "det(xI - M)")

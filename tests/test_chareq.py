@@ -1,19 +1,23 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from alphaspectra import _backend, chareq
+from alphaspectra.campaigns import enumerate_sc_digraphs
 from alphaspectra.chareq import (
     CharEquation,
     char_equation_for,
     eval_char,
     kpq_radius,
     largest_root,
+    outdegree_bound,
 )
+from alphaspectra.digraph import digraphs_from_masks, out_degrees
 from alphaspectra.errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
 from alphaspectra.families import FamilySpec, generate, list_compositions
-from alphaspectra.spectral import build_alpha_matrix, det_scan_largest_real_root, spectral_radius
+from alphaspectra.spectral import build_alpha_matrix, det_scan_largest_real_root, spectral_radii, spectral_radius
 
 ALPHAS = [0.0, 0.25, 0.5, 0.75]
 #: the alphas of the criterion-1 oracle grid
@@ -31,6 +35,17 @@ COUNT_SPECS = [
     FamilySpec.bip(5, 9, 3, 2),
     FamilySpec.bip(6, 10, 4, 2),
 ]
+
+
+def criterion1_specs():
+    """Every spec of the criterion-1 family grid (n <= 12)."""
+    specs = [spec for s in (2, 3, 4) for n in range(s + 1, 13) for family in ("infty", "theta")
+             for spec in list_compositions(family, n, s)]
+    for p in (2, 3, 4):
+        for q in range(2, p + 1):
+            for n in range(p + q + 1, 13):
+                specs += [FamilySpec.bip(k, n, p, q) for k in ((1, 2) if (n - p - q) % 2 == 1 else (5, 6))]
+    return specs + [FamilySpec.gprime(n) for n in range(5, 11)]
 
 
 def mean_evaluations(monkeypatch, module, name, solve, cases):
@@ -147,10 +162,19 @@ class TestDeterminantIdentity:
 
 class TestLargestRoot:
     def test_float_overflow_is_a_typed_error(self):
-        # y ** 150 overflows at the descent's upper start
-        eq = char_equation_for(FamilySpec.infty(60, 90), 0.99)
+        # y ** 160 overflows at the descent's upper start
+        eq = char_equation_for(FamilySpec.infty(70, 90), 0.99)
         with pytest.raises(NoSignChangeError, match="overflows a float"):
             largest_root(eq)
+
+    def test_infty_60_90_at_099_inside_the_noda_enclosure(self):
+        # from the Brauer-Cassini start y ** 150 stays finite, and both
+        # oracles return the radius
+        spec, alpha = FamilySpec.infty(60, 90), 0.99
+        d = generate(spec)
+        lo, hi = spectral_radius(d, alpha).enclosure
+        assert lo <= largest_root(char_equation_for(spec, alpha)) <= hi
+        assert lo <= det_scan_largest_real_root(d, alpha) <= hi
 
     def test_infty_11(self):
         eq = CharEquation(FamilySpec.infty(1, 1), 0.0)
@@ -184,13 +208,12 @@ class TestLargestRoot:
                 largest_root(eq, tol)
 
     def test_evaluation_count(self, monkeypatch):
-        # secant descent from above plus the bisection of its last step,
-        # which both oracles share: about 16 evaluations per root, and every
-        # case returns one
+        # secant descent from the Brauer-Cassini bound, which both oracles
+        # share: about 11 evaluations per root, and every case returns one
         cases = [(char_equation_for(spec, alpha),) for spec in COUNT_SPECS for alpha in ORACLE_ALPHAS]
-        assert mean_evaluations(monkeypatch, chareq, "eval_char", largest_root, cases) <= 18
+        assert mean_evaluations(monkeypatch, chareq, "eval_char", largest_root, cases) <= 14
         cases = [(generate(spec), alpha) for spec in COUNT_SPECS for alpha in ORACLE_ALPHAS]
-        assert mean_evaluations(monkeypatch, _backend, "det_via_lu", det_scan_largest_real_root, cases) <= 18
+        assert mean_evaluations(monkeypatch, _backend, "det_via_lu", det_scan_largest_real_root, cases) <= 14
 
     def test_root_is_radius(self):
         specs = [
@@ -243,6 +266,49 @@ class TestKpqRadius:
     def test_alpha_range(self):
         with pytest.raises(AlphaRangeError):
             kpq_radius(2, 2, 1.0)
+
+    def test_inside_the_noda_enclosure_near_alpha_one(self):
+        pairs = [(p, q) for p in range(1, 21) for q in range(p, 41 - p)]
+        digraphs = [generate(FamilySpec.kpq(p, q)) for p, q in pairs]
+        for (p, q), res in zip(pairs, spectral_radii(digraphs, 0.99)):
+            assert res.enclosure.lo <= kpq_radius(p, q, 0.99) <= res.enclosure.hi, (p, q)
+
+
+class TestOutdegreeBound:
+    """The Brauer-Cassini start of both oracles' descent."""
+
+    def test_above_the_noda_enclosure(self):
+        digraphs = digraphs_from_masks(enumerate_sc_digraphs(5), 5)
+        degs = [out_degrees(d) for d in digraphs]
+        for alpha in (0.0, 0.5, 0.9, 0.99):
+            for dd, res in zip(degs, spectral_radii(digraphs, alpha)):
+                assert outdegree_bound(dd, alpha) >= res.enclosure.lo, (dd, alpha)
+        specs = criterion1_specs()
+        digraphs = [generate(spec) for spec in specs]
+        for alpha in ORACLE_ALPHAS:
+            for spec, res in zip(specs, spectral_radii(digraphs, alpha)):
+                assert outdegree_bound(chareq._top_outdegrees(spec), alpha) >= res.enclosure.lo, (spec, alpha)
+
+    def test_certified_where_attained(self):
+        # the bidirected K_{p,q} has exactly its Brauer-Cassini bound as its
+        # radius: the padded float bound must not fall below the exact root,
+        # decided in rationals
+        for p in range(1, 21):
+            for q in range(p, 41 - p):
+                for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+                    a, x = Fraction(alpha), Fraction(outdegree_bound((p,) * q + (q,) * p, alpha))
+                    assert x >= a * q and (x - a * p) * (x - a * q) >= (1 - a) ** 2 * p * q, (p, q, alpha)
+
+    def test_regular_digraphs_get_their_degree(self):
+        digraphs = [generate(family(n)) for family in (FamilySpec.cycle, FamilySpec.complete) for n in range(2, 41)]
+        digraphs += [d for d in digraphs_from_masks(enumerate_sc_digraphs(5), 5) if len(set(out_degrees(d))) == 1]
+        for d in digraphs:
+            for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+                assert outdegree_bound(out_degrees(d), alpha) == max(out_degrees(d)), (d.arcs, alpha)
+
+    def test_top_outdegrees_read_off_the_spec(self):
+        for spec in criterion1_specs():
+            assert chareq._top_outdegrees(spec) == tuple(sorted(out_degrees(generate(spec)))[:-3:-1]), spec
 
 
 def root_of(spec, alpha, tol=1e-12):

@@ -102,7 +102,7 @@ class TestCharRoot:
         assert main(["char-root", "--spec", "cycle:5", "--alpha", "0"]) == 1
 
     def test_float_overflow_is_one_error_line(self):
-        proc = run_cli(["char-root", "--spec", "infty:60,90", "--alpha", "0.99"])
+        proc = run_cli(["char-root", "--spec", "infty:70,90", "--alpha", "0.99"])
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "overflows a float" in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -356,8 +356,8 @@ class TestClosedFormEnclosures:
                     assert res.enclosure.lo <= radius(d.n) <= res.enclosure.hi, (d.n, alpha)
 
     def test_bidirected_kpq_and_star(self):
-        # the star K_{1,q} is kpq(1, q); kpq_radius's float formula cancels
-        # near alpha 1, so the containment is decided exactly
+        # the star K_{1,q} is kpq(1, q); the exact root's containment is
+        # decided in rationals
         pairs = [(p, q) for p in range(1, 21) for q in range(p, 41 - p)]
         digraphs = [generate(FamilySpec.kpq(p, q)) for p, q in pairs]
         for alpha in self.ALPHAS:

@@ -24,8 +24,16 @@ over the criterion-1 grid at the oracle-grid workload's alphas, and of
 cycle(200), which takes more arcs than the start's squarings cover, and
 complete(40) at alpha 0 and 0.99, which reports do not carry.  The
 family campaigns also run theta at (40, 4) and infty at (35, 4), alpha
-0.5 and 0.95: large stacks near the float start's limits.  One line per report or set says whether the two
-hashes match; the exit status is 0 when every one does and 1 otherwise.
+0.5 and 0.95: large stacks near the float start's limits.  The oracle set
+(``ORACLE_SETS``) holds both root oracles' values, ``largest_root`` and
+``det_scan_largest_real_root``, over the criterion-1 grid at the
+oracle-grid alphas plus 0.99.  One line per report or set says whether the
+two hashes match; for the oracle set it also gives the count of
+bit-identical roots, the largest difference between the two sides and how
+many roots fall outside the other side's Noda enclosure widened by tol.
+The exit status is 0 when every hash but the oracle set's matches and no
+oracle root falls outside, and 1 otherwise: a change to the root finders
+may move their last bits but never past a certified enclosure.
 
 A change that moves radii in their last bits changes every report's hash,
 so reports are also compared by verdict: the (claim, status) list of the
@@ -80,6 +88,16 @@ solvers = {
     "spectral_radii_cycle200_complete40": lambda alpha: spectral_radii(
         [generate(FamilySpec.cycle(200)), generate(FamilySpec.complete(40))], alpha),
 }
+def oracle_roots(*extra_alphas):
+    from alphaspectra.chareq import char_equation_for, largest_root
+    from alphaspectra.spectral import det_scan_largest_real_root
+    rows = []
+    for spec in criterion1_grid():
+        d = generate(spec)
+        for alpha in ORACLE_ALPHAS + extra_alphas:
+            lo, hi = spectral_radius(d, alpha).enclosure
+            rows.append([largest_root(char_equation_for(spec, alpha)), det_scan_largest_real_root(d, alpha), lo, hi])
+    return rows
 def lemma_derived(trials, seed):
     calls, solve = [], campaigns.spectral_radii
     def spy(digraphs, alphas):
@@ -105,6 +123,10 @@ for fn, args in json.load(sys.stdin):
         text = "".join(f"key {key.hex()}\\n{to_dgr1(d)}" for d, key in classes(*args))
     elif fn in sets:
         text = "".join(to_dgr1(d) for d in sets[fn](*args))
+    elif fn == "oracle_roots":
+        rows = oracle_roots(*args)
+        text = "".join(f"{root!r} {scan!r}\\n" for root, scan, _, _ in rows)
+        extra = {"roots": rows}
     elif fn == "lemma_derived":
         text = "".join(f"alpha {alpha!r}\\n{to_dgr1(d)}" for d, alpha in lemma_derived(*args))
     else:
@@ -128,10 +150,15 @@ SOLVER_SETS = [("spectral_radii_n5", [alpha]) for alpha in (0.0, 0.5, 0.9, 0.99)
     ("spectral_radius_oracle_grid", [])] + [
     ("spectral_radii_cycle200_complete40", [alpha]) for alpha in (0.0, 0.99)]
 
+#: both oracles' roots (``largest_root`` and ``det_scan_largest_real_root``)
+#: over the criterion-1 grid at the oracle-grid alphas plus these, each
+#: with the Noda enclosure of its own side
+ORACLE_SETS = [("oracle_roots", [0.99])]
+
 
 def campaign_set() -> list[tuple[str, list]]:
-    """(campaigns function, digraph set, lemma-derived set or solver set,
-    arguments) of everything compared."""
+    """(campaigns function, digraph set, lemma-derived set, solver set or
+    oracle set, arguments) of everything compared."""
     runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
     runs.append(("verify_transform_lemmas", [500, 20240]))
     for alpha in ALPHAS:
@@ -142,7 +169,7 @@ def campaign_set() -> list[tuple[str, list]]:
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
     runs += [("verify_family_extremes", [family, n, 4, alpha])
              for family, n in (("theta", 40), ("infty", 35)) for alpha in (0.5, 0.95)]
-    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS
+    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS + ORACLE_SETS
 
 
 def run_tree(tree: Path, runs: list[tuple[str, list]]) -> list[dict]:
@@ -190,6 +217,19 @@ def compare_verdicts(a: dict, b: dict) -> tuple[list[str], dict]:
     return lines, counts
 
 
+def compare_roots(a: list[list], b: list[list], tol: float = 1e-12) -> tuple[str, int]:
+    """Bit-identical roots of the two sides, their largest difference, and
+    how many fall outside the other side's Noda enclosure widened by tol
+    (the oracles' default), which must be none."""
+    pairs = [(ra[k], rb[k], rb[2:], ra[2:]) for ra, rb in zip(a, b) for k in (0, 1)]
+    same = sum(x == y for x, y, _, _ in pairs)
+    gap = max(abs(x - y) for x, y, _, _ in pairs)
+    outside = sum(not lo - tol <= r <= hi + tol for x, y, other_b, other_a in pairs
+                  for r, (lo, hi) in ((x, other_b), (y, other_a)))
+    return (f"{same} of {len(pairs)} roots bit-identical, largest difference {gap:.1e}, "
+            f"{outside} outside the other side's enclosure widened by {tol:g}"), outside
+
+
 def describe(counts: dict) -> str:
     return (f"{counts['outside']} radii of {counts['items']} items outside the other side's enclosure "
             f"(by at most {counts['farthest']:.1e}), {counts['disjoint']} disjoint enclosure pairs, "
@@ -208,12 +248,16 @@ def main(argv: list[str] | None = None) -> int:
         parent = run_tree(Path(tmp), runs)
     change = run_tree(Path.cwd(), runs)
     print(f"parent {sha} against the working tree, runtime_s zeroed")
-    reports = same_verdicts = 0
+    reports = same_verdicts = roots_outside = 0
     total = {"items": 0, "unmatched": 0, "outside": 0, "farthest": 0.0, "disjoint": 0}
     for (fn, call_args), a, b in zip(runs, parent, change):
         ha, hb = a["hash"], b["hash"]
         line = f"same {ha[:16]}" if ha == hb else f"DIFF {ha[:16]} -> {hb[:16]}"
         lines = []
+        if "roots" in a:
+            text, outside = compare_roots(a["roots"], b["roots"])
+            roots_outside += outside
+            line += f"  {text}"
         if "verdicts" in a:
             reports += 1
             lines, counts = compare_verdicts(a, b)
@@ -224,9 +268,11 @@ def main(argv: list[str] | None = None) -> int:
                 line += f"  verdicts {'DIFF' if lines else 'same'}, {describe(counts)}"
         print(f"{line}  {fn}{tuple(call_args)}", *lines, sep="\n")
     same = sum(a["hash"] == b["hash"] for a, b in zip(parent, change))
-    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets and solver sets identical")
+    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets, solver sets and oracle sets identical")
     print(f"{same_verdicts} of {reports} reports with the same verdicts; items: {describe(total)}")
-    return 0 if same == len(runs) else 1
+    print(f"{roots_outside} oracle roots outside the other side's widened enclosure")
+    same_or_enclosed = sum(a["hash"] == b["hash"] or "roots" in a for a, b in zip(parent, change))
+    return 0 if same_or_enclosed == len(runs) and roots_outside == 0 else 1
 
 
 if __name__ == "__main__":
