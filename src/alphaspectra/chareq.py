@@ -118,9 +118,8 @@ def _top_outdegrees(spec: FamilySpec) -> tuple[int, int]:
 
 
 def cassini_root(d1: int, d2: int, alpha: float) -> float:
-    """Larger root of (x - alpha*d1)(x - alpha*d2) = (1-alpha)^2*d1*d2.  No
-    term is negative, so for outdegrees below 2^25 the radicand carries at
-    most 5 roundings and the root 4.5: it is within 1 -+ 5u of the exact one."""
+    """Larger root of (x - alpha*d1)(x - alpha*d2) = (1-alpha)^2*d1*d2; no term is negative, so for
+    outdegrees below 2^25 its 4.5 roundings (5 in the radicand) keep it within 1 -+ 5u of the exact root."""
     b, gap = 1.0 - alpha, alpha * (d1 - d2)
     return (alpha * (d1 + d2) + math.sqrt(gap * gap + 4 * d1 * d2 * (b * b))) / 2.0
 
@@ -150,8 +149,9 @@ def descend_to_largest_root(f, bound: float, n: int, tol: float, what: str) -> f
     between two points above rho stays above rho.  Returns bound where
     f(bound) <= 0; else descends from bound + 2^-10*max(1, bound) and bound
     by such steps, each at least tol/2 and one ulp, to the first x with
-    f(x) <= 0, bisects that last step to width tol if wider (or to adjacent
-    floats) and returns the false-position point inside it.  f not positive
+    f(x) <= 0, cuts that last step at tol/2 above that x if wider than tol,
+    then bisects it to width tol (or to adjacent floats) and returns the
+    false-position point inside it.  f not positive
     above bound, not increasing above the root, or without a sign change
     after 100 + 2n steps raises instead of guessing; ``what`` names f.
     """
@@ -163,11 +163,10 @@ def descend_to_largest_root(f, bound: float, n: int, tol: float, what: str) -> f
         raise NoSignChangeError(f"{what} not positive at the upper bound x={up}")
     if f_lo <= 0.0:
         return lo
-    # no root of the criterion-1 grid (n <= 12) or the n = 5 classes at alpha
-    # 0 to 0.99 takes over 41 evaluations.  Far above the root f grows like
-    # y^n, so a step lowers y by about a factor 1 - 1/n: uncapped, the worst
-    # alpha of a 0.05 grid takes 36, 74, 103 and 154 evaluations on infty:10,20,
-    # :30,40, :40,60 and :60,90 (n = 31, 71, 101, 151), so 2n leaves a margin
+    # no root of the criterion-1 grid (n <= 12) or the n = 5 classes at alpha 0 to 0.99 takes over
+    # 41 evaluations.  Far above the root f grows like y^n, so a step lowers y by about a factor
+    # 1 - 1/n: uncapped, the worst alpha of a 0.05 grid takes 35, 74, 103 and 153 evaluations on
+    # infty:10,20, :30,40, :40,60 and :60,90 (n = 31, 71, 101, 151), so 2n leaves a margin
     max_steps = 100 + 2 * n
     for _ in range(max_steps):
         if f_lo >= f_up:
@@ -180,8 +179,9 @@ def descend_to_largest_root(f, bound: float, n: int, tol: float, what: str) -> f
             break
     else:
         raise NoSignChangeError(f"no sign change of {what} in {max_steps} secant steps")
+    probe = lo + 0.5 * tol  # a secant step crosses rho only by rounding, so rho lies just above lo
     while f_lo < 0.0 and up - lo > tol:
-        mid = 0.5 * (lo + up)
+        mid = probe if lo < probe < up else 0.5 * (lo + up)
         if mid == lo or mid == up:
             break
         f_mid = f(mid)

@@ -211,9 +211,9 @@ class TestLargestRoot:
         # secant descent from the Brauer-Cassini bound, which both oracles
         # share: about 11 evaluations per root, and every case returns one
         cases = [(char_equation_for(spec, alpha),) for spec in COUNT_SPECS for alpha in ORACLE_ALPHAS]
-        assert mean_evaluations(monkeypatch, chareq, "eval_char", largest_root, cases) <= 14
+        assert mean_evaluations(monkeypatch, chareq, "eval_char", largest_root, cases) <= 13
         cases = [(generate(spec), alpha) for spec in COUNT_SPECS for alpha in ORACLE_ALPHAS]
-        assert mean_evaluations(monkeypatch, _backend, "det_via_lu", det_scan_largest_real_root, cases) <= 14
+        assert mean_evaluations(monkeypatch, _backend, "det_via_lu", det_scan_largest_real_root, cases) <= 13
 
     def test_root_is_radius(self):
         specs = [
@@ -232,7 +232,21 @@ class TestLargestRoot:
 
 class TestDescent:
     """The three ways :func:`chareq.descend_to_largest_root` refuses a
-    function that cannot be a characteristic function."""
+    function that cannot be a characteristic function, and the step that
+    rounding carries past the root."""
+
+    def test_step_past_the_root_takes_one_probe(self):
+        # f is negative just above its root 1, as rounding can make it: the
+        # secant step from 2 lands on 1, and one evaluation tol/2 above it
+        # closes the bracket where a bisection of [1, 2] would take 40
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0 if x > 1.0 + 1e-14 else -1.0
+
+        assert 1.0 <= chareq.descend_to_largest_root(f, 2.0, 3, 1e-12, "f") <= 1.0 + 1e-12
+        assert len(calls) == 4
 
     def test_not_positive_at_the_upper_bound(self):
         with pytest.raises(NoSignChangeError, match="upper bound"):
