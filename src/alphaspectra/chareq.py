@@ -4,8 +4,7 @@ Each function is written in the substituted variable y = (x - alpha) /
 (1 - alpha).  Each is det(xI - M) divided by positive factors whose roots
 are eigenvalues, so its largest real root is the spectral radius, and it
 is positive, increasing and convex above it: :func:`largest_root` reaches
-the radius by secant steps down from the Brauer-Cassini bound of the two
-largest outdegrees, which do not step past it.
+the radius by secant steps down from a Brauer-Cassini bound, never past it.
 
 Supported kinds: ``infty``, ``theta``, ``gprime`` (the two chord variants
 ``g1``/``g2`` satisfy the same function), and ``bip1``/``bip2``/``bip5``/
@@ -59,6 +58,9 @@ class CharEquation:
             base = n - 1 if spec.kind == "infty" else n - 2 - spec.l1
             terms = (spec.s, n - 1, tuple(base - k for k in spec.ks))
         object.__setattr__(self, "cycle_terms", terms)
+
+    def __str__(self) -> str:
+        return f"the characteristic function of {self.spec}"
 
 
 def char_equation_for(spec: FamilySpec, alpha: float) -> CharEquation:
@@ -138,7 +140,7 @@ def outdegree_bound(degs, alpha: float) -> float:
     return min(float(d1), cassini_root(d1, d2, alpha) * (1.0 + 2.0**-49))
 
 
-def descend_to_largest_root(f, bound: float, n: int, tol: float, what: str) -> float:
+def descend_to_largest_root(f, bound: float, n: int, tol: float, what: object) -> float:
     """Largest real root rho of f, the characteristic function of a digraph
     on n vertices, below a bound >= rho; shared by both oracles.
 
@@ -151,9 +153,9 @@ def descend_to_largest_root(f, bound: float, n: int, tol: float, what: str) -> f
     by such steps, each at least tol/2 and one ulp, to the first x with
     f(x) <= 0, cuts that last step at tol/2 above that x if wider than tol,
     then bisects it to width tol (or to adjacent floats) and returns the
-    false-position point inside it.  f not positive
-    above bound, not increasing above the root, or without a sign change
-    after 100 + 2n steps raises instead of guessing; ``what`` names f.
+    false-position point inside it.  f not positive above bound, not
+    increasing above the root, or without a sign change after 100 + 2n
+    steps raises; ``what``, formatted only into that message, names f.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -196,13 +198,11 @@ def largest_root(eq: CharEquation, tol: float = DEFAULT_TOL) -> float:
     """Rightmost real root of the characteristic function: the descent of
     :func:`descend_to_largest_root` from the spec's :func:`outdegree_bound`;
     an evaluation that overflows a float raises :class:`NoSignChangeError`."""
-    spec = eq.spec
-    what = f"the characteristic function of {spec}"
     try:
-        bound = outdegree_bound(_top_outdegrees(spec), eq.alpha)
-        return descend_to_largest_root(lambda x: eval_char(eq, x), bound, spec.n_vertices, tol, what)
+        bound = outdegree_bound(_top_outdegrees(eq.spec), eq.alpha)
+        return descend_to_largest_root(lambda x: eval_char(eq, x), bound, eq.spec.n_vertices, tol, eq)
     except OverflowError:
-        raise NoSignChangeError(f"{what} overflows a float") from None
+        raise NoSignChangeError(f"{eq} overflows a float") from None
 
 
 def kpq_radius(p: int, q: int, alpha: float) -> float:

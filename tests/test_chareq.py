@@ -164,7 +164,8 @@ class TestLargestRoot:
     def test_float_overflow_is_a_typed_error(self):
         # y ** 160 overflows at the descent's upper start
         eq = char_equation_for(FamilySpec.infty(70, 90), 0.99)
-        with pytest.raises(NoSignChangeError, match="overflows a float"):
+        message = r"function of FamilySpec\(kind='infty', params=\(70, 90\)\) overflows a float"
+        with pytest.raises(NoSignChangeError, match=message):
             largest_root(eq)
 
     def test_infty_60_90_at_099_inside_the_noda_enclosure(self):
