@@ -14,9 +14,9 @@ Kernels:
   digraphs given as per-vertex out-neighbour bitmasks.
 * ``perm_min(masks, table)`` -- minimum over vertex relabelings of packed
   adjacency bitmasks, given a bit-relocation table.
-* ``perm_sieve(masks, table)`` -- the masks no relabeling maps strictly
-  below themselves (the canonical ones), in input order, from the same
-  table.
+* ``perm_sieve(masks, moves)`` -- the masks no relabeling maps strictly
+  below themselves (the canonical ones), in input order, from each
+  relabeling's column step and row step of masked shifts.
 """
 
 from __future__ import annotations
@@ -205,27 +205,26 @@ def perm_min(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def perm_sieve(masks: np.ndarray, table: np.ndarray) -> np.ndarray:
+def perm_sieve(masks: np.ndarray, moves) -> np.ndarray:
     """The masks equal to their ``perm_min``, in input order.
 
-    Walks the relabelings of table after row 0 (the identity), each pass
-    relabeling only the masks that are still minimal and keeping those no
-    larger than their image.  Bit b moves by table[p, b] - b, so the bits
-    sharing a distance move with one masked shift, in place; bits set in no
-    mask are skipped.
+    Walks the relabelings of moves (``digraph._perm_moves``), each pass
+    relabeling only the masks still minimal and keeping those no larger
+    than their image: a column step, then a row step, each the OR of its
+    input's groups, shifted, in buffers allocated once, never zero-filled.
     """
-    used = int(np.bitwise_or.reduce(masks, initial=0))
-    bits = [b for b in range(table.shape[1]) if (used >> b) & 1]
     keep = masks
-    for row in table[1:]:
-        moves: dict[int, int] = {}
-        for b in bits:
-            d = int(row[b]) - b
-            moves[d] = moves.get(d, 0) | (1 << b)
-        image = np.zeros_like(keep)
-        part = np.empty_like(keep)
-        for d, group in moves.items():
-            np.bitwise_and(keep, group, out=part)
-            image |= np.left_shift(part, d, out=part) if d >= 0 else np.right_shift(part, -d, out=part)
-        keep = keep[keep <= image]
+    part, cols, image = np.empty((3, len(masks)), dtype=masks.dtype)
+    for steps in moves:
+        src, live = keep, len(keep)
+        for step, out in zip(steps, (cols[:live], image[:live])):
+            for k, (shift, group) in enumerate(step):
+                dst = part[:live] if k else out
+                np.bitwise_and(src, group, out=dst)
+                if shift:
+                    (np.left_shift if shift > 0 else np.right_shift)(dst, abs(shift), out=dst)
+                if k:
+                    out |= dst
+            src = out
+        keep = keep[keep <= src]
     return keep

@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("char-root", help="largest root of a family's characteristic function")
+    p = sub.add_parser("char-root", help="largest root of a family's characteristic function",
+                       description="residual is the unscaled |f(root)|, sign_change f(root-tol) <= 0 < f(root+tol)")
     p.add_argument("--spec", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tol", type=_positive(float), default=DEFAULT_TOL)
@@ -148,22 +149,28 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _sign_change(f, root: float, tol: float) -> bool:
+    """f changes sign within tol of root, as the descent's last bracket guarantees."""
+    return f(root - tol) <= 0.0 < f(root + tol)
+
+
 def _cmd_char_root(args) -> int:
     spec = parse_spec(args.spec)
     if spec.kind == "kpq":
-        p, q = spec.params
-        root = kpq_radius(p, q, args.alpha)
-        a = args.alpha
-        residual = abs(root * root - a * (p + q) * root - p * q + 2 * a * p * q)
+        (p, q), a = spec.params, args.alpha
+        root = kpq_radius(p, q, a)
+        f = lambda x: x * x - a * (p + q) * x - p * q + 2 * a * p * q
     else:
         eq = char_equation_for(spec, args.alpha)
         root = largest_root(eq, args.tol)
-        residual = abs(eval_char(eq, root))
+        f = lambda x: eval_char(eq, x)
+    residual, sign_change = abs(f(root)), _sign_change(f, root, args.tol)
     if args.json:
-        print(json.dumps({"root": root, "residual": residual}))
+        print(json.dumps({"root": root, "residual": residual, "sign_change": sign_change}))
     else:
         print(f"root {root!r}")
         print(f"residual {residual!r}")
+        print(f"sign_change {json.dumps(sign_change)}")
     return 0
 
 

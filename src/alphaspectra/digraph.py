@@ -207,12 +207,30 @@ def adjacency_rows_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _perm_bit_table(n: int) -> np.ndarray:
     """table[p, b] = destination bit of source bit b under the p-th
-    relabeling (itertools order)."""
+    relabeling (itertools order); :func:`min_relabeled_mask`'s table."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     i, j = np.divmod(np.arange(n * n), n)
     table = np.empty((len(perms), n * n), dtype=np.int8)
     table[:, _cell_bit(n, i, j)] = _cell_bit(n, perms[:, i], perms[:, j])
     return table
+
+
+@lru_cache(maxsize=None)
+def _perm_moves(n: int) -> tuple:
+    """Each relabeling sigma after the identity (itertools order) as a step
+    moving column v to sigma v, then one moving row v to sigma v: one pair
+    (shift, group) per displacement sigma v - v, shifting the group's bits
+    left.  Row groups are whole rows: the column step can fill the diagonal."""
+    rows = [((1 << n) - 1) << _cell_bit(n, v, n - 1) for v in range(n)]
+    cols = [sum(1 << _cell_bit(n, i, v) for i in range(n)) for v in range(n)]
+    moves = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        col_step, row_step = {}, {}
+        for v, w in enumerate(perm):
+            col_step[v - w] = col_step.get(v - w, 0) | cols[v]
+            row_step[n * (v - w)] = row_step.get(n * (v - w), 0) | rows[v]
+        moves.append((tuple(col_step.items()), tuple(row_step.items())))
+    return tuple(moves)
 
 
 def min_relabeled_mask(masks: np.ndarray, n: int) -> np.ndarray:
@@ -231,8 +249,8 @@ def canonical_masks(n: int) -> np.ndarray:
     its heads to the top labels.  A row of k ones in that form lies below
     every row with more ones, so moving a vertex of smaller outdegree to
     label 0 lowers row 0 too.  k = 0 is left out, since a vertex with no
-    out-arc rules out strong connectivity.  The candidates are np.int32
-    words while n*n <= 32 and int64 above; the result is int64.
+    out-arc rules out strong connectivity.  They are np.int32 words while
+    n*n <= 32 and int64 above, sieved by :func:`_perm_moves`; int64 out.
     """
     word = np.int32 if n * n <= 32 else np.int64
     blocks = []
@@ -243,7 +261,9 @@ def canonical_masks(n: int) -> np.ndarray:
             row = row[((row >> _cell_bit(n, i, i)) & 1 == 0) & (np.bitwise_count(row) >= k)]
             masks = (masks[:, None] | row).ravel()
         blocks.append(masks)
-    return _backend.perm_sieve(np.concatenate(blocks), _perm_bit_table(n)).astype(np.int64)
+    masks = np.concatenate(blocks)
+    del blocks  # freed before the sieve allocates its three buffers, which would otherwise raise peak RSS
+    return _backend.perm_sieve(masks, _perm_moves(n)).astype(np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from alphaspectra.digraph import (
     CanonicalKey,
     _cell_bit,
     _perm_bit_table,
+    _perm_moves,
     adjacency_rows_from_masks,
     canonical_masks,
     digraphs_from_masks,
@@ -242,13 +243,37 @@ class TestNumpyKernels:
             one = _backend.perm_min(masks[:1], _perm_bit_table(n))
             assert one.tolist() == [brute_min_mask(int(masks[0]), n)]
 
+    def test_perm_moves_match_bit_table(self):
+        # the column step then the row step of relabeling p move every bit
+        # where the bit table sends it, and no group or image leaves the n*n
+        # bits, so int32 candidates cannot overflow at n <= 5
+        for n in (2, 3, 4, 5, 6):
+            rng = np.random.default_rng(n)
+            masks = rng.choice(loop_free_masks(n), size=200) if n < 6 else sampled_loop_free_masks(6, 100, seed=6)
+            bits = (masks[:, None] >> np.arange(n * n)) & 1
+            moves, table = _perm_moves(n), _perm_bit_table(n)
+            assert len(moves) == len(table) - 1
+            for p, steps in enumerate(moves, start=1):
+                image = masks
+                for step in steps:
+                    assert len(step) <= n
+                    out = np.zeros_like(image)
+                    for shift, group in step:
+                        moved = group << shift if shift >= 0 else group >> -shift
+                        assert 0 < group < 1 << (n * n) and moved < 1 << (n * n), (n, p)
+                        assert moved.bit_count() == group.bit_count(), (n, p)
+                        part = image & group
+                        out |= part << shift if shift >= 0 else part >> -shift
+                    image = out
+                want = (bits << table[p].astype(np.int64)).sum(axis=1)
+                assert image.tolist() == want.tolist(), (n, p)
+
     def test_perm_sieve_matches_perm_min(self):
         samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]
         samples += [(5, sampled_loop_free_masks(5, 3000, seed=5)), (6, sampled_loop_free_masks(6, 500, seed=6))]
         for n, masks in samples:
-            table = _perm_bit_table(n)
-            want = masks[masks == _backend.perm_min(masks, table)]
-            got = _backend.perm_sieve(masks, table)
+            want = masks[masks == _backend.perm_min(masks, _perm_bit_table(n))]
+            got = _backend.perm_sieve(masks, _perm_moves(n))
             assert got.dtype == masks.dtype
             assert got.tolist() == want.tolist(), n
 
@@ -258,7 +283,7 @@ class TestNumpyKernels:
         for n in (2, 3, 4, 5):
             masks = loop_free_masks(n)
             no_sink = masks[(adjacency_rows_from_masks(masks, n) != 0).all(axis=1)]
-            want = _backend.perm_sieve(no_sink, _perm_bit_table(n))
+            want = _backend.perm_sieve(no_sink, _perm_moves(n))
             got = canonical_masks(n)
             assert got.dtype == np.int64
             assert got.tolist() == want.tolist(), n

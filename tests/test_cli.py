@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import alphaspectra
-from alphaspectra.cli import main
+from alphaspectra.chareq import char_equation_for, eval_char
+from alphaspectra.cli import _sign_change, main
 from alphaspectra.digraph import read_dgr1, to_dgr1, write_dgr1
 from alphaspectra.families import FamilySpec, generate, parse_spec
-from alphaspectra.spectral import spectral_radius
+from alphaspectra.spectral import DEFAULT_TOL, spectral_radius
 
 
 #: the directory holding the imported package, so the child interpreter
@@ -92,11 +93,24 @@ class TestCharRoot:
         lines = capsys.readouterr().out.splitlines()
         assert abs(float(lines[0].split()[1]) - 2**0.5) < 1e-9
         assert float(lines[1].split()[1]) < 1e-9
+        assert lines[2] == "sign_change true"
 
     def test_kpq_closed_form(self, capsys):
         assert main(["char-root", "--spec", "kpq:3,2", "--alpha", "0.5", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert abs(data["root"] - 2.5) < 1e-12
+        assert data["sign_change"] is True
+
+    def test_sign_change_where_the_residual_is_huge(self, capsys):
+        # f grows like y^150 here, so |f(root)| is huge for a root inside
+        # the Noda enclosure; the bracket shows the root is good
+        assert main(["char-root", "--spec", "infty:60,90", "--alpha", "0.99", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["residual"] > 1e100 and data["sign_change"] is True
+        eq = char_equation_for(parse_spec("infty:60,90"), 0.99)
+        f = lambda x: eval_char(eq, x)
+        assert _sign_change(f, data["root"], DEFAULT_TOL)
+        assert not _sign_change(f, data["root"] + 2 * DEFAULT_TOL, DEFAULT_TOL)
 
     def test_unsupported_family(self, capsys):
         assert main(["char-root", "--spec", "cycle:5", "--alpha", "0"]) == 1

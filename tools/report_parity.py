@@ -31,6 +31,12 @@ oracle-grid alphas plus 0.99.  One line per report or set says whether the
 two hashes match; for the oracle set it also gives the count of
 bit-identical roots, the largest difference between the two sides and how
 many roots fall outside the other side's Noda enclosure widened by tol.
+The sieve sets (``SIEVE_SETS``) hash ``canonical_masks(n)`` for n = 2..5,
+which holds masks of digraphs that are not strongly connected, and the
+``perm_sieve`` survivors of a seeded sample of n = 6 candidates: the
+k = 2 block of ``canonical_masks``, row 0 ``000011`` and every other row
+drawn from the loop-free rows with at least two ones.  Each side passes
+its sieve the relabelings in the form it takes.
 The exit status is 0 when every hash but the oracle set's matches and no
 oracle root falls outside, and 1 otherwise: a change to the root finders
 may move their last bits but never past a certified enclosure.
@@ -67,8 +73,9 @@ ALPHAS = (0.0, 0.5, 0.9)
 #: verdicts and items
 CHILD = """
 import functools, hashlib, json, sys
-from alphaspectra import campaigns
-from alphaspectra.digraph import to_dgr1
+import numpy as np
+from alphaspectra import _backend, campaigns, digraph
+from alphaspectra.digraph import canonical_masks, to_dgr1
 from alphaspectra.families import FamilySpec, generate
 from alphaspectra.spectral import spectral_radii, spectral_radius
 from perfbench.workloads import ORACLE_ALPHAS, criterion1_grid
@@ -109,6 +116,15 @@ def lemma_derived(trials, seed):
     finally:
         campaigns.spectral_radii = solve
     return calls[1]
+def sieve_sample(n, k, count, seed):
+    rng = np.random.default_rng(seed)
+    masks = np.full(count, ((1 << k) - 1) << digraph._cell_bit(n, 0, n - 1), dtype=np.int64)
+    for i in range(1, n):
+        rows = np.arange(1 << n, dtype=np.int64)
+        rows = rows[((rows >> (n - 1 - i)) & 1 == 0) & (np.bitwise_count(rows) >= k)]
+        masks |= rng.choice(rows, size=count) << digraph._cell_bit(n, i, n - 1)
+    return _backend.perm_sieve(masks, getattr(digraph, "_perm_moves", digraph._perm_bit_table)(n))
+sieves = {"canonical_masks": canonical_masks, "sieve_sample": sieve_sample}
 sets = {
     "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
     "lemma_fleet": lambda: [generate(spec) for spec in campaigns._lemma_fleet()],
@@ -119,6 +135,8 @@ for fn, args in json.load(sys.stdin):
     if fn in solvers:
         text = "".join(f"{r.radius!r} {r.enclosure!r} {r.iterations} {r.perron.tobytes().hex()}\\n"
                        for r in solvers[fn](*args))
+    elif fn in sieves:
+        text = " ".join(map(str, sieves[fn](*args).tolist()))
     elif fn == "enumerate_sc_digraphs":
         text = "".join(f"key {key.hex()}\\n{to_dgr1(d)}" for d, key in classes(*args))
     elif fn in sets:
@@ -155,10 +173,14 @@ SOLVER_SETS = [("spectral_radii_n5", [alpha]) for alpha in (0.0, 0.5, 0.9, 0.99)
 #: with the Noda enclosure of its own side
 ORACLE_SETS = [("oracle_roots", [0.99])]
 
+#: the canonical sieve's survivors: ``canonical_masks(n)``, and a seeded
+#: n = 6 sample of (n, k, count, seed)
+SIEVE_SETS = [("canonical_masks", [n]) for n in range(2, 6)] + [("sieve_sample", [6, 2, 400_000, 6])]
+
 
 def campaign_set() -> list[tuple[str, list]]:
-    """(campaigns function, digraph set, lemma-derived set, solver set or
-    oracle set, arguments) of everything compared."""
+    """(campaigns function, digraph set, lemma-derived set, solver set,
+    oracle set or sieve set, arguments) of everything compared."""
     runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
     runs.append(("verify_transform_lemmas", [500, 20240]))
     for alpha in ALPHAS:
@@ -169,7 +191,7 @@ def campaign_set() -> list[tuple[str, list]]:
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
     runs += [("verify_family_extremes", [family, n, 4, alpha])
              for family, n in (("theta", 40), ("infty", 35)) for alpha in (0.5, 0.95)]
-    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS + ORACLE_SETS
+    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS + ORACLE_SETS + SIEVE_SETS
 
 
 def run_tree(tree: Path, runs: list[tuple[str, list]]) -> list[dict]:
@@ -268,7 +290,8 @@ def main(argv: list[str] | None = None) -> int:
                 line += f"  verdicts {'DIFF' if lines else 'same'}, {describe(counts)}"
         print(f"{line}  {fn}{tuple(call_args)}", *lines, sep="\n")
     same = sum(a["hash"] == b["hash"] for a, b in zip(parent, change))
-    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets, solver sets and oracle sets identical")
+    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets, solver sets, oracle sets and sieve sets "
+          "identical")
     print(f"{same_verdicts} of {reports} reports with the same verdicts; items: {describe(total)}")
     print(f"{roots_outside} oracle roots outside the other side's widened enclosure")
     same_or_enclosed = sum(a["hash"] == b["hash"] or "roots" in a for a, b in zip(parent, change))
