@@ -219,8 +219,9 @@ def _perm_bit_table(n: int) -> np.ndarray:
 def _perm_moves(n: int) -> tuple:
     """Each relabeling sigma after the identity (itertools order) as a step
     moving column v to sigma v, then one moving row v to sigma v: one pair
-    (shift, group) per displacement sigma v - v, shifting the group's bits
-    left.  Row groups are whole rows: the column step can fill the diagonal."""
+    (shift, group) per displacement sigma v - v, the group's bits shifted
+    left by shift (right if negative).  Row groups are whole rows, since the
+    column step can fill the diagonal."""
     rows = [((1 << n) - 1) << _cell_bit(n, v, n - 1) for v in range(n)]
     cols = [sum(1 << _cell_bit(n, i, v) for i in range(n)) for v in range(n)]
     moves = []
@@ -262,7 +263,7 @@ def canonical_masks(n: int) -> np.ndarray:
             masks = (masks[:, None] | row).ravel()
         blocks.append(masks)
     masks = np.concatenate(blocks)
-    del blocks  # freed before the sieve allocates its three buffers, which would otherwise raise peak RSS
+    del blocks  # freed before the sieve allocates its buffers, which would raise the peak RSS
     return _backend.perm_sieve(masks, _perm_moves(n)).astype(np.int64)
 
 
