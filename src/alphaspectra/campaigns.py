@@ -47,16 +47,6 @@ from .spectral import SpectralResult, spectral_radii
 DECISION_MARGIN = 1e-9
 ENUMERATION_MAX_N = 5
 
-#: isomorphism-class counts of strongly connected digraphs; the n = 5 value
-#: was computed once with an independent labeled-enumeration/dedup oracle
-#: and frozen (see tests), the smaller ones are re-derived in the suite.
-SC_CLASS_COUNTS = {2: 1, 3: 5, 4: 83, 5: 5048}
-
-#: labeled (not up-to-isomorphism) strongly connected digraph counts,
-#: frozen from the same oracle run.  Enumeration never builds the labeled
-#: set, so these are only a fixture for the tests' oracles.
-SC_LABELED_COUNTS = {2: 1, 3: 18, 4: 1606, 5: 565080}
-
 
 @dataclass
 class ReportItem:

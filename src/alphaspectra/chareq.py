@@ -71,15 +71,15 @@ def char_equation_for(spec: FamilySpec, alpha: float) -> CharEquation:
     return CharEquation(spec, alpha)
 
 
-def _bip_cubic(x: float, alpha: float, p: int, q: int) -> float:
+def _bip_cubic(x: float, a: float, u: int, v: int) -> float:
     """Cubic bracket of the attached-path equations, as the elimination of
-    the eigen-equation on K_{p,q} leaves it."""
-    a = alpha
+    the eigen-equation on K_{p,q} leaves it: (u, v) = (p, q) for bip1 and
+    bip5, (q, p) for bip2 and bip6."""
     one = (1 - a) * (1 - a)
     return (
-        (x - a * q) * (x - a * p) * (x - a * (q + 1))
-        - one * q * (x - a * q)
-        - one * q * (p - 1) * (x - a * (q + 1))
+        (x - a * v) * (x - a * u) * (x - a * (v + 1))
+        - one * v * (x - a * v)
+        - one * v * (u - 1) * (x - a * (v + 1))
     )
 
 
@@ -98,15 +98,9 @@ def eval_char(eq: CharEquation, x: float) -> float:
         t = (x - 2 * a) / (1 - a)
         return t * t * y ** (n - 2) - (2 * x - 3 * a) / (1 - a) - 1.0
     nn, p, q = spec.npq
-    tail_pow = y ** (nn - p - q)
-    if kind == "bip1":
-        return tail_pow * _bip_cubic(x, a, p, q) - (1 - a) ** 3 * q
-    if kind == "bip2":
-        return tail_pow * _bip_cubic(x, a, q, p) - (1 - a) ** 3 * p
-    if kind == "bip5":
-        return tail_pow * _bip_cubic(x, a, p, q) - (1 - a) * (1 - a) * (x - a * q)
-    # bip6
-    return tail_pow * _bip_cubic(x, a, q, p) - (1 - a) * (1 - a) * (x - a * p)
+    u, v = (p, q) if kind in ("bip1", "bip5") else (q, p)
+    tail = (1 - a) ** 3 * v if kind in ("bip1", "bip2") else (1 - a) * (1 - a) * (x - a * v)
+    return y ** (nn - p - q) * _bip_cubic(x, a, u, v) - tail
 
 
 def _top_outdegrees(spec: FamilySpec) -> tuple[int, int]:

@@ -145,27 +145,6 @@ def is_strongly_connected(d: Digraph) -> bool:
             return fwd == back == full
 
 
-def _reachable_from(d: Digraph, start: int) -> int:
-    """Bitmask of vertices reachable from start (BFS); test oracle helper."""
-    seen = 1 << start
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        fresh = d.out_masks[v] & ~seen
-        seen |= fresh
-        for j in range(d.n):
-            if (fresh >> j) & 1:
-                queue.append(j)
-    return seen
-
-
-def is_strongly_connected_bfs(d: Digraph) -> bool:
-    """Reachability-from-every-vertex oracle; independent of the sweep
-    from vertex 0 in :func:`is_strongly_connected`."""
-    full = (1 << d.n) - 1
-    return all(_reachable_from(d, v) == full for v in range(d.n))
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 
@@ -183,18 +162,9 @@ def unpack_arcs(mask: int, n: int) -> list[Arc]:
     return [(i, j) for i in range(n) for j in range(n) if (mask >> _cell_bit(n, i, j)) & 1]
 
 
-def loop_free_masks(n: int) -> np.ndarray:
-    """Masks of all 2^(n(n-1)) labeled loop-free digraphs on n vertices, ascending."""
-    masks = np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        row = np.arange(1 << n, dtype=np.int64) << _cell_bit(n, i, n - 1)
-        row = row[(row >> _cell_bit(n, i, i)) & 1 == 0]
-        masks = (masks[:, None] | row).ravel()
-    return masks
-
-
 def adjacency_rows_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Out-neighbour bitmask rows, shape (len(masks), n), column-major.
+    """Out-neighbour bitmask rows, shape (len(masks), n), column-major: the
+    input of enumeration's strong filter, ``_backend.sc_filter``.
 
     Column k is n-bit chunk k of the mask: the row of vertex n-1-k, with bit
     n-1-j for head j.  That is the digraph relabeled by v -> n-1-v, so
@@ -243,8 +213,8 @@ def canonical_masks(n: int) -> np.ndarray:
     """The loop-free masks with no zero out-row that equal their
     :func:`min_relabeled_mask`, ascending.
 
-    Only candidates that can win reach the sieve, built one block per k =
-    1..n-1 like :func:`loop_free_masks`: row 0 reads 0...01...1 with k ones,
+    Only candidates that can win reach the sieve, built row by row, one
+    block per k = 1..n-1: row 0 reads 0...01...1 with k ones,
     and every other row has at least k ones.  Any other row 0 is lowered,
     and with it the mask, by the relabeling that fixes vertex 0 and moves
     its heads to the top labels.  A row of k ones in that form lies below
@@ -267,21 +237,15 @@ def canonical_masks(n: int) -> np.ndarray:
     return _backend.perm_sieve(masks, _perm_moves(n)).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
-def _bit_reversal(n: int) -> np.ndarray:
-    """table[r] = the n-bit value r with its bit order reversed."""
-    return np.array([int(f"{r:0{n}b}"[::-1], 2) for r in range(1 << n)], dtype=np.int64)
-
-
 def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:
-    """The digraph of each packed mask, in order: vertex i's out-neighbour
-    mask is column n-1-i of :func:`adjacency_rows_from_masks` with its bits
-    reversed through one cached table.  A diagonal bit raises
-    :class:`LoopArcError`."""
-    outs = _bit_reversal(n)[adjacency_rows_from_masks(masks, n)[:, ::-1]]
-    if ((outs >> np.arange(n)) & 1).any():
+    """The digraph of each packed mask, in order, for the bipartite
+    minimum's exhaustive branch and ``spectra enumerate``: vertex i's
+    out-neighbour mask is row i of :func:`adjacency_stack_from_masks`, bit j
+    for column j.  A diagonal bit raises :class:`LoopArcError`."""
+    adj = adjacency_stack_from_masks(np.asarray(masks, dtype=np.int64), n)
+    if adj.diagonal(axis1=1, axis2=2).any():
         raise LoopArcError("mask with a diagonal bit set")
-    return [Digraph(n, tuple(row)) for row in outs.tolist()]
+    return [Digraph(n, tuple(row)) for row in (adj @ (1 << np.arange(n))).tolist()]
 
 
 def adjacency_stack_from_masks(masks: np.ndarray, n: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from . import _backend
 from .chareq import DEFAULT_TOL, check_alpha, descend_to_largest_root, outdegree_bound
 from .digraph import Digraph, is_strongly_connected, out_degrees
-from .errors import ConvergenceError, NonpositiveVectorError, NotStronglyConnectedError
+from .errors import ConvergenceError, LoopArcError, NonpositiveVectorError, NotStronglyConnectedError
 
 #: Noda iteration converges quadratically near the root, and its start is
 #: already close: over every n = 5 class and the criterion-1 family grid up
@@ -148,7 +148,8 @@ def spectral_radii(
 
     ``alphas`` is one alpha for all or one per digraph.  The digraphs are
     grouped by vertex count, or come as one group: a 0/1 adjacency stack,
-    shape (N, n, n).  Every group's matrices and start are built first; the
+    shape (N, n, n); another shape or entry raises ``ValueError``, and a 1
+    on the diagonal :class:`LoopArcError`.  Every group's matrices and start are built first; the
     start's squarings prove most digraphs strongly connected and the exact
     reach squaring checks the rest, so one that fails raises
     :class:`NotStronglyConnectedError` before anything is solved.  Each
@@ -166,6 +167,10 @@ def spectral_radii(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if isinstance(digraphs, np.ndarray):
+        if digraphs.ndim != 3 or digraphs.shape[1] != digraphs.shape[2] or ((digraphs != 0) & (digraphs != 1)).any():
+            raise ValueError(f"adjacency stack must be (N, n, n) with 0/1 entries, got shape {digraphs.shape}")
+        if digraphs.diagonal(axis1=1, axis2=2).any():
+            raise LoopArcError("adjacency stack with a 1 on the diagonal")
         stacks = [(digraphs.shape[1], range(len(digraphs)), *_matrix_stack(digraphs, alphas))] if len(digraphs) else []
     else:
         groups: dict[int, list[int]] = {}

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from alphaspectra.campaigns import (
-    SC_CLASS_COUNTS,
     enumerate_sc_digraphs,
     verify_bipartite_minimum,
     verify_family_extremes,
@@ -19,6 +18,7 @@ from alphaspectra.campaigns import (
 from alphaspectra.chareq import char_equation_for, kpq_radius, largest_root
 from alphaspectra.families import FamilySpec, format_spec, generate, list_compositions
 from alphaspectra.spectral import det_scan_largest_real_root, spectral_radii, spectral_radius
+from oracles import SC_CLASS_COUNTS
 
 ALPHA_GRID = [0.0, 0.25, 0.5, 0.75]
 #: criterion 1 also covers the alphas where roots crowd below the radius

@@ -9,7 +9,7 @@ import pytest
 
 import alphaspectra as ap
 from alphaspectra import _backend, campaigns, digraph
-from alphaspectra.campaigns import SC_CLASS_COUNTS, SC_LABELED_COUNTS, enumerate_sc_digraphs, random_sc_digraph
+from alphaspectra.campaigns import enumerate_sc_digraphs, random_sc_digraph
 from alphaspectra.digraph import (
     CanonicalKey,
     _cell_bit,
@@ -18,8 +18,6 @@ from alphaspectra.digraph import (
     adjacency_rows_from_masks,
     canonical_masks,
     digraphs_from_masks,
-    is_strongly_connected_bfs,
-    loop_free_masks,
     make_digraph,
     min_relabeled_mask,
     pack_arcs,
@@ -28,6 +26,7 @@ from alphaspectra.digraph import (
 from alphaspectra.errors import LoopArcError
 from alphaspectra.families import FamilySpec, generate
 from alphaspectra.spectral import build_alpha_matrix
+from oracles import SC_CLASS_COUNTS, SC_LABELED_COUNTS, is_strongly_connected_bfs, loop_free_masks
 
 
 def random_matrices(count, seed):
@@ -279,14 +278,24 @@ class TestNumpyKernels:
 
     def test_canonical_masks_match_sieved_loop_free_masks(self):
         # the candidates built by the min-outdegree rule sieve to the
-        # canonical masks of every labeled digraph with no zero out-row
-        for n in (2, 3, 4, 5):
+        # canonical masks of every labeled digraph with no zero out-row, by
+        # perm_min over the bit table, which shares nothing with the sieve:
+        # all of them at n <= 4; at n = 5 every returned mask is minimal and
+        # the minimum of each of 3000 sampled no-sink masks is returned
+        for n in (2, 3, 4):
             masks = loop_free_masks(n)
             no_sink = masks[(adjacency_rows_from_masks(masks, n) != 0).all(axis=1)]
-            want = _backend.perm_sieve(no_sink, _perm_moves(n))
+            want = no_sink[no_sink == _backend.perm_min(no_sink, _perm_bit_table(n))]
             got = canonical_masks(n)
             assert got.dtype == np.int64
             assert got.tolist() == want.tolist(), n
+        got, rng = canonical_masks(5), np.random.default_rng(5)
+        assert (got == _backend.perm_min(got, _perm_bit_table(5))).all()
+        sample = np.zeros(3000, dtype=np.int64)
+        for i in range(5):
+            rows = np.arange(1, 1 << 5, dtype=np.int64)
+            sample |= rng.choice(rows[(rows >> (4 - i)) & 1 == 0], size=3000) << _cell_bit(5, i, 4)
+        assert np.isin(_backend.perm_min(sample, _perm_bit_table(5)), got).all()
 
     def test_digraphs_from_masks_matches_make_digraph(self):
         samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]

@@ -9,8 +9,6 @@ import pytest
 
 from alphaspectra import _backend, campaigns, digraph, families, spectral
 from alphaspectra.campaigns import (
-    SC_CLASS_COUNTS,
-    SC_LABELED_COUNTS,
     decide_order,
     enumerate_sc_digraphs,
     judge_claim,
@@ -28,13 +26,13 @@ from alphaspectra.digraph import (
     delete_arc,
     digraphs_from_masks,
     is_strongly_connected,
-    is_strongly_connected_bfs,
     make_digraph,
     subdivide_arc,
 )
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
+from oracles import SC_CLASS_COUNTS, SC_LABELED_COUNTS, is_strongly_connected_bfs
 
 
 def decoded_classes(n):

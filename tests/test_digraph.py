@@ -11,7 +11,6 @@ from alphaspectra.digraph import (
     delete_arc,
     from_dgr1,
     is_strongly_connected,
-    is_strongly_connected_bfs,
     make_digraph,
     out_degrees,
     read_dgr1,
@@ -29,6 +28,7 @@ from alphaspectra.errors import (
     TooLargeError,
 )
 from alphaspectra.families import FamilySpec, generate
+from oracles import is_strongly_connected_bfs
 
 
 def cycle(n):

@@ -10,13 +10,13 @@ from alphaspectra.digraph import (
     delete_arc,
     digraphs_from_masks,
     is_strongly_connected,
-    is_strongly_connected_bfs,
     make_digraph,
     out_degrees,
 )
 from alphaspectra.errors import (
     AlphaRangeError,
     ConvergenceError,
+    LoopArcError,
     NonpositiveVectorError,
     NotStronglyConnectedError,
 )
@@ -38,6 +38,7 @@ from alphaspectra.spectral import (
     spectral_radii,
     spectral_radius,
 )
+from oracles import is_strongly_connected_bfs
 
 
 def cycle(n):
@@ -203,6 +204,13 @@ class TestMaskStack:
         with pytest.raises(ValueError):
             spectral_radii(adj, [0.5])
         assert spectral_radii(adj[:0], 0.5) == []
+        # a loop counts toward the outdegree and an entry 2 is not an arc:
+        # both gave a radius, of another matrix, before the check
+        with pytest.raises(LoopArcError):
+            spectral_radii(np.array([[[1, 1], [1, 0]]]), 0.5)
+        for bad in (np.array([[[0, 2], [1, 0]]]), np.array([[[0, 0.5], [1, 0]]]), np.zeros((1, 2, 3)), adj[0]):
+            with pytest.raises(ValueError, match=r"must be \(N, n, n\) with 0/1 entries"):
+                spectral_radii(bad, 0.5)
 
 
 class TestRowSumBounds:

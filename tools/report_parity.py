@@ -35,8 +35,8 @@ The sieve sets (``SIEVE_SETS``) hash ``canonical_masks(n)`` for n = 2..5,
 which holds masks of digraphs that are not strongly connected, and the
 ``perm_sieve`` survivors of a seeded sample of n = 6 candidates: the
 k = 2 block of ``canonical_masks``, row 0 ``000011`` and every other row
-drawn from the loop-free rows with at least two ones.  Each side passes
-its sieve the relabelings in the form it takes.
+drawn from the loop-free rows with at least two ones, sieved by
+``digraph._perm_moves``.
 The exit status is 0 when every hash but the oracle set's matches and no
 oracle root falls outside, and 1 otherwise: a change to the root finders
 may move their last bits but never past a certified enclosure.
@@ -123,7 +123,7 @@ def sieve_sample(n, k, count, seed):
         rows = np.arange(1 << n, dtype=np.int64)
         rows = rows[((rows >> (n - 1 - i)) & 1 == 0) & (np.bitwise_count(rows) >= k)]
         masks |= rng.choice(rows, size=count) << digraph._cell_bit(n, i, n - 1)
-    return _backend.perm_sieve(masks, getattr(digraph, "_perm_moves", digraph._perm_bit_table)(n))
+    return _backend.perm_sieve(masks, digraph._perm_moves(n))
 sieves = {"canonical_masks": canonical_masks, "sieve_sample": sieve_sample}
 sets = {
     "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
