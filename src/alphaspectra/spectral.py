@@ -149,14 +149,14 @@ def spectral_radii(
     ``alphas`` is one alpha for all or one per digraph.  The digraphs are
     grouped by vertex count, or come as one group: a 0/1 adjacency stack,
     shape (N, n, n); another shape or entry raises ``ValueError``, and a 1
-    on the diagonal :class:`LoopArcError`.  Every group's matrices and start are built first; the
-    start's squarings prove most digraphs strongly connected and the exact
-    reach squaring checks the rest, so one that fails raises
-    :class:`NotStronglyConnectedError` before anything is solved.  Each
-    group is then solved in one stacked call of the Noda kernel, each
-    digraph at its own alpha; one that is slow or retries holds up no other.  Every result obeys the rules of the
-    one-digraph case, and one that misses tol raises
-    :class:`ConvergenceError` for the whole call.
+    on the diagonal :class:`LoopArcError`.  Every group's matrices and
+    start are built first; the start's squarings prove most digraphs
+    strongly connected and the exact reach squaring checks the rest, so one
+    that fails raises :class:`NotStronglyConnectedError` before anything is
+    solved.  Each group is then solved in one stacked call of the Noda
+    kernel, each digraph at its own alpha; one that is slow or retries holds
+    up no other.  Every result obeys the rules of the one-digraph case, and
+    one that misses tol raises :class:`ConvergenceError` for the whole call.
     """
     digraphs = digraphs if isinstance(digraphs, np.ndarray) else list(digraphs)
     if isinstance(alphas, numbers.Real):
@@ -167,7 +167,8 @@ def spectral_radii(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if isinstance(digraphs, np.ndarray):
-        if digraphs.ndim != 3 or digraphs.shape[1] != digraphs.shape[2] or ((digraphs != 0) & (digraphs != 1)).any():
+        square = digraphs.ndim == 3 and 0 < digraphs.shape[1] == digraphs.shape[2]
+        if not square or ((digraphs != 0) & (digraphs != 1)).any():
             raise ValueError(f"adjacency stack must be (N, n, n) with 0/1 entries, got shape {digraphs.shape}")
         if digraphs.diagonal(axis1=1, axis2=2).any():
             raise LoopArcError("adjacency stack with a 1 on the diagonal")

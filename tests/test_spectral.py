@@ -208,7 +208,8 @@ class TestMaskStack:
         # both gave a radius, of another matrix, before the check
         with pytest.raises(LoopArcError):
             spectral_radii(np.array([[[1, 1], [1, 0]]]), 0.5)
-        for bad in (np.array([[[0, 2], [1, 0]]]), np.array([[[0, 0.5], [1, 0]]]), np.zeros((1, 2, 3)), adj[0]):
+        for bad in (np.array([[[0, 2], [1, 0]]]), np.array([[[0, 0.5], [1, 0]]]), np.zeros((1, 2, 3)), adj[0],
+                    adj[:, :0, :0]):
             with pytest.raises(ValueError, match=r"must be \(N, n, n\) with 0/1 entries"):
                 spectral_radii(bad, 0.5)
 
