@@ -10,7 +10,7 @@ Kernels:
   min/max quotient bounds ``(x, lo, hi, iterations)``, one row per matrix.
   The name predates Noda iteration; the benchmark's tracer binds it.
 * ``det_via_lu(a)`` -- determinant from LAPACK's LU factorization.
-* ``sc_filter(rows, n)`` -- strong-connectivity flags for a batch of
+* ``sc_filter(rows)`` -- strong-connectivity flags for a batch of
   digraphs given as per-vertex out-neighbour bitmasks.
 * ``perm_min(masks, table)`` -- minimum over vertex relabelings of packed
   adjacency bitmasks, given a bit-relocation table.
@@ -163,15 +163,17 @@ def det_via_lu(a: np.ndarray) -> float:
     return float(_umath_linalg.det(a))
 
 
-def sc_filter(rows: np.ndarray, n: int) -> np.ndarray:
+def sc_filter(rows: np.ndarray) -> np.ndarray:
     """Strong-connectivity flags for a batch of bitmask adjacency rows.
 
     rows[t, i] holds the out-neighbour set of vertex i of digraph t as an
-    n-bit mask.  Runs the sweep of ``digraph.is_strongly_connected``
-    across the batch, one vertex column at a time, for a fixed n - 1
-    sweeps, which reach every vertex within distance n - 1.
+    n-bit mask, n = rows.shape[1].  Runs the sweep of
+    ``digraph.is_strongly_connected`` across the batch, one vertex column at
+    a time, for a fixed n - 1 sweeps, which reach every vertex within
+    distance n - 1.
     """
-    fwd = np.ones(rows.shape[0], dtype=np.int64)
+    count, n = rows.shape
+    fwd = np.ones(count, dtype=np.int64)
     back = fwd.copy()
     for _ in range(n - 1):
         for v in range(n):

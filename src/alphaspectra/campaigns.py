@@ -208,7 +208,7 @@ def enumerate_sc_digraphs(n: int) -> np.ndarray:
     if n > ENUMERATION_MAX_N:
         raise TooLargeError(f"full enumeration capped at n={ENUMERATION_MAX_N}, got {n}")
     canon = canonical_masks(n)
-    masks = canon[_backend.sc_filter(adjacency_rows_from_masks(canon, n), n)]
+    masks = canon[_backend.sc_filter(adjacency_rows_from_masks(canon, n))]
     masks.flags.writeable = False
     return masks
 
@@ -447,7 +447,7 @@ def _deletable_arcs(digraphs: list[Digraph]) -> list[list[Arc]]:
         rows = np.repeat(masks, [len(digraphs[k].arcs) for k in members], axis=0)
         tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
         rows[np.arange(len(rows)), tails] ^= 1 << heads
-        for k, arc, strong in zip(owners, arcs, _backend.sc_filter(rows, n).tolist()):
+        for k, arc, strong in zip(owners, arcs, _backend.sc_filter(rows).tolist()):
             if strong:
                 keep[k].append(arc)
     return keep

@@ -391,8 +391,6 @@ def from_dgr1(text: str) -> Digraph:
     if not text.endswith("\n"):
         raise ParseError("missing final newline", pos=len(text), expected="newline")
     lines = text.split("\n")[:-1]
-    if not lines:
-        raise ParseError("empty input", pos=0, expected="'dgr1 <n>' header")
     head = lines[0].split(" ")
     if len(head) != 2 or head[0] != "dgr1" or not _ascii_decimal(head[1]):
         raise ParseError(f"bad header {lines[0]!r}", pos=0, expected="'dgr1 <n>'")

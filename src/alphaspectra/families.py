@@ -20,8 +20,10 @@ Families and the text syntax used by the CLI:
                           middle vertices, one per direction
 ========================  =======================================
 
-Labelings are fixed so that identical specs always produce identical
-labeled digraphs:
+Every generator is its core arcs plus directed paths through fresh
+vertices, each path's interior numbered in increasing order.  Labelings
+are fixed so that identical specs always produce identical labeled
+digraphs:
 
 * infty: hub 0, cycle i on the next k_i fresh vertices in order.
 * theta: u = 0 (the out-degree-s hub), v = 1, then the path interiors in
@@ -113,15 +115,13 @@ class FamilySpec:
     @property
     def n_vertices(self) -> int:
         k = self.kind
-        if k in ("cycle", "complete", "gprime", "g1", "g2"):
-            return self.params[0]
         if k == "kpq":
             return self.params[0] + self.params[1]
         if k == "infty":
             return sum(self.params) + 1
         if k == "theta":
-            return sum(self.params[:-1]) + self.params[-1] + 2
-        return self.params[0]  # bip
+            return sum(self.params) + 2
+        return self.params[0]  # cycle, complete, bip, gprime, g1, g2
 
     @property
     def npq(self) -> tuple[int, int, int]:
@@ -156,7 +156,7 @@ def validate_spec(spec: FamilySpec) -> None:
             raise InvalidSpecError("theta path lengths must be >= 0")
         if any(ks[i] > ks[i + 1] for i in range(len(ks) - 1)):
             raise InvalidSpecError("theta path lengths must be nondecreasing")
-        if len(ks) > 1 and ks[1] == 0:
+        if ks[1] == 0:
             raise InvalidSpecError("at most one zero-length path (no duplicate arc u->v)")
     elif k in _BIP_KINDS:
         if len(ps) != 3:
@@ -182,48 +182,38 @@ def validate_spec(spec: FamilySpec) -> None:
 def generate(spec: FamilySpec) -> Digraph:
     """Build the labeled digraph for a family descriptor."""
     validate_spec(spec)
-    k = spec.kind
+    k, n = spec.kind, spec.n_vertices
     if k == "cycle":
-        n = spec.params[0]
-        return make_digraph(n, [(i, (i + 1) % n) for i in range(n)])
-    if k == "complete":
-        n = spec.params[0]
-        return make_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
-    if k == "kpq":
-        return make_digraph(spec.n_vertices, _kpq_arcs(*spec.params))
-    if k == "infty":
-        arcs = []
-        nxt = 1
-        for ki in spec.params:
-            cyc = [0] + list(range(nxt, nxt + ki)) + [0]
-            arcs.extend(zip(cyc, cyc[1:]))
+        arcs = _path(0, 1, n, 0)
+    elif k == "complete":
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    elif k == "kpq":
+        arcs = _kpq_arcs(*spec.params)
+    elif k in ("infty", "theta"):
+        # infty: cycles from hub 0 back to 0; theta: paths u = 0 -> v = 1
+        v = int(k == "theta")
+        arcs, nxt = [], 1 + v
+        for ki in spec.ks:
+            arcs += _path(0, nxt, nxt + ki, v)
             nxt += ki
-        return make_digraph(nxt, arcs)
-    if k == "theta":
-        ks, l1 = spec.ks, spec.l1
-        arcs = []
-        nxt = 2
-        for ki in ks:
-            path = [0] + list(range(nxt, nxt + ki)) + [1]
-            arcs.extend(zip(path, path[1:]))
-            nxt += ki
-        back = [1] + list(range(nxt, nxt + l1)) + [0]
-        arcs.extend(zip(back, back[1:]))
-        return make_digraph(nxt + l1, arcs)
-    if k in _BIP_KINDS:
-        return _generate_bip(int(k[3]), *spec.npq)
-    # gprime / g1 / g2
-    n = spec.params[0]
-    if k == "gprime":
-        arcs = [(0, 2), (0, 1), (1, 2), (1, 3)]
-        chain = [2] + list(range(3, n)) + [0]
-        arcs.extend(zip(chain, chain[1:]))
-        return make_digraph(n, arcs)
-    arcs = [(0, 1), (1, 3), (0, 2), (2, 3)]
-    chain = [3] + list(range(4, n)) + [0]
-    arcs.extend(zip(chain, chain[1:]))
-    arcs.append((1, 2) if k == "g1" else (2, 1))
+        if v:
+            arcs += _path(1, nxt, n, 0)
+    elif k in _BIP_KINDS:
+        _, p, q = spec.npq
+        start, end = ((0, p - 1), (p, p + q - 1), (0, 0), (p, p), (0, p), (p, 0))[int(k[3]) - 1]
+        arcs = _kpq_arcs(p, q) + _path(start, p + q, n, end)
+    elif k == "gprime":
+        arcs = [(0, 2), (0, 1), (1, 2), (1, 3)] + _path(2, 3, n, 0)
+    else:  # g1 / g2
+        chord = (1, 2) if k == "g1" else (2, 1)
+        arcs = [(0, 1), (1, 3), (0, 2), (2, 3), chord] + _path(3, 4, n, 0)
     return make_digraph(n, arcs)
+
+
+def _path(a: int, first: int, stop: int, b: int) -> list[tuple[int, int]]:
+    """The arcs of the directed path from a through first .. stop-1 to b."""
+    verts = [a, *range(first, stop), b]
+    return list(zip(verts, verts[1:]))
 
 
 def _kpq_arcs(p: int, q: int) -> list[tuple[int, int]]:
@@ -231,25 +221,11 @@ def _kpq_arcs(p: int, q: int) -> list[tuple[int, int]]:
     return [arc for u in range(p) for w in range(p, p + q) for arc in ((u, w), (w, u))]
 
 
-def _generate_bip(kind: int, n: int, p: int, q: int) -> Digraph:
-    arcs = _kpq_arcs(p, q)
-    # attached directed path through the fresh vertices p+q .. n-1
-    starts = {1: 0, 2: p, 3: 0, 4: p, 5: 0, 6: p}
-    ends = {1: p - 1, 2: p + q - 1, 3: 0, 4: p, 5: p, 6: 0}
-    path = [starts[kind]] + list(range(p + q, n)) + [ends[kind]]
-    arcs.extend(zip(path, path[1:]))
-    return make_digraph(n, arcs)
-
-
 # ---------------------------------------------------------------------------
 # enumeration of compositions
 
 def _nondecreasing_sums(total: int, parts: int, minval: int):
-    """All nondecreasing tuples of `parts` ints >= minval summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """All nondecreasing tuples of `parts` >= 1 ints >= minval summing to total."""
     if parts == 1:
         if total >= minval:
             yield (total,)
@@ -261,23 +237,15 @@ def _nondecreasing_sums(total: int, parts: int, minval: int):
 
 def list_compositions(family: str, n: int, s: int) -> list[FamilySpec]:
     """All valid family members at the given vertex count and cycle count."""
+    if family not in ("infty", "theta"):
+        raise InvalidSpecError(f"list_compositions supports infty/theta, got {family!r}")
+    if s < 2 or n < s + 1:
+        raise InfeasibleError(f"no {family} family at n={n}, s={s}")
     if family == "infty":
-        if s < 2 or n < s + 1:
-            raise InfeasibleError(f"no infty family at n={n}, s={s}")
         return [FamilySpec.infty(*ks) for ks in _nondecreasing_sums(n - 1, s, 1)]
-    if family == "theta":
-        if s < 2 or n < s + 1:
-            raise InfeasibleError(f"no theta family at n={n}, s={s}")
-        out = []
-        for l1 in range(0, n - 1):
-            for ks in _nondecreasing_sums(n - 2 - l1, s, 0):
-                if len(ks) > 1 and ks[1] == 0:
-                    continue  # duplicate arc u -> v
-                out.append(FamilySpec.theta(ks, l1))
-        if not out:
-            raise InfeasibleError(f"no theta family at n={n}, s={s}")
-        return out
-    raise InvalidSpecError(f"list_compositions supports infty/theta, got {family!r}")
+    # ks[1] == 0 would duplicate the arc u -> v
+    return [FamilySpec.theta(ks, l1) for l1 in range(n - 1)
+            for ks in _nondecreasing_sums(n - 2 - l1, s, 0) if ks[1] > 0]
 
 
 def list_bicyclic(n: int) -> list[FamilySpec]:

@@ -86,8 +86,9 @@ def _reach_strong(m: np.ndarray) -> np.ndarray:
     return (reach > 0).all(axis=(1, 2))
 
 
-def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
-    """:func:`_matrix_stack` of n-vertex digraphs, unpacked from the out-masks."""
+def _alpha_stack(digraphs: list[Digraph], alphas: list[float]):
+    """:func:`_matrix_stack` of same-size digraphs, unpacked from the out-masks."""
+    n = digraphs[0].n
     width = (n + 7) // 8
     raw = b"".join([m.to_bytes(width, "little") for d in digraphs for m in d.out_masks])
     bits = np.frombuffer(raw, np.uint8).reshape(len(digraphs), n, width)
@@ -96,7 +97,7 @@ def _alpha_stack(digraphs: list[Digraph], n: int, alphas: list[float]):
 
 def build_alpha_matrix(d: Digraph, alpha: float) -> np.ndarray:
     """Entry (i, i) = alpha * outdeg(i); entry (i, j) = 1 - alpha on arcs."""
-    return _alpha_stack([d], d.n, [check_alpha(alpha)])[0][0]
+    return _alpha_stack([d], [check_alpha(alpha)])[0][0]
 
 
 def row_sum_bounds(d: Digraph) -> Interval:
@@ -177,7 +178,7 @@ def spectral_radii(
         groups: dict[int, list[int]] = {}
         for k, d in enumerate(digraphs):
             groups.setdefault(d.n, []).append(k)
-        stacks = [(n, members, *_alpha_stack([digraphs[k] for k in members], n, [alphas[k] for k in members]))
+        stacks = [(n, members, *_alpha_stack([digraphs[k] for k in members], [alphas[k] for k in members]))
                   for n, members in groups.items()]
     stacks = [(n, members, m, tops, *_backend._squared_start(m)) for n, members, m, tops in stacks]
     if not all(strong.all() or _reach_strong(m[~strong]).all() for _, _, m, _, _, strong in stacks):

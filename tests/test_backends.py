@@ -222,13 +222,13 @@ class TestNumpyKernels:
         masks = loop_free_masks(3)
         assert len(masks) == 64
         rows = adjacency_rows_from_masks(masks, 3)
-        flags = _backend.sc_filter(rows, 3)
+        flags = _backend.sc_filter(rows)
         assert int(flags.sum()) == 18
 
     def test_sc_filter_matches_bfs(self):
         for n in (2, 3, 4):
             masks = loop_free_masks(n)
-            flags = _backend.sc_filter(adjacency_rows_from_masks(masks, n), n)
+            flags = _backend.sc_filter(adjacency_rows_from_masks(masks, n))
             expected = [is_strongly_connected_bfs(make_digraph(n, unpack_arcs(int(m), n))) for m in masks]
             assert flags.tolist() == expected
 
@@ -316,7 +316,7 @@ class TestNumpyKernels:
         # strong connectivity, minimize each survivor, dedupe
         for n in (2, 3, 4, 5):
             masks = loop_free_masks(n)
-            sc_masks = masks[_backend.sc_filter(adjacency_rows_from_masks(masks, n), n)]
+            sc_masks = masks[_backend.sc_filter(adjacency_rows_from_masks(masks, n))]
             assert len(sc_masks) == SC_LABELED_COUNTS[n]
             want = np.unique(min_relabeled_mask(sc_masks, n)).tolist()
             classes = enumerate_sc_digraphs(n)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -163,6 +164,10 @@ class TestFamilyExtremes:
     def test_bicyclic_needs_n5(self):
         with pytest.raises(InfeasibleError):
             verify_family_extremes("bicyclic", 4, 2, 0.0)
+
+    def test_unknown_family(self):
+        with pytest.raises(InvalidParamsError, match="unknown family campaign 'foo'"):
+            verify_family_extremes("foo", 5, 2, 0.0)
 
 
 class TestGlobalMinima:
@@ -375,6 +380,32 @@ class TestTransformLemmas:
         base, arc, alpha = seen[0]
         assert f"; violations: random-n{base.n}-t0 arc {arc} alpha={alpha}; " in sub.detail
         assert all(v.status == "pass" for v in by_name.values())
+
+    def test_perron_order_violation_reported(self, monkeypatch):
+        # The bases' Perron vectors are replaced by one that falls by 1 per
+        # out-arc and rises by 1e-3 per label: of a nested pair the larger
+        # out-neighbourhood gets the smaller entry, and an equal pair is
+        # split.  The bases are the first of the two batch calls.
+        real_radii = campaigns.spectral_radii
+        calls = []
+
+        def radii(digraphs, alphas, *args):
+            real = real_radii(digraphs, alphas, *args)
+            calls.append(len(digraphs))
+            if len(calls) > 1:
+                return real
+            return [
+                dataclasses.replace(r, perron=np.array([1e-3 * v - m.bit_count() for v, m in enumerate(d.out_masks)]))
+                for d, r in zip(digraphs, real)
+            ]
+
+        monkeypatch.setattr(campaigns, "spectral_radii", radii)
+        report = verify_transform_lemmas(1, seed=3)
+        order = next(v for v in report.verdicts if v.claim == "perron-order lemma")
+        assert order.status == "fail"
+        assert re.search(r"; violations: \S+ nested-nbhd \d+,\d+ alpha=0\.0; ", order.detail), order.detail
+        assert re.search(r"; \S+ equal-nbhd \d+,\d+ alpha=0\.", order.detail), order.detail
+        assert len(calls) == 2
 
 
 def per_pair_sc_digraph(rng, n):

@@ -282,6 +282,11 @@ class TestKpqRadius:
         with pytest.raises(AlphaRangeError):
             kpq_radius(2, 2, 1.0)
 
+    def test_part_sizes_at_least_one(self):
+        for p, q in ((0, 2), (2, 0)):
+            with pytest.raises(InvalidSpecError, match=f"kpq needs p, q >= 1, got {p}, {q}"):
+                kpq_radius(p, q, 0.5)
+
     def test_inside_the_noda_enclosure_near_alpha_one(self):
         pairs = [(p, q) for p in range(1, 21) for q in range(p, 41 - p)]
         digraphs = [generate(FamilySpec.kpq(p, q)) for p, q in pairs]

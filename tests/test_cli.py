@@ -226,6 +226,17 @@ class TestSweep:
         assert {r[0] for r in rows[1:]} == {"cycle:5", "infty:1,2"}
         assert all(abs(float(r[2]) - 1.0) < 1e-12 for r in rows[1:] if r[0] == "cycle:5")
 
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        spec_list = tmp_path / "specs.txt"
+        spec_list.write_text("cycle:5\ntheta:0,1;2\n")
+        argv = ["sweep", "--spec-list", str(spec_list), "--alpha-from", "0", "--alpha-to", "0.9", "--steps", "4"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "f.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout and stdout.count("\n") == 1 + 2 * 4
+
     def test_rejected_sweep_creates_no_file(self, tmp_path, capsys):
         spec_list = tmp_path / "specs.txt"
         spec_list.write_text("cycle:5\n")
@@ -263,6 +274,13 @@ class TestExitCodes:
                 main(["verify", "--campaign", "global-min", "--alpha-grid", grid])
             assert exc.value.code == 2, grid
         assert "empty alpha grid" in capsys.readouterr().err
+
+    def test_bad_alpha_grid_is_2(self, capsys):
+        for grid in ("0,x", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--campaign", "global-min", "--alpha-grid", grid])
+            assert exc.value.code == 2, grid
+        assert "bad alpha grid '0,x'" in capsys.readouterr().err
 
     def test_nonpositive_trials_is_2(self, capsys):
         for trials in ("0", "-3", "x"):

@@ -22,6 +22,7 @@ from alphaspectra.errors import (
     DuplicateArcError,
     LoopArcError,
     MissingArcError,
+    NotStronglyConnectedError,
     OutOfRangeError,
     ParseError,
     PreconditionError,
@@ -246,6 +247,19 @@ class TestRetarget:
         with pytest.raises(PreconditionError):
             retarget_in_arcs(cycle(4), {1}, 0, 2)
 
+    @pytest.mark.parametrize(
+        "sources, p, q, error, message",
+        [
+            ({3}, 0, 0, PreconditionError, "p and q must differ"),
+            ({3}, 0, 4, OutOfRangeError, "vertex 4 outside 0..3"),
+            ({5}, 0, 1, OutOfRangeError, "source 5 outside 0..3"),
+            ({1}, 2, 1, PreconditionError, "source 1 equals the new head q"),
+        ],
+    )
+    def test_rejected_move(self, sources, p, q, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            retarget_in_arcs(cycle(4), sources, p, q)
+
     def test_preserves_counts(self):
         d = generate(FamilySpec.infty(1, 3))
         moved = retarget_in_arcs(d, {1}, 0, 2)
@@ -259,6 +273,10 @@ class TestBipartition:
 
     def test_odd_cycle(self):
         assert bipartition(cycle(3)) is None
+
+    def test_needs_strong_connectivity(self):
+        with pytest.raises(NotStronglyConnectedError):
+            bipartition(make_digraph(2, [(0, 1)]))
 
     def test_b5_parts(self):
         parts = bipartition(generate(FamilySpec.bip(5, 6, 2, 2)))
@@ -312,6 +330,11 @@ class TestContainsKpq:
         with pytest.raises(TooLargeError):
             contains_bidirected_kpq(cycle(11), 2, 2)
 
+    def test_part_sizes_at_least_one(self):
+        for p, q in ((0, 2), (2, 0)):
+            with pytest.raises(OutOfRangeError, match="part sizes must be at least 1"):
+                contains_bidirected_kpq(cycle(4), p, q)
+
 
 class TestDgr1:
     def test_round_trip(self):
@@ -328,6 +351,7 @@ class TestDgr1:
         "text",
         [
             "",
+            "\n",
             "dgr2 3\n",
             "dgr1 x\n",
             "dgr1 3",  # missing newline

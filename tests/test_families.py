@@ -45,22 +45,39 @@ def all_small_specs():
     return specs
 
 
+#: both arcs between the parts {0, 1, 2} and {3, 4} of the bip rows' K_{3,2}
+K32 = [(0, 3), (3, 0), (0, 4), (4, 0), (1, 3), (3, 1), (1, 4), (4, 1), (2, 3), (3, 2), (2, 4), (4, 2)]
+
+#: one member of every kind with its arcs written out from the module
+#: docstring's labelings: cores first, then each path through fresh vertices
+LABELED = [
+    ("cycle:4", [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ("complete:3", [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]),
+    ("kpq:2,1", [(0, 2), (2, 0), (1, 2), (2, 1)]),
+    ("infty:1,1", [(0, 1), (1, 0), (0, 2), (2, 0)]),
+    ("infty:1,1,2", [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+    ("theta:0,1;0", [(0, 1), (0, 2), (2, 1), (1, 0)]),
+    ("theta:0,1,2;2", [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 0)]),
+    ("bip1:8,3,2", K32 + [(0, 5), (5, 6), (6, 7), (7, 2)]),
+    ("bip2:8,3,2", K32 + [(3, 5), (5, 6), (6, 7), (7, 4)]),
+    ("bip3:8,3,2", K32 + [(0, 5), (5, 6), (6, 7), (7, 0)]),
+    ("bip4:8,3,2", K32 + [(3, 5), (5, 6), (6, 7), (7, 3)]),
+    ("bip5:6,2,2", [(0, 2), (2, 0), (0, 3), (3, 0), (1, 2), (2, 1), (1, 3), (3, 1), (0, 4), (4, 5), (5, 2)]),
+    ("bip5:9,3,2", K32 + [(0, 5), (5, 6), (6, 7), (7, 8), (8, 3)]),
+    ("bip6:9,3,2", K32 + [(3, 5), (5, 6), (6, 7), (7, 8), (8, 0)]),
+    ("gprime:6", [(0, 2), (0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 0)]),
+    ("g1:6", [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2), (3, 4), (4, 5), (5, 0)]),
+    ("g2:6", [(0, 1), (1, 3), (0, 2), (2, 3), (2, 1), (3, 4), (4, 5), (5, 0)]),
+]
+
+
 class TestGenerate:
-    def test_infty_11(self):
-        d = generate(FamilySpec.infty(1, 1))
-        assert d.n == 3
-        assert frozenset(d.arcs) == frozenset([(0, 1), (1, 0), (0, 2), (2, 0)])
-
-    def test_theta_010(self):
-        d = generate(FamilySpec.theta((0, 1), 0))
-        assert d.n == 3
-        assert frozenset(d.arcs) == frozenset([(0, 1), (0, 2), (2, 1), (1, 0)])
-
-    def test_bip5_622(self):
-        d = generate(FamilySpec.bip(5, 6, 2, 2))
-        kpq_arcs = {(u, w) for u in (0, 1) for w in (2, 3)}
-        kpq_arcs |= {(w, u) for u in (0, 1) for w in (2, 3)}
-        assert frozenset(d.arcs) == frozenset(kpq_arcs | {(0, 4), (4, 5), (5, 2)})
+    @pytest.mark.parametrize("text, arcs", LABELED, ids=[text for text, _ in LABELED])
+    def test_labels(self, text, arcs):
+        d = generate(parse_spec(text))
+        assert d.n == 1 + max(max(arc) for arc in arcs)
+        assert len(d.arcs) == len(arcs)
+        assert frozenset(d.arcs) == frozenset(arcs)
 
     def test_all_strongly_connected(self):
         for spec in all_small_specs():
@@ -124,6 +141,9 @@ class TestInvalidSpecs:
             FamilySpec("bip1", (5, 3, 2)),
             FamilySpec("gprime", (4,)),
             FamilySpec("g1", (4,)),
+            FamilySpec("nope", (3,)),
+            FamilySpec("theta", (-1, 1, 0)),
+            FamilySpec("theta", (2, 1, 0)),
         ],
     )
     def test_rejected(self, bad):
@@ -151,6 +171,10 @@ class TestCompositions:
             list_compositions("infty", 3, 3)
         with pytest.raises(InfeasibleError):
             list_compositions("theta", 3, 3)
+
+    def test_unknown_family(self):
+        with pytest.raises(InvalidSpecError, match="supports infty/theta, got 'cycle'"):
+            list_compositions("cycle", 5, 2)
 
     def test_theta_minimal_n(self):
         # the one-member domain at n = s + 1
@@ -226,11 +250,17 @@ class TestSpecSyntax:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "cycle", "cycle:", "nope:3", "theta:0,1", "kpq:2", "cycle:2,3", "infty:1,a", "bip1:8,2"],
+        ["", "cycle", "cycle:", "nope:3", "theta:0,1", "kpq:2", "cycle:2,3", "infty:1,a", "bip1:8,2",
+         "theta:0,1;2,3"],
     )
     def test_parse_errors(self, text):
         with pytest.raises((ParseError, InvalidSpecError)):
             parse_spec(text)
+
+    @pytest.mark.parametrize("attr", ["ks", "l1", "npq"])
+    def test_accessor_of_another_kind(self, attr):
+        with pytest.raises(InvalidSpecError, match="^cycle has no "):
+            getattr(FamilySpec.cycle(3), attr)
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -79,7 +79,7 @@ class TestBuildMatrix:
         for n in (1, 2, 5, 8):
             digraphs = [random_sc_digraph(rng, n) for _ in range(6)]
             alphas = [0.0, 0.1, 0.5, 0.75, 0.9, 0.95]
-            stack, tops = _alpha_stack(digraphs, n, alphas)
+            stack, tops = _alpha_stack(digraphs, alphas)
             assert strong_flags(stack).tolist() == [True] * len(digraphs)
             for d, alpha, m, top in zip(digraphs, alphas, stack, tops):
                 assert np.array_equal(m, build_alpha_matrix(d, alpha))
@@ -121,7 +121,7 @@ class TestStackStrongFlag:
             want = [is_strongly_connected_bfs(d) for d in digraphs]
             assert True in want and (n == 1 or False in want), n
             for alpha in (0.0, 0.5, 0.99):
-                m = _alpha_stack(digraphs, n, [alpha] * len(digraphs))[0]
+                m = _alpha_stack(digraphs, [alpha] * len(digraphs))[0]
                 assert _backend._squared_start(m)[1].tolist() == want, (n, alpha)
                 assert _reach_strong(m).tolist() == want, (n, alpha)
 
@@ -132,7 +132,7 @@ class TestStackStrongFlag:
             d = cycle(n)
             broken = delete_arc(d, d.arcs[n // 2])
             assert is_strongly_connected_bfs(d) and not is_strongly_connected_bfs(broken)
-            m = _alpha_stack([d, broken], n, [0.0, 0.9])[0]
+            m = _alpha_stack([d, broken], [0.0, 0.9])[0]
             assert _backend._squared_start(m)[1].tolist() == [True, False], n
             assert _reach_strong(m).tolist() == [True, False], n
 
@@ -143,7 +143,7 @@ class TestStackStrongFlag:
         d = cycle(200)
         broken = delete_arc(d, d.arcs[100])
         for alpha in (0.0, 0.99):
-            m = _alpha_stack([d, broken], 200, [alpha, alpha])[0]
+            m = _alpha_stack([d, broken], [alpha, alpha])[0]
             assert _backend._squared_start(m)[1].tolist() == [False, False], alpha
             assert _reach_strong(m).tolist() == [True, False], alpha
             res = spectral_radius(d, alpha)
@@ -183,7 +183,7 @@ class TestMaskStack:
             assert adj.dtype == np.uint8 and adj.tolist() == want, n
             for alpha in (0.0, 0.5, 0.9):
                 alphas = [alpha] * len(masks)
-                (m, tops), (m0, tops0) = _matrix_stack(adj, alphas), _alpha_stack(digraphs, n, alphas)
+                (m, tops), (m0, tops0) = _matrix_stack(adj, alphas), _alpha_stack(digraphs, alphas)
                 assert m.dtype == m0.dtype and m.tobytes() == m0.tobytes(), (n, alpha)
                 assert tops == tops0 and strong_flags(m).all()
 
@@ -525,6 +525,10 @@ class TestDetScan:
         for tol in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 det_scan_largest_real_root(cycle(4), 0.5, tol=tol)
+
+    def test_rejects_not_strongly_connected(self):
+        with pytest.raises(NotStronglyConnectedError, match="determinant scan needs"):
+            det_scan_largest_real_root(make_digraph(3, [(0, 1), (1, 2)]), 0.5)
 
     def test_tol_below_float_spacing_terminates(self):
         # descent steps of at least one ulp and a bisection that stops at

@@ -10,7 +10,8 @@ interpreter, zeroes every report's ``runtime_s`` and prints the sha256 of
 its ``to_json()``.  It also prints the sha256 of the concatenated DGR1 text
 of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, each
 after its canonical key's ``hex()``, the criterion-1 family grid, the
-lemma fleet and the bidirected K_{p,q}.  Reports list only radii, and
+lemma fleet, the bidirected K_{p,q} and ``families``: 1789 members of
+every family kind over a grid of sizes.  Reports list only radii, and
 only global-min's carry keys (at n = 5), so these catch a change in how
 digraphs are decoded, in their arc order or in their keys.  The
 lemma-derived sets (``LEMMA_SETS``) hash the DGR1 text and alpha of every
@@ -75,18 +76,14 @@ CHILD = """
 import functools, hashlib, json, sys
 import numpy as np
 from alphaspectra import _backend, campaigns, digraph
-from alphaspectra.digraph import canonical_masks, to_dgr1
-from alphaspectra.families import FamilySpec, generate
+from alphaspectra.digraph import CanonicalKey, canonical_masks, digraphs_from_masks, to_dgr1
+from alphaspectra.families import FamilySpec, generate, list_compositions
 from alphaspectra.spectral import spectral_radii, spectral_radius
 from perfbench.workloads import ORACLE_ALPHAS, criterion1_grid
-# (digraph, key) of every enumerated class, decoded from the masks, or as
-# trees whose enumeration returns the pairs give them
+# (digraph, key) of every enumerated class, decoded from its mask
 def classes(n):
-    out = campaigns.enumerate_sc_digraphs(n)
-    if isinstance(out, tuple):
-        return out
-    from alphaspectra.digraph import CanonicalKey, digraphs_from_masks
-    return list(zip(digraphs_from_masks(out, n), [CanonicalKey.from_mask(n, m) for m in out.tolist()]))
+    masks = campaigns.enumerate_sc_digraphs(n)
+    return list(zip(digraphs_from_masks(masks, n), [CanonicalKey.from_mask(n, m) for m in masks.tolist()]))
 n5_classes = functools.cache(lambda: [d for d, _ in classes(5)])
 solvers = {
     "spectral_radii_n5": lambda alpha: spectral_radii(n5_classes(), alpha),
@@ -125,10 +122,23 @@ def sieve_sample(n, k, count, seed):
         masks |= rng.choice(rows, size=count) << digraph._cell_bit(n, i, n - 1)
     return _backend.perm_sieve(masks, digraph._perm_moves(n))
 sieves = {"canonical_masks": canonical_masks, "sieve_sample": sieve_sample}
+# every kind: infty and theta for s = 2..4 up to n = 15, cycle and complete
+# for n = 2..11, kpq for p, q = 1..5, bip1-6 for 2 <= q <= p <= 5 up to
+# n = 15, gprime, g1 and g2 for n = 5..14
+def family_grid():
+    specs = [spec for family in ("infty", "theta") for s in range(2, 5) for n in range(s + 1, 16)
+             for spec in list_compositions(family, n, s)]
+    specs += [FamilySpec(kind, (n,)) for kind in ("cycle", "complete") for n in range(2, 12)]
+    specs += [FamilySpec.kpq(p, q) for p in range(1, 6) for q in range(1, 6)]
+    specs += [FamilySpec.bip(kind, n, p, q) for kind in range(1, 7) for p in range(2, 6) for q in range(2, p + 1)
+              for n in range(p + q + 1, 16) if (n - p - q) % 2 == (kind <= 4)]
+    specs += [FamilySpec(kind, (n,)) for kind in ("gprime", "g1", "g2") for n in range(5, 15)]
+    return [generate(spec) for spec in specs]
 sets = {
     "criterion1_grid": lambda: [generate(spec) for spec in criterion1_grid()],
     "lemma_fleet": lambda: [generate(spec) for spec in campaigns._lemma_fleet()],
     "kpq": lambda: [generate(FamilySpec.kpq(p, q)) for p in range(1, 6) for q in range(1, 6)],
+    "families": family_grid,
 }
 for fn, args in json.load(sys.stdin):
     extra = {}
@@ -158,7 +168,7 @@ for fn, args in json.load(sys.stdin):
 
 #: digraph sets compared by the DGR1 text of their members, in order
 DIGRAPH_SETS = [("enumerate_sc_digraphs", [n]) for n in range(2, 6)] + [
-    ("criterion1_grid", []), ("lemma_fleet", []), ("kpq", [])]
+    ("criterion1_grid", []), ("lemma_fleet", []), ("kpq", []), ("families", [])]
 
 #: the transform-lemma fuzz's derived digraphs, with their alphas
 LEMMA_SETS = [("lemma_derived", [100, seed]) for seed in range(8)] + [("lemma_derived", [500, 20240])]
