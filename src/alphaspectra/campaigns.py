@@ -5,8 +5,8 @@ Every campaign returns a :class:`VerificationReport` whose verdicts carry
 the exact claim they test.  Two radii are ordered only by their certified
 enclosures: disjoint enclosures decide, and overlapping ones leave the pair
 unordered, so a strict claim on it is ``indistinguishable`` rather than
-silently ordered.  Every inequality verdict, the transform lemmas'
-included, comes from :func:`judge_claim`, and every rank verdict from
+silently ordered.  Every inequality status, the transform lemmas'
+included, comes from :func:`claim_status`, and every rank verdict from
 :func:`judge_rank`, which fails only on a certified counter-order.
 """
 
@@ -111,23 +111,24 @@ def decide_order(a: SpectralResult, b: SpectralResult) -> int | None:
     return None
 
 
-def judge_claim(claim: str, a: SpectralResult, relation: str, b: SpectralResult) -> Verdict:
-    """Verdict for the claim ``a <relation> b``; relation is ``>``, ``>=``
-    or ``=``.
+def claim_status(a: SpectralResult, relation: str, b: SpectralResult) -> str:
+    """Status of the claim ``a <relation> b``, relation ``>``, ``>=`` or ``=``.
 
-    When :func:`decide_order` orders the pair, the order decides: ``>`` and
-    ``>=`` pass when a is above b, and every other outcome fails.  When the
-    enclosures overlap nothing refutes ``=`` or ``>=``, so they pass, and
-    ``>`` is ``indistinguishable``.  The detail is the gap between the radii.
-    """
+    When :func:`decide_order` orders the pair, ``>`` and ``>=`` pass when a
+    is above b, and every other outcome fails.  When the enclosures overlap
+    nothing refutes ``=`` or ``>=``, so they pass, and ``>`` is
+    ``indistinguishable``."""
     if relation not in (">", ">=", "="):
         raise InvalidParamsError(f"unknown relation {relation!r}")
     order = decide_order(a, b)
     if order is None:
-        status = "indistinguishable" if relation == ">" else "pass"
-    else:
-        status = "pass" if order == 1 and relation != "=" else "fail"
-    return Verdict(claim, status, f"gap {abs(a.radius - b.radius):.3e}")
+        return "indistinguishable" if relation == ">" else "pass"
+    return "pass" if order == 1 and relation != "=" else "fail"
+
+
+def judge_claim(claim: str, a: SpectralResult, relation: str, b: SpectralResult) -> Verdict:
+    """:func:`claim_status` of ``a <relation> b`` as a verdict; the detail is the radii's gap."""
+    return Verdict(claim, claim_status(a, relation, b), f"gap {abs(a.radius - b.radius):.3e}")
 
 
 def judge_rank(
@@ -217,17 +218,15 @@ def enumerate_sc_digraphs(n: int) -> np.ndarray:
 # extremal families
 
 def _expected_extremes(family: str, n: int, s: int) -> tuple[FamilySpec, FamilySpec]:
-    """(maximizer, minimizer) claimed for the family at (n, s)."""
+    """(maximizer, minimizer) claimed for the family (infty or theta) at (n, s)."""
     if family == "infty":
         lo = (n - 1) // s
         r = n - 1 - s * lo
         balanced = (lo,) * (s - r) + (lo + 1,) * r
         return FamilySpec.infty(*((1,) * (s - 1) + (n - s,))), FamilySpec.infty(*balanced)
-    if family == "theta":
-        mx = FamilySpec.theta((0,) + (1,) * (s - 2) + (n - s,), 0)
-        mn = FamilySpec.theta((0,) + (1,) * (s - 1), n - s - 1)
-        return mx, mn
-    raise InvalidParamsError(f"no extremal claim table for {family!r}")
+    mx = FamilySpec.theta((0,) + (1,) * (s - 2) + (n - s,), 0)
+    mn = FamilySpec.theta((0,) + (1,) * (s - 1), n - s - 1)
+    return mx, mn
 
 
 def verify_family_extremes(family: str, n: int, s: int, alpha: float) -> VerificationReport:
@@ -408,6 +407,12 @@ RADIUS_LEMMAS = {"subdigraph": ">", "subdivision": ">=", "retarget": ">="}
 SKIP_REASONS = {"subdivision": "on-cycle", "retarget": "disconnected"}
 
 
+@lru_cache(maxsize=None)
+def _ordered_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The ordered pairs (i, j), i != j, of n vertices in row-major order."""
+    return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+
+
 def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     """Rejection-sampled strongly connected digraph with i.i.d. arcs.
 
@@ -416,7 +421,7 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     them (built without :func:`~alphaspectra.digraph.make_digraph`) that
     is strongly connected is returned.
     """
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = _ordered_pairs(n)
     for _ in range(100_000):
         out_masks = [0] * n
         for (i, j), coin in zip(pairs, rng.random(len(pairs)).tolist()):
@@ -451,6 +456,30 @@ def _deletable_arcs(digraphs: list[Digraph]) -> list[list[Arc]]:
             if strong:
                 keep[k].append(arc)
     return keep
+
+
+def _perron_order(bases: list[tuple[Digraph, float, str]], results: list[SpectralResult]) -> tuple[int, list[str]]:
+    """The perron-order lemma on every ``(digraph, alpha, label)`` base: the
+    number of nested pairs, and the violation texts in (base, i, j) order.
+
+    A pair (i, j) is nested when i != j, neither arc i->j nor j->i exists
+    and N+(i) is a subset of N+(j).  It is a violation when the sets are
+    equal and ``|x_j - x_i| > DECISION_MARGIN``, or when they differ and
+    ``x_j < x_i - DECISION_MARGIN``.  One array pass per vertex count."""
+    count, found = 0, []
+    for n in {d.n for d, _, _ in bases}:
+        members = [k for k, (d, _, _) in enumerate(bases) if d.n == n]
+        masks = np.array([bases[k][0].out_masks for k in members], dtype=np.int64)
+        x = np.array([results[k].perron for k in members])
+        arc = (masks[:, :, None] >> np.arange(n)) & 1  # arc[b, i, j]: arc i -> j
+        mi, mj, xi, xj = masks[:, :, None], masks[:, None, :], x[:, :, None], x[:, None, :]
+        nested = (arc | arc.transpose(0, 2, 1) == 0) & (mi & ~mj == 0) & ~np.eye(n, dtype=bool)
+        equal = mi == mj
+        bad = nested & np.where(equal, np.abs(xj - xi) > DECISION_MARGIN, xj < xi - DECISION_MARGIN)
+        count += int(nested.sum())
+        found += [(members[b], i, j, bool(equal[b, i, j])) for b, i, j in np.argwhere(bad).tolist()]
+    return count, [f"{bases[k][2]} {'equal' if eq else 'nested'}-nbhd {i},{j} alpha={bases[k][1]}"
+                   for k, i, j, eq in sorted(found)]
 
 
 def _lemma_fleet() -> list[FamilySpec]:
@@ -495,13 +524,13 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
       ordered eigenvector entries, equal exactly for equal neighbourhoods.
 
     The three radius lemmas are the claims ``base > sub``, ``base >=
-    subdivided`` and ``moved >= base`` under :func:`judge_claim`; an
+    subdivided`` and ``moved >= base`` under :func:`claim_status`; an
     instance whose status is not ``pass`` is a violation, so only disjoint
     enclosures in the wrong order, or overlapping ones under ``>``, count.
     Eigenvector entries, which have no enclosures, are compared beyond
     ``DECISION_MARGIN``.
 
-    The run has five phases.  Every base is drawn first: the ``trials``
+    The run has six phases.  Every base is drawn first: the ``trials``
     random digraphs (each an ``n``, an alpha and a sampled digraph), then
     each fleet digraph at alpha 0 and 0.5.  All bases are solved in one
     :func:`~alphaspectra.spectral.spectral_radii` call, and their deletable
@@ -509,9 +538,11 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     Each base then draws its derived digraphs from its own result, since
     its Perron vector steers the retarget draws; a retarget move is checked
     only if its :func:`~alphaspectra.digraph.retarget_in_arcs` digraph stays
-    strongly connected.  The claims are queued, solved in a second batch
-    call and judged in queue order.  So a seed fixes every random base before
-    any transform draw is made.
+    strongly connected.  The Perron-order lemma is then checked on every
+    base by :func:`_perron_order`, which draws nothing either.  Last, the
+    queued claims are solved in a second batch call and judged in queue
+    order; a violation's text is formatted only then.  So a seed fixes
+    every random base before any transform draw is made.
     """
     if trials <= 0:
         raise InvalidParamsError(f"trials must be positive, got {trials}")
@@ -523,9 +554,9 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     skips = dict.fromkeys(counts, 0)
     violations: dict[str, list[str]] = {k: [] for k in counts}
 
-    # derived radius claims (lemma, digraph, alpha, base result, violation
-    # text), solved in one batch once every base is done
-    queued: list[tuple[str, Digraph, float, SpectralResult, str]] = []
+    # derived radius claims (lemma, digraph, alpha, base result, label and
+    # two violation-text parts), solved in one batch once every base is done
+    queued: list[tuple[str, Digraph, float, SpectralResult, str, str, object]] = []
 
     def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult, candidates: list[Arc]):
         report.items.append(_item(label, alpha, base))
@@ -535,17 +566,17 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
         # subdigraph lemma: strict decrease when an arc can go
         if candidates:
             pick = candidates[int(rng.integers(len(candidates)))]
-            queued.append(("subdigraph", delete_arc(d, pick), alpha, base, f"{label} arc {pick} alpha={alpha}"))
+            queued.append(("subdigraph", delete_arc(d, pick), alpha, base, label, "arc ", pick))
 
         # subdivision lemma: excluded on directed cycles
         if len(d.arcs) == d.n:
             skips["subdivision"] += 1
         else:
             pick = d.arcs[int(rng.integers(len(d.arcs)))]
-            queued.append(("subdivision", subdivide_arc(d, pick), alpha, base, f"{label} arc {pick} alpha={alpha}"))
+            queued.append(("subdivision", subdivide_arc(d, pick), alpha, base, label, "arc ", pick))
 
         # retargeting lemma
-        pairs = [(pp, qq) for pp in range(n) for qq in range(n) if pp != qq]
+        pairs = _ordered_pairs(n)
         order = rng.permutation(len(pairs))
         for idx in order[:4]:
             pp, qq = pairs[int(idx)]
@@ -556,22 +587,8 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
             if not is_strongly_connected(moved):
                 skips["retarget"] += 1
                 continue
-            queued.append(("retarget", moved, alpha, base, f"{label} sources->{qq} alpha={alpha}"))
+            queued.append(("retarget", moved, alpha, base, label, "sources->", qq))
             break
-
-        # eigenvector ordering under nested out-neighbourhoods
-        for i in range(n):
-            ni = out_masks[i]
-            for j in range(n):
-                nj = out_masks[j]
-                if i == j or (ni >> j) & 1 or (nj >> i) & 1 or ni & ~nj:
-                    continue
-                counts["perron-order"] += 1
-                if ni == nj:
-                    if abs(x[j] - x[i]) > DECISION_MARGIN:
-                        violations["perron-order"].append(f"{label} equal-nbhd {i},{j} alpha={alpha}")
-                elif x[j] < x[i] - DECISION_MARGIN:
-                    violations["perron-order"].append(f"{label} nested-nbhd {i},{j} alpha={alpha}")
 
     bases: list[tuple[Digraph, float, str]] = []
     for t in range(trials):
@@ -587,13 +604,14 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     results = spectral_radii(digraphs, alphas)
     for d, alpha, label, base, candidates in zip(digraphs, alphas, labels, results, _deletable_arcs(digraphs)):
         check_base(d, alpha, label, base, candidates)
+    counts["perron-order"], violations["perron-order"] = _perron_order(bases, results)
 
     derived = spectral_radii([q[1] for q in queued], [q[2] for q in queued])
-    for (lemma, _, _, base, where), res in zip(queued, derived):
+    for (lemma, _, alpha, base, label, what, arg), res in zip(queued, derived):
         counts[lemma] += 1
         a, b = (res, base) if lemma == "retarget" else (base, res)
-        if judge_claim("", a, RADIUS_LEMMAS[lemma], b).status != "pass":
-            violations[lemma].append(where)
+        if claim_status(a, RADIUS_LEMMAS[lemma], b) != "pass":
+            violations[lemma].append(f"{label} {what}{arg} alpha={alpha}")
 
     for lemma, count in counts.items():
         bad = violations[lemma]

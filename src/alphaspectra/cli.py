@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 from collections.abc import Callable
+from functools import lru_cache
 from pathlib import Path
 
 from . import campaigns
@@ -52,6 +53,7 @@ def _positive(kind: type) -> Callable[[str], float]:
     return parse
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="spectra", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
@@ -267,8 +269,8 @@ USAGE_ERRORS = (AlphaRangeError, InfeasibleError, InvalidParamsError, TooLargeEr
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the verb in argv (default ``sys.argv[1:]``); the parser is built once per process."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpectraError, OSError) as exc:
