@@ -1,10 +1,12 @@
 """Test-only oracles: independent strong-connectivity and labeled-mask
-references, and frozen class counts.  Nothing in the package uses them."""
+references, the per-pair Perron-order check, and frozen class counts.
+Nothing in the package uses them."""
 
 from collections import deque
 
 import numpy as np
 
+from alphaspectra.campaigns import DECISION_MARGIN
 from alphaspectra.digraph import Digraph, _cell_bit
 
 #: isomorphism-class counts of strongly connected digraphs; the n = 5 value
@@ -47,3 +49,25 @@ def loop_free_masks(n: int) -> np.ndarray:
         row = row[(row >> _cell_bit(n, i, i)) & 1 == 0]
         masks = (masks[:, None] | row).ravel()
     return masks
+
+
+def perron_order_per_pair(bases, results):
+    """Per-pair loop oracle for ``campaigns._perron_order``: for each
+    ``(digraph, alpha, label)`` base and its result, every pair (i, j) in
+    row-major order, counted when nested and listed when a violation."""
+    count, violations = 0, []
+    for (d, alpha, label), res in zip(bases, results):
+        x, out_masks = res.perron.tolist(), d.out_masks
+        for i in range(d.n):
+            ni = out_masks[i]
+            for j in range(d.n):
+                nj = out_masks[j]
+                if i == j or (ni >> j) & 1 or (nj >> i) & 1 or ni & ~nj:
+                    continue
+                count += 1
+                if ni == nj:
+                    if abs(x[j] - x[i]) > DECISION_MARGIN:
+                        violations.append(f"{label} equal-nbhd {i},{j} alpha={alpha}")
+                elif x[j] < x[i] - DECISION_MARGIN:
+                    violations.append(f"{label} nested-nbhd {i},{j} alpha={alpha}")
+    return count, violations

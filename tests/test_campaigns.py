@@ -10,6 +10,7 @@ import pytest
 
 from alphaspectra import _backend, campaigns, digraph, families, spectral
 from alphaspectra.campaigns import (
+    claim_status,
     decide_order,
     enumerate_sc_digraphs,
     judge_claim,
@@ -33,7 +34,7 @@ from alphaspectra.digraph import (
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
-from oracles import SC_CLASS_COUNTS, SC_LABELED_COUNTS, is_strongly_connected_bfs
+from oracles import SC_CLASS_COUNTS, SC_LABELED_COUNTS, is_strongly_connected_bfs, perron_order_per_pair
 
 
 def decoded_classes(n):
@@ -168,6 +169,18 @@ class TestFamilyExtremes:
     def test_unknown_family(self):
         with pytest.raises(InvalidParamsError, match="unknown family campaign 'foo'"):
             verify_family_extremes("foo", 5, 2, 0.0)
+
+    @pytest.mark.parametrize("family", ["cycle", "complete", "kpq", "bip1", "gprime", "Theta", "infty ", ""])
+    def test_other_names_rejected_before_any_claim_table(self, family, monkeypatch):
+        # _expected_extremes reads every name but infty as theta, so the
+        # campaign's own check must turn the rest away first
+        def unreachable(*args):
+            raise AssertionError(f"{family!r} got past the family-name check")
+
+        monkeypatch.setattr(campaigns, "_expected_extremes", unreachable)
+        monkeypatch.setattr(campaigns, "list_compositions", unreachable)
+        with pytest.raises(InvalidParamsError, match=re.escape(f"unknown family campaign {family!r}")):
+            verify_family_extremes(family, 8, 2, 0.0)
 
 
 class TestGlobalMinima:
@@ -453,6 +466,47 @@ class TestDeletableArcs:
         assert got == [[] for _ in cycles] + [list(d.arcs) for d in complete]
 
 
+def lemma_base_triples(seed):
+    """``lemma_bases(seed)`` as ``(digraph, alpha, label)`` bases, alphas
+    cycling through ``ALPHA_CHOICES``, and their results."""
+    digraphs = lemma_bases(seed)
+    alphas = [campaigns.ALPHA_CHOICES[k % len(campaigns.ALPHA_CHOICES)] for k in range(len(digraphs))]
+    bases = [(d, alpha, f"base{k}") for k, (d, alpha) in enumerate(zip(digraphs, alphas))]
+    return bases, spectral.spectral_radii(digraphs, alphas)
+
+
+def forced_perron(bases, results):
+    """The results with the Perron vectors of
+    ``test_perron_order_violation_reported``: falling by 1 per out-arc and
+    rising by 1e-3 per label."""
+    return [dataclasses.replace(r, perron=np.array([1e-3 * v - m.bit_count() for v, m in enumerate(d.out_masks)]))
+            for (d, _, _), r in zip(bases, results)]
+
+
+class TestPerronOrder:
+    def test_matches_per_pair_oracle(self):
+        for seed in range(4):
+            bases, results = lemma_base_triples(seed)
+            want = perron_order_per_pair(bases, results)
+            assert campaigns._perron_order(bases, results) == want, seed
+            assert want[0] > 0
+
+    def test_forced_violations_match_oracle_in_base_order(self):
+        for seed in range(4):
+            bases, results = lemma_base_triples(seed)
+            forced = forced_perron(bases, results)
+            count, texts = perron_order_per_pair(bases, forced)
+            assert campaigns._perron_order(bases, forced) == (count, texts), seed
+            assert any(" equal-nbhd " in t for t in texts) and any(" nested-nbhd " in t for t in texts)
+            # the bases come in a shuffled vertex-count order and a later
+            # base has an earlier pair, so neither a per-count concatenation
+            # nor an (i, j) order matches
+            keys = [tuple(map(int, re.search(r"^base(\d+) \S+ (\d+),(\d+) ", t).groups())) for t in texts]
+            assert keys == sorted(keys)
+            assert sorted(keys, key=lambda k: (k[1], k[2], k[0])) != keys
+            assert [bases[k][0].n for k, _, _ in keys] != sorted(bases[k][0].n for k, _, _ in keys)
+
+
 def assert_digraph_invariant(d):
     """d is what make_digraph builds from its own arcs, with Python ints."""
     assert d == make_digraph(d.n, d.arcs)
@@ -668,6 +722,19 @@ class TestJudgeClaim:
     def test_unknown_relation(self):
         with pytest.raises(InvalidParamsError):
             judge_claim("c", fake(2.0), "<", fake(1.0))
+
+
+class TestClaimStatus:
+    @pytest.mark.parametrize("relation", [">", ">=", "="])
+    @pytest.mark.parametrize("pair", [ABOVE, BELOW, CLOSE], ids=["above", "below", "close"])
+    def test_is_judge_claim_status(self, relation, pair):
+        a, b = pair
+        assert claim_status(a, relation, b) == judge_claim("c", a, relation, b).status
+
+    @pytest.mark.parametrize("relation", ["<", "<=", "==", ""])
+    def test_unknown_relation(self, relation):
+        with pytest.raises(InvalidParamsError, match=re.escape(f"unknown relation {relation!r}")):
+            claim_status(fake(2.0), relation, fake(1.0))
 
 
 class TestJudgeRank:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import alphaspectra
 from alphaspectra.chareq import char_equation_for, eval_char
-from alphaspectra.cli import _sign_change, main
+from alphaspectra.cli import _sign_change, build_parser, main
 from alphaspectra.digraph import read_dgr1, to_dgr1, write_dgr1
 from alphaspectra.families import FamilySpec, generate, parse_spec
 from alphaspectra.spectral import DEFAULT_TOL, spectral_radius
@@ -137,6 +138,31 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["count"] == 1
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_gives_the_same_outputs(self, tmp_path, capsys):
+        # family-extremes reads the default --alpha-grid list, which every
+        # parse shares
+        verify = ["verify", "--campaign", "family-extremes", "--family", "theta", "--n", "7", "--s", "3"]
+        radius = ["radius", "--spec", "infty:1,2", "--alpha", "0.5", "--json"]
+        outs = [(tmp_path / f"{k}.json", tmp_path / f"{k}.csv") for k in range(2)]
+        assert main([*verify, "--json-out", str(outs[0][0]), "--csv-out", str(outs[0][1])]) == 0
+        capsys.readouterr()
+        assert main(radius) == 0
+        in_process = capsys.readouterr().out
+        assert main([*verify, "--json-out", str(outs[1][0]), "--csv-out", str(outs[1][1])]) == 0
+        assert json.loads(outs[0][0].read_text())["alpha_grid"] == [0.0, 0.25, 0.5]
+        # runtime_s is the one field that differs between two runs
+        texts = [re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', json_out.read_text()) for json_out, _ in outs]
+        assert texts[0] == texts[1]
+        assert outs[0][1].read_bytes() == outs[1][1].read_bytes()
+        fresh = run_cli(radius)
+        assert fresh.returncode == 0
+        assert fresh.stdout == in_process
 
 
 class TestVerify:
