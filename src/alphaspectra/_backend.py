@@ -11,7 +11,8 @@ Kernels:
   The name predates Noda iteration; the benchmark's tracer binds it.
 * ``det_via_lu(a)`` -- determinant from LAPACK's LU factorization.
 * ``sc_filter(rows)`` -- strong-connectivity flags for a batch of
-  digraphs given as per-vertex out-neighbour bitmasks.
+  digraphs given as per-vertex out-neighbour bitmasks, by Warshall's
+  transitive closure on the bitsets.
 * ``perm_min(masks, table)`` -- minimum over vertex relabelings of packed
   adjacency bitmasks, given a bit-relocation table.
 * ``perm_sieve(masks, moves)`` -- the masks no relabeling maps strictly
@@ -167,23 +168,18 @@ def sc_filter(rows: np.ndarray) -> np.ndarray:
     """Strong-connectivity flags for a batch of bitmask adjacency rows.
 
     rows[t, i] holds the out-neighbour set of vertex i of digraph t as an
-    n-bit mask, n = rows.shape[1].  Runs the sweep of
-    ``digraph.is_strongly_connected`` across the batch, one vertex column at
-    a time, for a fixed n - 1 sweeps, which reach every vertex within
-    distance n - 1.
+    n-bit mask, n = rows.shape[1].  Warshall's closure (J. ACM 9, 1962) on
+    words of the narrowest unsigned type that holds n bits: reach starts as
+    rows plus each vertex's own bit, and at step k every row that reaches
+    k takes on what k reaches, so after n steps a row is all its vertex
+    reaches.  A digraph is strong iff every row is all n vertices.
     """
-    count, n = rows.shape
-    fwd = np.ones(count, dtype=np.int64)
-    back = fwd.copy()
-    for _ in range(n - 1):
-        for v in range(n):
-            col = rows[:, v]
-            # v's out-neighbours join fwd once v is in it; v joins back
-            # once one of its out-neighbours is in it
-            fwd |= -((fwd >> v) & 1) & col
-            back |= (col & back != 0).astype(np.int64) << v
-    full = (1 << n) - 1
-    return (fwd == full) & (back == full)
+    n = rows.shape[1]
+    word = np.min_scalar_type((1 << n) - 1)
+    reach = rows.astype(word) | (1 << np.arange(n)).astype(word)
+    for k in range(n):
+        reach |= ((reach >> k) & 1) * reach[:, k:k + 1]
+    return (reach == (1 << n) - 1).all(axis=1)
 
 
 def perm_min(masks: np.ndarray, table: np.ndarray) -> np.ndarray:

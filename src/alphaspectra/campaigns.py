@@ -435,26 +435,25 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
 
 def _deletable_arcs(digraphs: list[Digraph]) -> list[list[Arc]]:
     """Per digraph, the arcs whose deletion keeps it strongly connected, in
-    arc order.
+    arc order, as tuples of Python ints.
 
     Every (digraph, arc) pair is one row: the digraph's out-neighbour masks
-    with the arc's bit cleared.  The rows of each vertex count go through
-    one ``sc_filter`` call.
+    with the arc's bit cleared.  Per vertex count, the (digraph, tail, head)
+    triples are the set cells of the out-mask bit cube, in arc order per
+    digraph, and the rows go through one ``sc_filter`` call.
     """
     keep: list[list[Arc]] = [[] for _ in digraphs]
-    groups: dict[int, list[int]] = {}
-    for k, d in enumerate(digraphs):
-        groups.setdefault(d.n, []).append(k)
-    for n, members in groups.items():
-        owners = [k for k in members for _ in digraphs[k].arcs]
-        arcs = [a for k in members for a in digraphs[k].arcs]
+    for n in {d.n for d in digraphs}:
+        members = [k for k, d in enumerate(digraphs) if d.n == n]
         masks = np.array([digraphs[k].out_masks for k in members], dtype=np.int64)
-        rows = np.repeat(masks, [len(digraphs[k].arcs) for k in members], axis=0)
-        tails, heads = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+        owners, tails, heads = np.nonzero((masks[:, :, None] >> np.arange(n)) & 1)
+        rows = masks[owners]
         rows[np.arange(len(rows)), tails] ^= 1 << heads
-        for k, arc, strong in zip(owners, arcs, _backend.sc_filter(rows).tolist()):
-            if strong:
-                keep[k].append(arc)
+        strong = _backend.sc_filter(rows)
+        arcs = list(zip(tails[strong].tolist(), heads[strong].tolist()))
+        ends = np.searchsorted(owners[strong], np.arange(len(members) + 1)).tolist()
+        for b, k in enumerate(members):
+            keep[k] = arcs[ends[b]:ends[b + 1]]
     return keep
 
 
@@ -580,8 +579,10 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
         order = rng.permutation(len(pairs))
         for idx in order[:4]:
             pp, qq = pairs[int(idx)]
+            if x[qq] < x[pp]:
+                continue
             sources = [s for s in range(n) if (out_masks[s] >> pp) & 1 and s != qq and not (out_masks[s] >> qq) & 1]
-            if not sources or x[qq] < x[pp]:
+            if not sources:
                 continue
             moved = retarget_in_arcs(d, sources[:1 + int(rng.integers(len(sources)))], pp, qq)
             if not is_strongly_connected(moved):

@@ -127,9 +127,9 @@ def out_degrees(d: Digraph) -> tuple[int, ...]:
 def is_strongly_connected(d: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
-    From the out-masks alone: sweeps of ``_backend.sc_filter``'s rule,
-    until one changes neither set, grow the vertices vertex 0 reaches
-    (``fwd``) and those that reach it (``back``); both must be all.
+    From the out-masks alone: sweeps over the vertices, until one changes
+    neither set, grow the vertices vertex 0 reaches (``fwd``) and those
+    that reach it (``back``); both must be all.
     """
     outs = d.out_masks
     full = (1 << d.n) - 1

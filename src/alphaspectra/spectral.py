@@ -187,7 +187,8 @@ def spectral_radii(
     for n, members, m, tops, x, _ in stacks:
         # the quotients never exceed the largest row sum, so stopping the raw
         # spread twice that sum's widening below tol leaves room for the widening
-        raw_tol = np.array([tol - 2.0 * rounding_safe(top, top, n).width for top in tops])
+        widths = {top: rounding_safe(top, top, n).width for top in set(tops)}
+        raw_tol = np.array([tol - 2.0 * widths[top] for top in tops])
         x, lo, hi, iters = _backend.power_iteration(m, x, raw_tol, ITERATION_CAP)
         for k, xk, lok, hik, it in zip(members, x, lo.tolist(), hi.tolist(), iters.tolist()):
             enclosure = rounding_safe(lok, hik, n)

@@ -231,6 +231,24 @@ class TestNumpyKernels:
             flags = _backend.sc_filter(adjacency_rows_from_masks(masks, n))
             expected = [is_strongly_connected_bfs(make_digraph(n, unpack_arcs(int(m), n))) for m in masks]
             assert flags.tolist() == expected
+        # seeded rows past the exhaustive sizes, over both word widths
+        rng = np.random.default_rng(32)
+        for n in range(5, 17):
+            arcs = np.concatenate([rng.random((30, n, n)) < p for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)])
+            arcs &= ~np.eye(n, dtype=bool)
+            flags = _backend.sc_filter((arcs.astype(np.int64) << np.arange(n)).sum(axis=2))
+            expected = [is_strongly_connected_bfs(make_digraph(n, zip(*np.nonzero(a)))) for a in arcs]
+            assert flags.tolist() == expected, n
+            assert 0 < sum(expected) < len(expected), n
+        assert _backend.sc_filter(np.zeros((3, 1), dtype=np.int64)).tolist() == [True] * 3
+        assert _backend.sc_filter(np.zeros((0, 5), dtype=np.int64)).shape == (0,)
+        # the cycle i -> i-1 runs against the closure order, which needs all
+        # n steps, each taking on what the step's vertex reaches so far;
+        # without any one arc it is a path
+        for n in range(2, 17):
+            cycle = np.array([1 << (i - 1) % n for i in range(n)], dtype=np.int64)
+            cut = np.where(np.eye(n, dtype=bool), 0, cycle)
+            assert _backend.sc_filter(np.vstack([cycle, cut])).tolist() == [True] + [False] * n, n
 
     def test_perm_min_matches_brute_force(self):
         rng = np.random.default_rng(4)

@@ -455,15 +455,27 @@ class TestDeletableArcs:
     def test_matches_per_arc_toggle_oracle(self):
         for seed in range(4):
             bases = lemma_bases(seed)
+            # the same masks in fresh values, whose arcs were never read
+            fresh = [digraph.Digraph(d.n, d.out_masks) for d in bases]
+            assert not any("arcs" in vars(d) for d in fresh)
+            got = campaigns._deletable_arcs(fresh)
             want = [toggle_deletable_arcs(d) for d in bases]
+            assert got == want, seed
             assert campaigns._deletable_arcs(bases) == want, seed
             assert any(want) and not all(want)
+            # violation texts format them as arc (i, j)
+            assert all(type(arc) is tuple and [type(v) for v in arc] == [int, int] for arcs in got for arc in arcs)
 
     def test_cycles_keep_none_complete_digraphs_every_arc(self):
         cycles = [generate(FamilySpec.cycle(n)) for n in range(2, 9)]
         complete = [generate(FamilySpec.complete(n)) for n in range(3, 9)]
         got = campaigns._deletable_arcs(cycles + complete)
         assert got == [[] for _ in cycles] + [list(d.arcs) for d in complete]
+        # one base per vertex count: groups where no row stays strong, the
+        # arcless n = 1 digraph, and a group where every row does
+        one = make_digraph(1, [])
+        assert campaigns._deletable_arcs([*cycles, one]) == [[] for _ in range(len(cycles) + 1)]
+        assert campaigns._deletable_arcs([complete[0]]) == [list(complete[0].arcs)]
 
 
 def lemma_base_triples(seed):

@@ -9,7 +9,9 @@ tree and the repository's ``.git`` is left untouched.  For every workload,
 ``WORKLOAD:PAIRS`` pairs run ``python3 perfbench/run.py --trace 0`` once in
 each tree with one seed per pair, counting up from ``--seed``; the side that
 runs first alternates with the seed.  Every run lasts the ``run_seconds``
-of the change's ``BENCHMARK.json``.
+of the change's ``BENCHMARK.json``, and runs with ``RUN_ENV`` set, so
+every interpreter compiles the exported sources afresh as on a host that
+writes no bytecode.
 
 Writes ``BENCH_<label>.json``: per workload the seeds, every run's value of
 every end-to-end metric, their median and quartiles (inclusive method), all
@@ -33,6 +35,10 @@ from pathlib import Path
 SIDES = ("parent", "change")
 #: a run stops starting units after 120 s; this bounds the last one too
 RUN_TIMEOUT_S = 600
+#: set for every run: without it the first run writes ``__pycache__`` into
+#: the export and later runs skip compiling, which lowers their setup_s and
+#: peak_rss_mb below those of a fresh checkout
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def git(*args: str) -> str:
@@ -52,7 +58,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result object that perfbench/run.py prints last."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run(cmd, cwd=tree, env={**os.environ, **RUN_ENV}, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -111,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         "change_sha": shas["change"],
         "src_trees": {side: git("rev-parse", f"{sha}:src") for side, sha in shas.items()},
         "env": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                "numpy": version("numpy"), "machine": platform.machine()},
+                "numpy": version("numpy"), "machine": platform.machine(), **RUN_ENV},
         "workloads": {},
     }
     seed = args.seed

@@ -37,7 +37,11 @@ which holds masks of digraphs that are not strongly connected, and the
 ``perm_sieve`` survivors of a seeded sample of n = 6 candidates: the
 k = 2 block of ``canonical_masks``, row 0 ``000011`` and every other row
 drawn from the loop-free rows with at least two ones, sieved by
-``digraph._perm_moves``.
+``digraph._perm_moves``.  The kernel sets (``KERNEL_SETS``) hash the
+``_backend.sc_filter`` flags of seeded rows for n = 2..12, each row at
+its own arc density, and the ``campaigns._deletable_arcs`` of seeded
+lemma bases, so the strong-connectivity kernel is pinned beyond the
+n = 5 enumeration.
 The exit status is 0 when every hash but the oracle set's matches and no
 oracle root falls outside, and 1 otherwise: a change to the root finders
 may move their last bits but never past a certified enclosure.
@@ -122,6 +126,17 @@ def sieve_sample(n, k, count, seed):
         masks |= rng.choice(rows, size=count) << digraph._cell_bit(n, i, n - 1)
     return _backend.perm_sieve(masks, digraph._perm_moves(n))
 sieves = {"canonical_masks": canonical_masks, "sieve_sample": sieve_sample}
+# count seeded n-vertex rows, each at an arc density drawn from 0.1..0.6
+def sc_filter_flags(n, count, seed):
+    rng = np.random.default_rng(seed)
+    arcs = (rng.random((count, n, n)) < rng.uniform(0.1, 0.6, (count, 1, 1))) & ~np.eye(n, dtype=bool)
+    return _backend.sc_filter((arcs.astype(np.int64) << np.arange(n)).sum(axis=2)).tolist()
+# the lemma fuzz's seeded random bases (n = 2..8) and the lemma fleet
+def deletable_arcs(trials, seed):
+    rng = np.random.default_rng(seed)
+    bases = [campaigns.random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(trials)]
+    return campaigns._deletable_arcs(bases + [generate(spec) for spec in campaigns._lemma_fleet()])
+kernels = {"sc_filter_flags": sc_filter_flags, "deletable_arcs": deletable_arcs}
 # every kind: infty and theta for s = 2..4 up to n = 15, cycle and complete
 # for n = 2..11, kpq for p, q = 1..5, bip1-6 for 2 <= q <= p <= 5 up to
 # n = 15, gprime, g1 and g2 for n = 5..14
@@ -147,6 +162,8 @@ for fn, args in json.load(sys.stdin):
                        for r in solvers[fn](*args))
     elif fn in sieves:
         text = " ".join(map(str, sieves[fn](*args).tolist()))
+    elif fn in kernels:
+        text = "".join(f"{row!r}\\n" for row in kernels[fn](*args))
     elif fn == "enumerate_sc_digraphs":
         text = "".join(f"key {key.hex()}\\n{to_dgr1(d)}" for d, key in classes(*args))
     elif fn in sets:
@@ -187,10 +204,17 @@ ORACLE_SETS = [("oracle_roots", [0.99])]
 #: n = 6 sample of (n, k, count, seed)
 SIEVE_SETS = [("canonical_masks", [n]) for n in range(2, 6)] + [("sieve_sample", [6, 2, 400_000, 6])]
 
+#: the strong-connectivity kernel: ``sc_filter`` flags of (n, count, seed)
+#: seeded rows, and the ``_deletable_arcs`` of (trials, seed) seeded lemma
+#: bases plus the lemma fleet
+KERNEL_SETS = [("sc_filter_flags", [n, 2000, n]) for n in range(2, 13)] + [
+    ("deletable_arcs", [300, seed]) for seed in range(4)]
+
 
 def campaign_set() -> list[tuple[str, list]]:
     """(campaigns function, digraph set, lemma-derived set, solver set,
-    oracle set or sieve set, arguments) of everything compared."""
+    oracle set, sieve set or kernel set, arguments) of everything
+    compared."""
     runs = [("verify_transform_lemmas", [100, seed]) for seed in range(8)]
     runs.append(("verify_transform_lemmas", [500, 20240]))
     for alpha in ALPHAS:
@@ -201,7 +225,7 @@ def campaign_set() -> list[tuple[str, list]]:
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
     runs += [("verify_family_extremes", [family, n, 4, alpha])
              for family, n in (("theta", 40), ("infty", 35)) for alpha in (0.5, 0.95)]
-    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS + ORACLE_SETS + SIEVE_SETS
+    return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS + ORACLE_SETS + SIEVE_SETS + KERNEL_SETS
 
 
 def run_tree(tree: Path, runs: list[tuple[str, list]]) -> list[dict]:
@@ -300,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
                 line += f"  verdicts {'DIFF' if lines else 'same'}, {describe(counts)}"
         print(f"{line}  {fn}{tuple(call_args)}", *lines, sep="\n")
     same = sum(a["hash"] == b["hash"] for a, b in zip(parent, change))
-    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets, solver sets, oracle sets and sieve sets "
-          "identical")
+    print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets, solver sets, oracle sets, sieve sets "
+          "and kernel sets identical")
     print(f"{same_verdicts} of {reports} reports with the same verdicts; items: {describe(total)}")
     print(f"{roots_outside} oracle roots outside the other side's widened enclosure")
     same_or_enclosed = sum(a["hash"] == b["hash"] or "roots" in a for a, b in zip(parent, change))
