@@ -16,6 +16,7 @@ no code with the iteration path, so the two can check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -35,6 +36,10 @@ from .errors import ConvergenceError, LoopArcError, NonpositiveVectorError, NotS
 #: needs more than 10 steps on the classes and 25 on the grid (both at 0.99),
 #: and the mean on the classes is at most 1.75 steps.
 ITERATION_CAP = 100
+
+#: twice the widening of [top, top]: the quotients never exceed the largest
+#: row sum top, so a raw spread this far below tol leaves room to widen it
+_top_margin = functools.lru_cache(maxsize=None)(lambda top, n: 2.0 * rounding_safe(top, top, n).width)
 
 
 class Interval(NamedTuple):
@@ -185,10 +190,7 @@ def spectral_radii(
         raise NotStronglyConnectedError("spectral radius defined here for strongly connected digraphs")
     results = [None] * len(digraphs)
     for n, members, m, tops, x, _ in stacks:
-        # the quotients never exceed the largest row sum, so stopping the raw
-        # spread twice that sum's widening below tol leaves room for the widening
-        widths = {top: rounding_safe(top, top, n).width for top in set(tops)}
-        raw_tol = np.array([tol - 2.0 * widths[top] for top in tops])
+        raw_tol = np.array([tol - _top_margin(top, n) for top in tops])
         x, lo, hi, iters = _backend.power_iteration(m, x, raw_tol, ITERATION_CAP)
         for k, xk, lok, hik, it in zip(members, x, lo.tolist(), hi.tolist(), iters.tolist()):
             enclosure = rounding_safe(lok, hik, n)
