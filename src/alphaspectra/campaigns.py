@@ -18,6 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -433,52 +434,48 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
 
 
-def _deletable_arcs(digraphs: list[Digraph]) -> list[list[Arc]]:
-    """Per digraph, the arcs whose deletion keeps it strongly connected, in
-    arc order, as tuples of Python ints.
+def _base_facts(
+    bases: list[tuple[Digraph, float, str]],
+) -> tuple[list[tuple[SpectralResult, list[Arc], list[Arc]]], int, list[str]]:
+    """Per ``(digraph, alpha, label)`` base, in input order, its result, its
+    arcs and the arcs whose deletion keeps it strongly connected, both in
+    arc order as tuples of Python ints; then the perron-order lemma on every
+    base: the number of nested pairs, and the violation texts in (base, i,
+    j) order.
 
-    Every (digraph, arc) pair is one row: the digraph's out-neighbour masks
-    with the arc's bit cleared.  Per vertex count, the (digraph, tail, head)
-    triples are the set cells of the out-mask bit cube, in arc order per
-    digraph, and the rows go through one ``sc_filter`` call.
-    """
-    keep: list[list[Arc]] = [[] for _ in digraphs]
-    for n in {d.n for d in digraphs}:
-        members = [k for k, d in enumerate(digraphs) if d.n == n]
-        masks = np.array([digraphs[k].out_masks for k in members], dtype=np.int64)
-        owners, tails, heads = np.nonzero((masks[:, :, None] >> np.arange(n)) & 1)
-        rows = masks[owners]
-        rows[np.arange(len(rows)), tails] ^= 1 << heads
-        strong = _backend.sc_filter(rows)
-        arcs = list(zip(tails[strong].tolist(), heads[strong].tolist()))
-        ends = np.searchsorted(owners[strong], np.arange(len(members) + 1)).tolist()
-        for b, k in enumerate(members):
-            keep[k] = arcs[ends[b]:ends[b + 1]]
-    return keep
-
-
-def _perron_order(bases: list[tuple[Digraph, float, str]], results: list[SpectralResult]) -> tuple[int, list[str]]:
-    """The perron-order lemma on every ``(digraph, alpha, label)`` base: the
-    number of nested pairs, and the violation texts in (base, i, j) order.
-
-    A pair (i, j) is nested when i != j, neither arc i->j nor j->i exists
-    and N+(i) is a subset of N+(j).  It is a violation when the sets are
-    equal and ``|x_j - x_i| > DECISION_MARGIN``, or when they differ and
-    ``x_j < x_i - DECISION_MARGIN``.  One array pass per vertex count."""
+    One pass per vertex count over the out-mask bit cube ``arc[b, i, j]``,
+    which is the 0/1 adjacency stack the group is solved from.  Its set
+    cells, in order, are each base's arcs; each arc's row is the base's
+    out-masks with that bit cleared, and the rows go through one
+    ``sc_filter`` call.  A pair (i, j) is nested when i != j, neither arc
+    i->j nor j->i exists and N+(i) is a subset of N+(j).  It is a violation
+    when the sets are equal and ``|x_j - x_i| > DECISION_MARGIN``, or when
+    they differ and ``x_j < x_i - DECISION_MARGIN``.  Nothing is drawn."""
+    facts: list = [None] * len(bases)
     count, found = 0, []
     for n in {d.n for d, _, _ in bases}:
         members = [k for k, (d, _, _) in enumerate(bases) if d.n == n]
         masks = np.array([bases[k][0].out_masks for k in members], dtype=np.int64)
-        x = np.array([results[k].perron for k in members])
         arc = (masks[:, :, None] >> np.arange(n)) & 1  # arc[b, i, j]: arc i -> j
+        results = spectral_radii(arc, [bases[k][1] for k in members])
+        owners, tails, heads = np.nonzero(arc)
+        rows = masks[owners]
+        rows[np.arange(len(rows)), tails] ^= 1 << heads
+        strong = _backend.sc_filter(rows).tolist()
+        arcs = list(zip(tails.tolist(), heads.tolist()))
+        ends = np.searchsorted(owners, np.arange(len(members) + 1)).tolist()
+        for b, k in enumerate(members):
+            lo, hi = ends[b], ends[b + 1]
+            facts[k] = (results[b], arcs[lo:hi], list(compress(arcs[lo:hi], strong[lo:hi])))
+        x = np.array([r.perron for r in results])
         mi, mj, xi, xj = masks[:, :, None], masks[:, None, :], x[:, :, None], x[:, None, :]
         nested = (arc | arc.transpose(0, 2, 1) == 0) & (mi & ~mj == 0) & ~np.eye(n, dtype=bool)
         equal = mi == mj
         bad = nested & np.where(equal, np.abs(xj - xi) > DECISION_MARGIN, xj < xi - DECISION_MARGIN)
         count += int(nested.sum())
         found += [(members[b], i, j, bool(equal[b, i, j])) for b, i, j in np.argwhere(bad).tolist()]
-    return count, [f"{bases[k][2]} {'equal' if eq else 'nested'}-nbhd {i},{j} alpha={bases[k][1]}"
-                   for k, i, j, eq in sorted(found)]
+    return facts, count, [f"{bases[k][2]} {'equal' if eq else 'nested'}-nbhd {i},{j} alpha={bases[k][1]}"
+                          for k, i, j, eq in sorted(found)]
 
 
 def _lemma_fleet() -> list[FamilySpec]:
@@ -529,19 +526,19 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     Eigenvector entries, which have no enclosures, are compared beyond
     ``DECISION_MARGIN``.
 
-    The run has six phases.  Every base is drawn first: the ``trials``
+    The run has four phases.  Every base is drawn first: the ``trials``
     random digraphs (each an ``n``, an alpha and a sampled digraph), then
-    each fleet digraph at alpha 0 and 0.5.  All bases are solved in one
-    :func:`~alphaspectra.spectral.spectral_radii` call, and their deletable
-    arcs come from one :func:`_deletable_arcs` pass, which draws nothing.
-    Each base then draws its derived digraphs from its own result, since
-    its Perron vector steers the retarget draws; a retarget move is checked
-    only if its :func:`~alphaspectra.digraph.retarget_in_arcs` digraph stays
-    strongly connected.  The Perron-order lemma is then checked on every
-    base by :func:`_perron_order`, which draws nothing either.  Last, the
-    queued claims are solved in a second batch call and judged in queue
-    order; a violation's text is formatted only then.  So a seed fixes
-    every random base before any transform draw is made.
+    each fleet digraph at alpha 0 and 0.5.  One :func:`_base_facts` pass,
+    which draws nothing, then gives every base its result, from one
+    :func:`~alphaspectra.spectral.spectral_radii` call per vertex count,
+    its arcs and its deletable arcs, and checks the Perron-order lemma on
+    every base.  Each base then draws its derived digraphs from its own
+    result, since its Perron vector steers the retarget draws; a retarget
+    move is checked only if its
+    :func:`~alphaspectra.digraph.retarget_in_arcs` digraph stays strongly
+    connected.  Last, the queued claims are solved in one more batch call
+    and judged in queue order; a violation's text is formatted only then.
+    So a seed fixes every random base before any transform draw is made.
     """
     if trials <= 0:
         raise InvalidParamsError(f"trials must be positive, got {trials}")
@@ -557,7 +554,8 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     # two violation-text parts), solved in one batch once every base is done
     queued: list[tuple[str, Digraph, float, SpectralResult, str, str, object]] = []
 
-    def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult, candidates: list[Arc]):
+    def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult, arcs: list[Arc],
+                   candidates: list[Arc]):
         report.items.append(_item(label, alpha, base))
         x = base.perron.tolist()
         n, out_masks = d.n, d.out_masks
@@ -568,10 +566,10 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
             queued.append(("subdigraph", delete_arc(d, pick), alpha, base, label, "arc ", pick))
 
         # subdivision lemma: excluded on directed cycles
-        if len(d.arcs) == d.n:
+        if len(arcs) == n:
             skips["subdivision"] += 1
         else:
-            pick = d.arcs[int(rng.integers(len(d.arcs)))]
+            pick = arcs[int(rng.integers(len(arcs)))]
             queued.append(("subdivision", subdivide_arc(d, pick), alpha, base, label, "arc ", pick))
 
         # retargeting lemma
@@ -600,12 +598,10 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
         d, label = generate(spec), format_spec(spec)
         bases += [(d, 0.0, label), (d, 0.5, label)]
 
-    digraphs, alphas, labels = zip(*bases)
-    report = VerificationReport("transform-lemmas", sorted(set(alphas)))
-    results = spectral_radii(digraphs, alphas)
-    for d, alpha, label, base, candidates in zip(digraphs, alphas, labels, results, _deletable_arcs(digraphs)):
-        check_base(d, alpha, label, base, candidates)
-    counts["perron-order"], violations["perron-order"] = _perron_order(bases, results)
+    report = VerificationReport("transform-lemmas", sorted({alpha for _, alpha, _ in bases}))
+    facts, counts["perron-order"], violations["perron-order"] = _base_facts(bases)
+    for (d, alpha, label), (base, arcs, candidates) in zip(bases, facts):
+        check_base(d, alpha, label, base, arcs, candidates)
 
     derived = spectral_radii([q[1] for q in queued], [q[2] for q in queued])
     for (lemma, _, alpha, base, label, what, arg), res in zip(queued, derived):

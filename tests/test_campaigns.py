@@ -30,6 +30,7 @@ from alphaspectra.digraph import (
     is_strongly_connected,
     make_digraph,
     subdivide_arc,
+    to_dgr1,
 )
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
@@ -326,33 +327,73 @@ class TestTransformLemmas:
             assert (item.label, item.alpha) == (label, alpha)
             assert (item.radius, item.lo, item.hi) == (alone.radius, *alone.enclosure)
 
-    def test_two_batched_solves(self, monkeypatch):
-        batches = []  # per spectral_radii call: (vertex counts, kernel stack shapes)
-        real_radii, real_kernel = campaigns.spectral_radii, _backend.power_iteration
+    def test_one_stacked_solve_per_vertex_count(self, monkeypatch):
+        # the bases: one stacked solve and one kernel call per distinct
+        # vertex count; then the derived digraphs in one batch
+        batches = []  # per spectral_radii call: (stacked, vertex counts, kernel stack shapes)
+        counts = []  # the distinct vertex counts of the bases
+        real_radii, real_kernel, real_facts = campaigns.spectral_radii, _backend.power_iteration, campaigns._base_facts
 
         def radii(digraphs, alphas, *args):
-            batches.append(([d.n for d in digraphs], []))
+            stacked = isinstance(digraphs, np.ndarray)
+            batches.append((stacked, [d.shape[0] if stacked else d.n for d in digraphs], []))
             return real_radii(digraphs, alphas, *args)
 
         def kernel(m, x, tol, max_iter):
-            batches[-1][1].append(m.shape)
+            batches[-1][2].append(m.shape)
             return real_kernel(m, x, tol, max_iter)
+
+        def facts(bases):
+            counts.extend(sorted({d.n for d, _, _ in bases}))
+            return real_facts(bases)
 
         def one_digraph(*args):
             raise AssertionError("one-digraph solve in the lemma fuzz")
 
         monkeypatch.setattr(campaigns, "spectral_radii", radii)
+        monkeypatch.setattr(campaigns, "_base_facts", facts)
         monkeypatch.setattr(_backend, "power_iteration", kernel)
         monkeypatch.setattr(spectral, "spectral_radius", one_digraph)
         assert not hasattr(campaigns, "spectral_radius")
         report = verify_transform_lemmas(30, seed=11)
         assert report.passed()
-        assert len(batches) == 2
-        assert len(batches[0][0]) == len(report.items)
-        for sizes, shapes in batches:
-            kernel_ns = [shape[1] for shape in shapes]
-            assert sorted(kernel_ns) == sorted(set(sizes))
-            assert sum(shape[0] for shape in shapes) == len(sizes)
+        *stacks, derived = batches
+        assert [stacked for stacked, _, _ in batches] == [True] * len(counts) + [False]
+        assert sorted(sizes[0] for _, sizes, _ in stacks) == counts
+        assert sum(len(sizes) for _, sizes, _ in stacks) == len(report.items)
+        for _, sizes, shapes in stacks:
+            assert shapes == [(len(sizes), sizes[0], sizes[0])]
+        sizes, shapes = derived[1:]
+        assert sorted(shape[1] for shape in shapes) == sorted(set(sizes))
+        assert sum(shape[0] for shape in shapes) == len(sizes)
+
+    def test_derived_digraphs_pinned(self, monkeypatch):
+        # the DGR1 text and alpha of every derived digraph of one run, as
+        # passed to the last spectral_radii call: pins the fuzz's draws
+        calls, solve = [], campaigns.spectral_radii
+
+        def spy(digraphs, alphas):
+            calls.append(list(zip(digraphs, alphas)))
+            return solve(digraphs, alphas)
+
+        monkeypatch.setattr(campaigns, "spectral_radii", spy)
+        verify_transform_lemmas(100, 0)
+        text = "".join(f"alpha {alpha!r}\n{to_dgr1(d)}" for d, alpha in calls[-1])
+        assert len(calls[-1]) == 450
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3a09d7280de63ba83d7c91db48711051ad2d3d0479e8f7a6d6b48cba408ab52d")
+
+    def test_random_bases_never_build_arcs(self, monkeypatch):
+        drawn, sample = [], campaigns.random_sc_digraph
+
+        def spy(rng, n):
+            drawn.append(sample(rng, n))
+            return drawn[-1]
+
+        monkeypatch.setattr(campaigns, "random_sc_digraph", spy)
+        assert verify_transform_lemmas(100, 0).passed()
+        assert len(drawn) == 100
+        assert not any("arcs" in vars(d) for d in drawn)
 
     def test_subdivision_violation_reported(self, monkeypatch):
         # Each subdivided digraph gets its base's result lifted by 5e-10:
@@ -398,27 +439,15 @@ class TestTransformLemmas:
         # The bases' Perron vectors are replaced by one that falls by 1 per
         # out-arc and rises by 1e-3 per label: of a nested pair the larger
         # out-neighbourhood gets the smaller entry, and an equal pair is
-        # split.  The bases are the first of the two batch calls.
-        real_radii = campaigns.spectral_radii
-        calls = []
-
-        def radii(digraphs, alphas, *args):
-            real = real_radii(digraphs, alphas, *args)
-            calls.append(len(digraphs))
-            if len(calls) > 1:
-                return real
-            return [
-                dataclasses.replace(r, perron=np.array([1e-3 * v - m.bit_count() for v, m in enumerate(d.out_masks)]))
-                for d, r in zip(digraphs, real)
-            ]
-
-        monkeypatch.setattr(campaigns, "spectral_radii", radii)
+        # split.  The bases are the stacked calls; the derived batch, the
+        # last call, keeps its vectors.
+        calls = force_stacked_perron(monkeypatch)
         report = verify_transform_lemmas(1, seed=3)
         order = next(v for v in report.verdicts if v.claim == "perron-order lemma")
         assert order.status == "fail"
         assert re.search(r"; violations: \S+ nested-nbhd \d+,\d+ alpha=0\.0; ", order.detail), order.detail
         assert re.search(r"; \S+ equal-nbhd \d+,\d+ alpha=0\.", order.detail), order.detail
-        assert len(calls) == 2
+        assert len(calls) > 2 and all(calls[:-1]) and not calls[-1]
 
 
 def per_pair_sc_digraph(rng, n):
@@ -438,8 +467,8 @@ def per_pair_sc_digraph(rng, n):
 
 
 def toggle_deletable_arcs(d):
-    """Per-arc oracle for ``campaigns._deletable_arcs``: delete one arc and
-    run the reachability-from-every-vertex check."""
+    """Per-arc oracle for the deletable arcs of ``campaigns._base_facts``:
+    delete one arc and run the reachability-from-every-vertex check."""
     return [arc for arc in d.arcs if is_strongly_connected_bfs(delete_arc(d, arc))]
 
 
@@ -451,6 +480,22 @@ def lemma_bases(seed, per_n=6):
     return [random_sc_digraph(rng, n) for n in ns] + [generate(spec) for spec in campaigns._lemma_fleet()]
 
 
+def as_bases(digraphs):
+    """The digraphs as ``(digraph, alpha, label)`` bases, alphas cycling
+    through ``ALPHA_CHOICES``."""
+    alphas = campaigns.ALPHA_CHOICES
+    return [(d, alphas[k % len(alphas)], f"base{k}") for k, d in enumerate(digraphs)]
+
+
+def deletable_arcs(digraphs):
+    """The deletable arcs ``campaigns._base_facts`` gives each digraph."""
+    return [deletable for _, _, deletable in campaigns._base_facts(as_bases(digraphs))[0]]
+
+
+def result_bits(r):
+    return (r.radius, *r.enclosure, r.iterations, r.residual, r.perron.tobytes())
+
+
 class TestDeletableArcs:
     def test_matches_per_arc_toggle_oracle(self):
         for seed in range(4):
@@ -458,41 +503,62 @@ class TestDeletableArcs:
             # the same masks in fresh values, whose arcs were never read
             fresh = [digraph.Digraph(d.n, d.out_masks) for d in bases]
             assert not any("arcs" in vars(d) for d in fresh)
-            got = campaigns._deletable_arcs(fresh)
+            facts = campaigns._base_facts(as_bases(fresh))[0]
+            assert not any("arcs" in vars(d) for d in fresh)
+            got = [deletable for _, _, deletable in facts]
             want = [toggle_deletable_arcs(d) for d in bases]
             assert got == want, seed
-            assert campaigns._deletable_arcs(bases) == want, seed
+            assert deletable_arcs(bases) == want, seed
             assert any(want) and not all(want)
+            assert [tuple(arcs) for _, arcs, _ in facts] == [d.arcs for d in bases], seed
+            # bit-identical to a solve of the digraphs as a list
+            alphas = [alpha for _, alpha, _ in as_bases(bases)]
+            solved = spectral.spectral_radii(bases, alphas)
+            assert [result_bits(r) for r, _, _ in facts] == [result_bits(r) for r in solved], seed
             # violation texts format them as arc (i, j)
-            assert all(type(arc) is tuple and [type(v) for v in arc] == [int, int] for arcs in got for arc in arcs)
+            assert all(type(arc) is tuple and [type(v) for v in arc] == [int, int]
+                       for _, arcs, deletable in facts for arc in arcs + deletable)
 
     def test_cycles_keep_none_complete_digraphs_every_arc(self):
         cycles = [generate(FamilySpec.cycle(n)) for n in range(2, 9)]
         complete = [generate(FamilySpec.complete(n)) for n in range(3, 9)]
-        got = campaigns._deletable_arcs(cycles + complete)
+        got = deletable_arcs(cycles + complete)
         assert got == [[] for _ in cycles] + [list(d.arcs) for d in complete]
         # one base per vertex count: groups where no row stays strong, the
         # arcless n = 1 digraph, and a group where every row does
         one = make_digraph(1, [])
-        assert campaigns._deletable_arcs([*cycles, one]) == [[] for _ in range(len(cycles) + 1)]
-        assert campaigns._deletable_arcs([complete[0]]) == [list(complete[0].arcs)]
+        assert deletable_arcs([*cycles, one]) == [[] for _ in range(len(cycles) + 1)]
+        assert deletable_arcs([complete[0]]) == [list(complete[0].arcs)]
 
 
 def lemma_base_triples(seed):
-    """``lemma_bases(seed)`` as ``(digraph, alpha, label)`` bases, alphas
-    cycling through ``ALPHA_CHOICES``, and their results."""
-    digraphs = lemma_bases(seed)
-    alphas = [campaigns.ALPHA_CHOICES[k % len(campaigns.ALPHA_CHOICES)] for k in range(len(digraphs))]
-    bases = [(d, alpha, f"base{k}") for k, (d, alpha) in enumerate(zip(digraphs, alphas))]
-    return bases, spectral.spectral_radii(digraphs, alphas)
+    """``lemma_bases(seed)`` as ``(digraph, alpha, label)`` bases, and
+    their results."""
+    bases = as_bases(lemma_bases(seed))
+    return bases, spectral.spectral_radii([d for d, _, _ in bases], [alpha for _, alpha, _ in bases])
 
 
-def forced_perron(bases, results):
-    """The results with the Perron vectors of
-    ``test_perron_order_violation_reported``: falling by 1 per out-arc and
-    rising by 1e-3 per label."""
-    return [dataclasses.replace(r, perron=np.array([1e-3 * v - m.bit_count() for v, m in enumerate(d.out_masks)]))
-            for (d, _, _), r in zip(bases, results)]
+def forced_perron(results, degrees):
+    """The results with Perron vectors that fall by 1 per out-arc and rise
+    by 1e-3 per label, from each digraph's outdegrees."""
+    return [dataclasses.replace(r, perron=1e-3 * np.arange(len(deg)) - np.asarray(deg))
+            for r, deg in zip(results, degrees)]
+
+
+def force_stacked_perron(monkeypatch):
+    """Patch ``campaigns.spectral_radii`` so that a call on an adjacency
+    stack, the bases' solves, returns :func:`forced_perron` vectors; a call
+    on a list is left alone.  The returned list gets, per call, whether it
+    was stacked."""
+    real_radii, calls = campaigns.spectral_radii, []
+
+    def radii(digraphs, alphas, *args):
+        real = real_radii(digraphs, alphas, *args)
+        calls.append(isinstance(digraphs, np.ndarray))
+        return forced_perron(real, digraphs.sum(axis=2)) if calls[-1] else real
+
+    monkeypatch.setattr(campaigns, "spectral_radii", radii)
+    return calls
 
 
 class TestPerronOrder:
@@ -500,15 +566,18 @@ class TestPerronOrder:
         for seed in range(4):
             bases, results = lemma_base_triples(seed)
             want = perron_order_per_pair(bases, results)
-            assert campaigns._perron_order(bases, results) == want, seed
+            facts, count, texts = campaigns._base_facts(bases)
+            assert (count, texts) == want, seed
+            assert [result_bits(r) for r, _, _ in facts] == [result_bits(r) for r in results], seed
             assert want[0] > 0
 
-    def test_forced_violations_match_oracle_in_base_order(self):
+    def test_forced_violations_match_oracle_in_base_order(self, monkeypatch):
+        calls = force_stacked_perron(monkeypatch)
         for seed in range(4):
             bases, results = lemma_base_triples(seed)
-            forced = forced_perron(bases, results)
+            forced = forced_perron(results, [[m.bit_count() for m in d.out_masks] for d, _, _ in bases])
             count, texts = perron_order_per_pair(bases, forced)
-            assert campaigns._perron_order(bases, forced) == (count, texts), seed
+            assert campaigns._base_facts(bases)[1:] == (count, texts), seed
             assert any(" equal-nbhd " in t for t in texts) and any(" nested-nbhd " in t for t in texts)
             # the bases come in a shuffled vertex-count order and a later
             # base has an earlier pair, so neither a per-count concatenation
@@ -517,6 +586,7 @@ class TestPerronOrder:
             assert keys == sorted(keys)
             assert sorted(keys, key=lambda k: (k[1], k[2], k[0])) != keys
             assert [bases[k][0].n for k, _, _ in keys] != sorted(bases[k][0].n for k, _, _ in keys)
+        assert calls and all(calls)
 
 
 def assert_digraph_invariant(d):
@@ -540,7 +610,7 @@ class TestDirectlyBuiltDigraphs:
 
     def test_delete_each_deletable_arc(self):
         bases = lemma_bases(6, per_n=3)
-        for d, arcs in zip(bases, campaigns._deletable_arcs(bases)):
+        for d, arcs in zip(bases, deletable_arcs(bases)):
             for arc in arcs:
                 sub = delete_arc(d, arc)
                 assert_digraph_invariant(sub)
@@ -580,7 +650,7 @@ class TestRetargetMoves:
             monkeypatch.setattr(campaigns, "retarget_in_arcs", spy_retarget)
             report = verify_transform_lemmas(100, seed)
             strong = [m for m in moves if is_strongly_connected_bfs(m)]
-            queued = [d for d in batches[1] if any(d is m for m in moves)]
+            queued = [d for d in batches[-1] if any(d is m for m in moves)]
             assert [id(d) for d in queued] == [id(m) for m in strong], seed
             skipped = len(moves) - len(strong)
             detail = next(v.detail for v in report.verdicts if v.claim == "retarget lemma")

@@ -15,7 +15,10 @@ writes no bytecode.
 
 Writes ``BENCH_<label>.json``: per workload the seeds, every run's value of
 every end-to-end metric, their median and quartiles (inclusive method), all
-to 4 decimals, and how many pairs the change wins on ``wall_s``.
+to 4 decimals, and how many pairs the change wins on ``wall_s``.  A run
+that is not ``correct`` or has ``failed`` operations is listed under
+``bad_runs``; if there is one on either side, the file is still written,
+the runs are named on stderr and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ def compare(workload: str, pairs: int, seeds: list[int], seconds: float, trees: 
     for side in SIDES:
         row[f"{side}_all_correct"] = all(r["correct"] for r in results[side])
         row[f"{side}_failed"] = sum(r["failed"] for r in results[side])
+    row["bad_runs"] = [f"{workload} {side} seed {seed}" for side in SIDES for seed, r in zip(seeds, results[side])
+                       if not r["correct"] or r["failed"]]
     walls = [[r["metrics"]["wall_s"]["value"] for r in results[side]] for side in SIDES]
     row["wall_s_change_wins"] = f"{sum(c < p for p, c in zip(*walls))} of {pairs}"
     row["metrics"] = {
@@ -133,6 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
+    bad = [run for row in record["workloads"].values() for run in row["bad_runs"]]
+    if bad:
+        print(f"{out}: runs not correct or with failed operations: {', '.join(bad)}", file=sys.stderr)
+        return 1
     return 0
 
 

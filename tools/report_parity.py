@@ -16,7 +16,7 @@ only global-min's carry keys (at n = 5), so these catch a change in how
 digraphs are decoded, in their arc order or in their keys.  The
 lemma-derived sets (``LEMMA_SETS``) hash the DGR1 text and alpha of every
 digraph the transform-lemma fuzz derives from its bases, as passed to its
-second ``spectral_radii`` call; reports carry only the bases' radii, so
+last ``spectral_radii`` call; reports carry only the bases' radii, so
 these catch a change in the deleted arcs, subdivisions or retarget moves.  Last come fixed solver sets
 (``SOLVER_SETS``): the ``radius``, enclosure, ``iterations`` and Perron
 vector bytes of every result of one ``spectral_radii`` call over the
@@ -39,9 +39,9 @@ k = 2 block of ``canonical_masks``, row 0 ``000011`` and every other row
 drawn from the loop-free rows with at least two ones, sieved by
 ``digraph._perm_moves``.  The kernel sets (``KERNEL_SETS``) hash the
 ``_backend.sc_filter`` flags of seeded rows for n = 2..12, each row at
-its own arc density, and the ``campaigns._deletable_arcs`` of seeded
-lemma bases, so the strong-connectivity kernel is pinned beyond the
-n = 5 enumeration.
+its own arc density, and the deletable arcs of seeded lemma bases, from
+``campaigns._base_facts`` (``_deletable_arcs`` in a tree that has it), so
+the strong-connectivity kernel is pinned beyond the n = 5 enumeration.
 The exit status is 0 when every hash but the oracle set's matches and no
 oracle root falls outside, and 1 otherwise: a change to the root finders
 may move their last bits but never past a certified enclosure.
@@ -116,7 +116,7 @@ def lemma_derived(trials, seed):
         campaigns.verify_transform_lemmas(trials, seed)
     finally:
         campaigns.spectral_radii = solve
-    return calls[1]
+    return calls[-1]
 def sieve_sample(n, k, count, seed):
     rng = np.random.default_rng(seed)
     masks = np.full(count, ((1 << k) - 1) << digraph._cell_bit(n, 0, n - 1), dtype=np.int64)
@@ -131,11 +131,15 @@ def sc_filter_flags(n, count, seed):
     rng = np.random.default_rng(seed)
     arcs = (rng.random((count, n, n)) < rng.uniform(0.1, 0.6, (count, 1, 1))) & ~np.eye(n, dtype=bool)
     return _backend.sc_filter((arcs.astype(np.int64) << np.arange(n)).sum(axis=2)).tolist()
-# the lemma fuzz's seeded random bases (n = 2..8) and the lemma fleet
+# the lemma fuzz's seeded random bases (n = 2..8) and the lemma fleet; a
+# tree without _deletable_arcs reads them off the _base_facts pass
 def deletable_arcs(trials, seed):
     rng = np.random.default_rng(seed)
     bases = [campaigns.random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(trials)]
-    return campaigns._deletable_arcs(bases + [generate(spec) for spec in campaigns._lemma_fleet()])
+    bases += [generate(spec) for spec in campaigns._lemma_fleet()]
+    if hasattr(campaigns, "_deletable_arcs"):
+        return campaigns._deletable_arcs(bases)
+    return [arcs for _, _, arcs in campaigns._base_facts([(d, 0.0, "") for d in bases])[0]]
 kernels = {"sc_filter_flags": sc_filter_flags, "deletable_arcs": deletable_arcs}
 # every kind: infty and theta for s = 2..4 up to n = 15, cycle and complete
 # for n = 2..11, kpq for p, q = 1..5, bip1-6 for 2 <= q <= p <= 5 up to
@@ -205,8 +209,8 @@ ORACLE_SETS = [("oracle_roots", [0.99])]
 SIEVE_SETS = [("canonical_masks", [n]) for n in range(2, 6)] + [("sieve_sample", [6, 2, 400_000, 6])]
 
 #: the strong-connectivity kernel: ``sc_filter`` flags of (n, count, seed)
-#: seeded rows, and the ``_deletable_arcs`` of (trials, seed) seeded lemma
-#: bases plus the lemma fleet
+#: seeded rows, and the deletable arcs of (trials, seed) seeded lemma bases
+#: plus the lemma fleet
 KERNEL_SETS = [("sc_filter_flags", [n, 2000, n]) for n in range(2, 13)] + [
     ("deletable_arcs", [300, seed]) for seed in range(4)]
 
