@@ -18,7 +18,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,6 +48,18 @@ from .spectral import SpectralResult, spectral_radii
 #: ordering check counts; radii are ordered by their enclosures alone
 DECISION_MARGIN = 1e-9
 ENUMERATION_MAX_N = 5
+
+
+#: one report item as ``json.dumps(asdict(report), indent=2)`` writes it:
+#: the label as a JSON string, then the four floats' reprs
+_ITEM_JSON = """\
+    {
+      "label": %s,
+      "alpha": %r,
+      "radius": %r,
+      "lo": %r,
+      "hi": %r
+    }"""
 
 
 @dataclass
@@ -78,9 +91,21 @@ class VerificationReport:
         return all(v.status in ("pass", "exploratory", "skipped") for v in self.verdicts)
 
     def to_json(self) -> str:
-        """The fields in declaration order, items and verdicts as objects."""
-        items, verdicts = [vars(it) for it in self.items], [vars(v) for v in self.verdicts]
-        return json.dumps({**vars(self), "items": items, "verdicts": verdicts}, indent=2)
+        """``json.dumps(asdict(self), indent=2)``, byte for byte.
+
+        An indenting ``json.dumps`` walks every value in Python, so only
+        the rest of the report goes through it, with no items.  Each item
+        fills :data:`_ITEM_JSON` with the C string encoder that ``json``
+        uses and the reprs of its floats, which are finite Python floats,
+        as ``json`` writes them.  The block replaces the first
+        ``"items": [],``, which no encoded string can hold, since its
+        quotes would be escaped."""
+        text = json.dumps({**vars(self), "items": [], "verdicts": [vars(v) for v in self.verdicts]}, indent=2)
+        if not self.items:
+            return text
+        block = ",\n".join([_ITEM_JSON % (encode_basestring_ascii(it.label), it.alpha, it.radius, it.lo, it.hi)
+                            for it in self.items])
+        return text.replace('"items": [],', f'"items": [\n{block}\n  ],', 1)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -153,7 +178,8 @@ def judge_rank(
     if label not in labels:
         return Verdict(claim, "fail", f"expected {name}, not among the ranked members")
     x = ranked[labels.index(label)][1]
-    ends = np.array([res.enclosure for _, res in ranked])
+    flat = chain.from_iterable(res.enclosure for _, res in ranked)
+    ends = np.fromiter(flat, float, 2 * len(ranked)).reshape(-1, 2)
     by_lo, by_hi = np.argsort(ends[:, 0], kind="stable"), np.argsort(ends[:, 1], kind="stable")
     below = int(np.searchsorted(ends[by_hi, 1], x.enclosure.lo, "left"))
     above = len(ranked) - int(np.searchsorted(ends[by_lo, 0], x.enclosure.hi, "right"))

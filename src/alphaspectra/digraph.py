@@ -22,7 +22,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -127,12 +127,16 @@ def out_degrees(d: Digraph) -> tuple[int, ...]:
 def is_strongly_connected(d: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path.
 
-    From the out-masks alone: sweeps over the vertices, until one changes
-    neither set, grow the vertices vertex 0 reaches (``fwd``) and those
-    that reach it (``back``); both must be all.
+    From the out-masks alone.  A vertex with no out-arc, or one with no
+    in-arc (the masks' OR is not all), decides it at once: only the
+    one-vertex digraph is strong then.  Otherwise sweeps over the
+    vertices, until one changes neither set, grow the vertices vertex 0
+    reaches (``fwd``) and those that reach it (``back``); both must be all.
     """
     outs = d.out_masks
     full = (1 << d.n) - 1
+    if 0 in outs or reduce(operator.or_, outs, 0) != full:
+        return d.n == 1
     fwd = back = 1
     while True:
         seen = fwd, back

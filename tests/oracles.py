@@ -1,12 +1,12 @@
 """Test-only oracles: independent strong-connectivity and labeled-mask
-references, the per-pair Perron-order check, and frozen class counts.
-Nothing in the package uses them."""
+references, the per-pair Perron-order and rank checks, and frozen class
+counts.  Nothing in the package uses them."""
 
 from collections import deque
 
 import numpy as np
 
-from alphaspectra.campaigns import DECISION_MARGIN
+from alphaspectra.campaigns import DECISION_MARGIN, Verdict
 from alphaspectra.digraph import Digraph, _cell_bit
 
 #: isomorphism-class counts of strongly connected digraphs; the n = 5 value
@@ -71,3 +71,34 @@ def perron_order_per_pair(bases, results):
                 elif x[j] < x[i] - DECISION_MARGIN:
                     violations.append(f"{label} nested-nbhd {i},{j} alpha={alpha}")
     return count, violations
+
+
+def judge_rank_per_pair(claim, ranked, pos, label, name):
+    """Member-by-member oracle for ``campaigns.judge_rank``: counts the
+    members with ``hi < X.lo`` and with ``lo > X.hi`` one comparison at a
+    time, with no sorting or bisection.  A failure names the member below
+    with the largest ``hi`` (the last in input order on a tie), or the one
+    above with the least ``lo`` (the first on a tie)."""
+    labels = [lab for lab, _ in ranked]
+    if label not in labels:
+        return Verdict(claim, "fail", f"expected {name}, not among the ranked members")
+    x = ranked[labels.index(label)][1].enclosure
+    below = [k for k, (_, res) in enumerate(ranked) if res.enclosure.hi < x.lo]
+    above = [k for k, (_, res) in enumerate(ranked) if res.enclosure.lo > x.hi]
+    if len(below) > pos:
+        k = max(below, key=lambda k: (ranked[k][1].enclosure.hi, k))
+        return Verdict(claim, "fail", f"expected {name}, found {labels[k]}")
+    if len(above) > len(ranked) - 1 - pos:
+        k = min(above, key=lambda k: (ranked[k][1].enclosure.lo, k))
+        return Verdict(claim, "fail", f"expected {name}, found {labels[k]}")
+    if len(ranked) == 1:
+        return Verdict(claim, "pass", "single member, trivially extremal")
+    radius = ranked[labels.index(label)][1].radius
+    if len(below) + len(above) == len(ranked) - 1:
+        status, k = "pass", pos + 1 if pos + 1 < len(ranked) else pos - 1
+    else:
+        decided = set(below) | set(above)
+        status, k = "indistinguishable", min(
+            (k for k, lab in enumerate(labels) if lab != label and k not in decided),
+            key=lambda k: (abs(ranked[k][1].radius - radius), labels[k]))
+    return Verdict(claim, status, f"{name} vs {labels[k]} gap {abs(ranked[k][1].radius - radius):.3e}")

@@ -10,6 +10,9 @@ import pytest
 
 from alphaspectra import _backend, campaigns, digraph, families, spectral
 from alphaspectra.campaigns import (
+    ReportItem,
+    Verdict,
+    VerificationReport,
     claim_status,
     decide_order,
     enumerate_sc_digraphs,
@@ -35,7 +38,13 @@ from alphaspectra.digraph import (
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
 from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
-from oracles import SC_CLASS_COUNTS, SC_LABELED_COUNTS, is_strongly_connected_bfs, perron_order_per_pair
+from oracles import (
+    SC_CLASS_COUNTS,
+    SC_LABELED_COUNTS,
+    is_strongly_connected_bfs,
+    judge_rank_per_pair,
+    perron_order_per_pair,
+)
 
 
 def decoded_classes(n):
@@ -712,6 +721,22 @@ class TestReports:
             verify_transform_lemmas(10, seed=2),
             merge_reports("family-extremes", [verify_family_extremes("theta", 6, 3, a) for a in (0.0, 0.5)]),
         ]
+        # no items, and no verdicts either
+        reports += [VerificationReport("global-min", [0.5], verdicts=[Verdict("c", "pass", "d")]),
+                    VerificationReport("empty", [])]
+        # strings with quotes, backslashes, control and non-ASCII
+        # characters, and a campaign holding the text the items replace
+        odd = 'a "q" \\ b\nc\td, e \u00e9\u2192\U0001d6fc \x7f\x00'
+        reports.append(VerificationReport(
+            f'{odd} "items": [],', [0.0, 0.5],
+            [ReportItem(odd, 0.5, 1.0, 0.9999999999999998, 1.0000000000000002),
+             ReportItem(f"{odd} #2", 0.0, 5e-324, 0.0, 1e16),
+             ReportItem("", 0.1, 1e-7, 123456789012345.67, 1.7976931348623157e308)],
+            [Verdict(odd, "pass", odd), Verdict('"items": [],', "fail", "")], runtime_s=1e-5))
+        # a later "items" key, in a verdict detail that is not a string,
+        # keeps its own value
+        reports.append(VerificationReport("c", [0.5], [ReportItem("x", 0.5, 2.0, 1.5, 2.5)],
+                                          [Verdict("c", "pass", {"items": [], "n": 1})]))
         for report in reports:
             assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2), report.campaign
 
@@ -864,3 +889,21 @@ class TestJudgeRank:
     def test_unranked_label_fails(self):
         v = judge_rank("claim", self.TIED, 0, "d", "D")
         assert (v.status, v.detail) == ("fail", "expected D, not among the ranked members")
+
+    def test_matches_per_pair_oracle(self):
+        # seeded rankings of 50 members on a coarse grid of midpoints and
+        # half-widths, so radii, ends and whole enclosures tie, members
+        # overlap and some stand alone; every label at every position
+        statuses = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            radii = rng.integers(0, 100, 50) * 0.25
+            halves = rng.choice([0.0, 0.0, 0.125, 0.25, 1.0], 50)
+            members = [(f"m{k:02d}", fake(r, h)) for k, (r, h) in enumerate(zip(radii, halves))]
+            ranked = sorted(members, key=lambda t: (t[1].radius, t[0]))
+            for pos in range(len(ranked)):
+                for label in [lab for lab, _ in members] + ["absent"]:
+                    v = judge_rank("claim", ranked, pos, label, label.upper())
+                    assert v == judge_rank_per_pair("claim", ranked, pos, label, label.upper()), (seed, pos, label)
+                    statuses.add(v.status)
+        assert statuses == {"pass", "fail", "indistinguishable"}

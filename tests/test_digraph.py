@@ -107,6 +107,24 @@ class TestStrongConnectivity:
         d = make_digraph(3, [(0, 1), (1, 0)])
         assert not is_strongly_connected(d)
 
+    def test_sink_source_and_disjoint_cycles(self):
+        # a sink or a source ends the check before the sweeps; two disjoint
+        # cycles, each vertex with an in- and an out-arc, need n >= 4 and
+        # leave it to the sweeps, with or without an arc from one to the other
+        for n in range(2, 10):
+            complete = generate(FamilySpec.complete(n))
+            for v in range(n):
+                sink = make_digraph(n, [(i, j) for i, j in complete.arcs if i != v])
+                source = make_digraph(n, [(i, j) for i, j in complete.arcs if j != v])
+                for d in (sink, source):
+                    assert not is_strongly_connected(d) and not is_strongly_connected_bfs(d)
+            for k in range(2, n - 1):
+                cycles = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % (n - k)) for i in range(n - k)]
+                for arcs in (cycles, cycles + [(0, k)], cycles + [(k, 0)]):
+                    d = make_digraph(n, arcs)
+                    assert not is_strongly_connected(d) and not is_strongly_connected_bfs(d)
+                assert is_strongly_connected(make_digraph(n, cycles + [(0, k), (k, 0)]))
+
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(300):

@@ -7,11 +7,12 @@ archive`` into a temporary directory (``bench_ab.export``); the change side
 is the working tree's ``src/``, so the check can run before a commit.
 Each side runs the same fixed campaign set (``campaign_set``) in its own
 interpreter, zeroes every report's ``runtime_s`` and prints the sha256 of
-its ``to_json()``.  It also prints the sha256 of the concatenated DGR1 text
-of fixed digraph sets (``DIGRAPH_SETS``): the enumerated classes, each
-after its canonical key's ``hex()``, the criterion-1 family grid, the
-lemma fleet, the bidirected K_{p,q} and ``families``: 1789 members of
-every family kind over a grid of sizes.  Reports list only radii, and
+its ``to_json()`` and of its ``to_csv()``, the two report files.  It also
+prints the sha256 of the concatenated DGR1 text of fixed digraph sets
+(``DIGRAPH_SETS``): the enumerated classes, each after its canonical
+key's ``hex()``, the criterion-1 family grid, the lemma fleet, the
+bidirected K_{p,q} and ``families``: 1789 members of every family kind
+over a grid of sizes.  Reports list only radii, and
 only global-min's carry keys (at n = 5), so these catch a change in how
 digraphs are decoded, in their arc order or in their keys.  The
 lemma-derived sets (``LEMMA_SETS``) hash the DGR1 text and alpha of every
@@ -29,9 +30,10 @@ family campaigns also run theta at (40, 4) and infty at (35, 4), alpha
 (``ORACLE_SETS``) holds both root oracles' values, ``largest_root`` and
 ``det_scan_largest_real_root``, over the criterion-1 grid at the
 oracle-grid alphas plus 0.99.  One line per report or set says whether the
-two hashes match; for the oracle set it also gives the count of
-bit-identical roots, the largest difference between the two sides and how
-many roots fall outside the other side's Noda enclosure widened by tol.
+two sides' hashes match, a report's JSON and CSV hashes each; for the
+oracle set it also gives the count of bit-identical roots, the largest
+difference between the two sides and how many roots fall outside the
+other side's Noda enclosure widened by tol.
 The sieve sets (``SIEVE_SETS``) hash ``canonical_masks(n)`` for n = 2..5,
 which holds masks of digraphs that are not strongly connected, and the
 ``perm_sieve`` survivors of a seeded sample of n = 6 candidates: the
@@ -40,8 +42,7 @@ drawn from the loop-free rows with at least two ones, sieved by
 ``digraph._perm_moves``.  The kernel sets (``KERNEL_SETS``) hash the
 ``_backend.sc_filter`` flags of seeded rows for n = 2..12, each row at
 its own arc density, and the deletable arcs of seeded lemma bases, from
-``campaigns._base_facts`` (``_deletable_arcs`` in a tree that has it), so
-the strong-connectivity kernel is pinned beyond the n = 5 enumeration.
+``campaigns._base_facts``, so the strong-connectivity kernel is pinned beyond the n = 5 enumeration.
 The exit status is 0 when every hash but the oracle set's matches and no
 oracle root falls outside, and 1 otherwise: a change to the root finders
 may move their last bits but never past a certified enclosure.
@@ -53,7 +54,7 @@ radius lies inside the other side's enclosure and whether the two
 enclosures meet.  Both enclosures are certified, so disjoint ones mean one
 side is wrong; a radius just outside the other side's enclosure only
 means the two midpoints differ by more than the distance from the root to
-that enclosure's edge.  A report whose hash differs says whether its
+that enclosure's edge.  A report whose hashes differ says whether its
 verdicts are the same, how many radii fall outside and by how much at
 most, and how many enclosure pairs are disjoint; each verdict that
 differs is listed with both details.
@@ -75,7 +76,7 @@ ALPHAS = (0.0, 0.5, 0.9)
 
 #: run in each tree: the campaign calls, digraph sets and solver sets come
 #: on stdin; one JSON object per line out, the hash and, for a report, its
-#: verdicts and items
+#: CSV's hash, verdicts and items
 CHILD = """
 import functools, hashlib, json, sys
 import numpy as np
@@ -131,14 +132,12 @@ def sc_filter_flags(n, count, seed):
     rng = np.random.default_rng(seed)
     arcs = (rng.random((count, n, n)) < rng.uniform(0.1, 0.6, (count, 1, 1))) & ~np.eye(n, dtype=bool)
     return _backend.sc_filter((arcs.astype(np.int64) << np.arange(n)).sum(axis=2)).tolist()
-# the lemma fuzz's seeded random bases (n = 2..8) and the lemma fleet; a
-# tree without _deletable_arcs reads them off the _base_facts pass
+# the deletable arcs of the lemma fuzz's seeded random bases (n = 2..8)
+# and the lemma fleet, read off the _base_facts pass
 def deletable_arcs(trials, seed):
     rng = np.random.default_rng(seed)
     bases = [campaigns.random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(trials)]
     bases += [generate(spec) for spec in campaigns._lemma_fleet()]
-    if hasattr(campaigns, "_deletable_arcs"):
-        return campaigns._deletable_arcs(bases)
     return [arcs for _, _, arcs in campaigns._base_facts([(d, 0.0, "") for d in bases])[0]]
 kernels = {"sc_filter_flags": sc_filter_flags, "deletable_arcs": deletable_arcs}
 # every kind: infty and theta for s = 2..4 up to n = 15, cycle and complete
@@ -182,7 +181,8 @@ for fn, args in json.load(sys.stdin):
         report = getattr(campaigns, fn)(*args)
         report.runtime_s = 0.0
         text = report.to_json()
-        extra = {"verdicts": [[v.claim, v.status, v.detail] for v in report.verdicts],
+        extra = {"csv": hashlib.sha256(report.to_csv().encode()).hexdigest(),
+                 "verdicts": [[v.claim, v.status, v.detail] for v in report.verdicts],
                  "items": [[it.label, it.alpha, it.radius, it.lo, it.hi] for it in report.items]}
     print(json.dumps({"hash": hashlib.sha256(text.encode()).hexdigest(), **extra}))
 """
@@ -290,6 +290,11 @@ def compare_roots(a: list[list], b: list[list], tol: float = 1e-12) -> tuple[str
             f"{outside} outside the other side's enclosure widened by {tol:g}"), outside
 
 
+def hashes_match(a: dict, b: dict) -> bool:
+    """Whether two sides' hashes of one run match, a report's CSV included."""
+    return a["hash"] == b["hash"] and a.get("csv") == b.get("csv")
+
+
 def describe(counts: dict) -> str:
     return (f"{counts['outside']} radii of {counts['items']} items outside the other side's enclosure "
             f"(by at most {counts['farthest']:.1e}), {counts['disjoint']} disjoint enclosure pairs, "
@@ -313,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     for (fn, call_args), a, b in zip(runs, parent, change):
         ha, hb = a["hash"], b["hash"]
         line = f"same {ha[:16]}" if ha == hb else f"DIFF {ha[:16]} -> {hb[:16]}"
+        if "csv" in a:
+            ca, cb = a["csv"], b["csv"]
+            line += f"  csv same {ca[:16]}" if ca == cb else f"  csv DIFF {ca[:16]} -> {cb[:16]}"
         lines = []
         if "roots" in a:
             text, outside = compare_roots(a["roots"], b["roots"])
@@ -324,15 +332,15 @@ def main(argv: list[str] | None = None) -> int:
             same_verdicts += not lines
             for k, v in counts.items():
                 total[k] = max(total[k], v) if k == "farthest" else total[k] + v
-            if ha != hb:
+            if not hashes_match(a, b):
                 line += f"  verdicts {'DIFF' if lines else 'same'}, {describe(counts)}"
         print(f"{line}  {fn}{tuple(call_args)}", *lines, sep="\n")
-    same = sum(a["hash"] == b["hash"] for a, b in zip(parent, change))
+    same = sum(map(hashes_match, parent, change))
     print(f"{same} of {len(runs)} reports, digraph sets, lemma-derived sets, solver sets, oracle sets, sieve sets "
           "and kernel sets identical")
     print(f"{same_verdicts} of {reports} reports with the same verdicts; items: {describe(total)}")
     print(f"{roots_outside} oracle roots outside the other side's widened enclosure")
-    same_or_enclosed = sum(a["hash"] == b["hash"] or "roots" in a for a, b in zip(parent, change))
+    same_or_enclosed = sum(hashes_match(a, b) or "roots" in a for a, b in zip(parent, change))
     return 0 if same_or_enclosed == len(runs) and roots_outside == 0 else 1
 
 
