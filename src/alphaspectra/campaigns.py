@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import _backend
+from .chareq import check_alpha
 from .digraph import (
     Arc,
     CanonicalKey,
@@ -93,13 +94,14 @@ class VerificationReport:
     def to_json(self) -> str:
         """``json.dumps(asdict(self), indent=2)``, byte for byte.
 
-        An indenting ``json.dumps`` walks every value in Python, so only
-        the rest of the report goes through it, with no items.  Each item
-        fills :data:`_ITEM_JSON` with the C string encoder that ``json``
-        uses and the reprs of its floats, which are finite Python floats,
-        as ``json`` writes them.  The block replaces the first
-        ``"items": [],``, which no encoded string can hold, since its
-        quotes would be escaped."""
+        An indenting ``json.dumps`` walks every value in Python, so it
+        gets the report without its items.  Each item fills
+        :data:`_ITEM_JSON` with the C string encoder ``json`` uses and the
+        reprs of its floats, as ``json`` writes a finite Python float; the
+        campaigns make items of no other kind, their alphas having passed
+        ``check_alpha``.  The block replaces the first ``"items": [],``,
+        which no encoded string can hold, since its quotes would be
+        escaped."""
         text = json.dumps({**vars(self), "items": [], "verdicts": [vars(v) for v in self.verdicts]}, indent=2)
         if not self.items:
             return text
@@ -276,6 +278,7 @@ def verify_family_extremes(family: str, n: int, s: int, alpha: float) -> Verific
     else:
         raise InvalidParamsError(f"unknown family campaign {family!r}")
 
+    alpha = check_alpha(alpha)
     report = VerificationReport(f"family-extremes:{family}", [alpha])
     results = _rank(report, [format_spec(spec) for spec in specs], [generate(spec) for spec in specs], alpha)
 
@@ -319,6 +322,7 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
     if n != 5:
         raise InvalidParamsError(f"rank claims are stated at n=5, got {n}")
     t0 = time.perf_counter()
+    alpha = check_alpha(alpha)
     report = VerificationReport("global-min", [alpha])
     # asarray: a sequence of masks, such as a sample of the classes, ranks too
     masks = np.asarray(enumerate_sc_digraphs(n), dtype=np.int64)
@@ -362,6 +366,7 @@ def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> Verificati
     if not (p >= q >= 2 and p + q <= n - 1):
         raise InvalidParamsError(f"need p >= q >= 2 and p + q <= n - 1, got {(n, p, q)}")
     t0 = time.perf_counter()
+    alpha = check_alpha(alpha)
     report = VerificationReport("bipartite-min", [alpha])
     rem = n - p - q
     loc = f"(n={n}, p={p}, q={q}, alpha={alpha})"

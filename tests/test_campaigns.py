@@ -740,6 +740,17 @@ class TestReports:
         for report in reports:
             assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2), report.campaign
 
+    def test_alpha_written_as_a_float(self):
+        # a numpy or int alpha gives the float alpha's report, so no item
+        # writes np.float64(...) into the JSON or CSV
+        for run, alpha, other in [(lambda a: verify_family_extremes("infty", 6, 2, a), 0.5, np.float64(0.5)),
+                                  (lambda a: verify_global_minima(5, a), 0.0, 0),
+                                  (lambda a: verify_bipartite_minimum(5, 2, 2, a), 0.5, np.float32(0.5))]:
+            want, got = run(alpha), run(other)
+            want.runtime_s = got.runtime_s = 0.0
+            assert got.to_json() == want.to_json() and got.to_csv() == want.to_csv()
+            assert json.loads(got.to_json())["items"][0]["alpha"] == alpha
+
     def test_merge(self):
         a = verify_family_extremes("infty", 6, 2, 0.0)
         b = verify_family_extremes("infty", 6, 2, 0.5)
