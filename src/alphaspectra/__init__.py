@@ -41,6 +41,7 @@ from .families import (
 from .spectral import (
     Interval,
     SpectralResult,
+    SpectralResults,
     build_alpha_matrix,
     cw_enclosure,
     det_scan_largest_real_root,

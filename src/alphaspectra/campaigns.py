@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -38,12 +38,13 @@ from .digraph import (
     delete_arc,
     digraphs_from_masks,
     is_strongly_connected,
+    masks_strongly_connected,
     retarget_in_arcs,
     subdivide_arc,
 )
 from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .families import FamilySpec, format_spec, generate, list_bicyclic, list_compositions
-from .spectral import SpectralResult, spectral_radii
+from .spectral import Interval, SpectralResult, SpectralResults, spectral_radii
 
 #: smallest Perron-vector entry difference the lemma fuzz's eigenvector
 #: ordering check counts; radii are ordered by their enclosures alone
@@ -129,18 +130,19 @@ def merge_reports(campaign: str, reports: list[VerificationReport]) -> Verificat
     return merged
 
 
-def decide_order(a: SpectralResult, b: SpectralResult) -> int | None:
-    """-1 if a < b, +1 if a > b, certified by disjoint enclosures; None
-    when the enclosures overlap."""
-    if a.enclosure.disjoint_below(b.enclosure):
+def decide_order(a: Interval, b: Interval) -> int | None:
+    """-1 if a < b, +1 if a > b, certified by the disjoint enclosures a
+    and b; None when they overlap."""
+    if a.hi < b.lo:
         return -1
-    if b.enclosure.disjoint_below(a.enclosure):
+    if b.hi < a.lo:
         return 1
     return None
 
 
-def claim_status(a: SpectralResult, relation: str, b: SpectralResult) -> str:
-    """Status of the claim ``a <relation> b``, relation ``>``, ``>=`` or ``=``.
+def claim_status(a: Interval, relation: str, b: Interval) -> str:
+    """Status of the claim ``a <relation> b`` on the enclosures a and b,
+    relation ``>``, ``>=`` or ``=``.
 
     When :func:`decide_order` orders the pair, ``>`` and ``>=`` pass when a
     is above b, and every other outcome fails.  When the enclosures overlap
@@ -156,62 +158,57 @@ def claim_status(a: SpectralResult, relation: str, b: SpectralResult) -> str:
 
 def judge_claim(claim: str, a: SpectralResult, relation: str, b: SpectralResult) -> Verdict:
     """:func:`claim_status` of ``a <relation> b`` as a verdict; the detail is the radii's gap."""
-    return Verdict(claim, claim_status(a, relation, b), f"gap {abs(a.radius - b.radius):.3e}")
+    return Verdict(claim, claim_status(a.enclosure, relation, b.enclosure), f"gap {abs(a.radius - b.radius):.3e}")
 
 
-def judge_rank(
-    claim: str, ranked: list[tuple[str, SpectralResult]], pos: int, label: str, name: str
-) -> Verdict:
-    """Verdict for "``label`` holds rank ``pos``" in ``ranked``, a list of
-    ``(label, result)`` sorted by ``(radius, label)``.
+def judge_rank(claim: str, labels: list[str], ranked: SpectralResults, pos: int, label: str, name: str) -> Verdict:
+    """Verdict for "``label`` holds rank ``pos``" among ``labels``, whose
+    results ``ranked`` are sorted by ``(radius, label)``.
 
     Decided from certified counts, not from the midpoint order.  With X
     the expected member, ``below`` members have ``hi < X.lo`` and ``above``
     members ``lo > X.hi``, each counted by bisection in the sorted
-    enclosure ends.  The claim fails iff ``below > pos`` or ``above >
-    N-1-pos`` (or X is not ranked), and the detail names a certified
-    counter-member.  It passes iff both counts are exact, which puts X at
-    ``pos`` separated from its neighbour (the next rank, or the previous
-    one for the last rank).  Otherwise it is ``indistinguishable``, and the
-    detail names the overlapping member nearest X.  ``name`` is how details
-    show the expected member.
+    enclosure ends, read off ``ranked.lo`` and ``ranked.hi``.  The claim
+    fails iff ``below > pos`` or ``above > N-1-pos`` (or X is not ranked),
+    and the detail names a certified counter-member.  It passes iff both
+    counts are exact, which puts X at ``pos`` separated from its neighbour
+    (the next rank, or the previous one for the last rank).  Otherwise it
+    is ``indistinguishable``, and the detail names the overlapping member
+    nearest X.  ``name`` is how details show the expected member.
     """
-    labels = [lab for lab, _ in ranked]
     if label not in labels:
         return Verdict(claim, "fail", f"expected {name}, not among the ranked members")
-    x = ranked[labels.index(label)][1]
-    flat = chain.from_iterable(res.enclosure for _, res in ranked)
-    ends = np.fromiter(flat, float, 2 * len(ranked)).reshape(-1, 2)
-    by_lo, by_hi = np.argsort(ends[:, 0], kind="stable"), np.argsort(ends[:, 1], kind="stable")
-    below = int(np.searchsorted(ends[by_hi, 1], x.enclosure.lo, "left"))
-    above = len(ranked) - int(np.searchsorted(ends[by_lo, 0], x.enclosure.hi, "right"))
+    k, size, radius = labels.index(label), len(labels), ranked.radius
+    lo, hi = np.array(ranked.lo), np.array(ranked.hi)
+    by_lo, by_hi = np.argsort(lo, kind="stable"), np.argsort(hi, kind="stable")
+    below = int(np.searchsorted(hi[by_hi], ranked.lo[k], "left"))
+    above = size - int(np.searchsorted(lo[by_lo], ranked.hi[k], "right"))
     if below > pos:
         return Verdict(claim, "fail", f"expected {name}, found {labels[by_hi[below - 1]]}")
-    if above > len(ranked) - 1 - pos:
+    if above > size - 1 - pos:
         return Verdict(claim, "fail", f"expected {name}, found {labels[by_lo[-above]]}")
-    if len(ranked) == 1:
+    if size == 1:
         return Verdict(claim, "pass", "single member, trivially extremal")
-    if below + above == len(ranked) - 1:
-        nb = pos + 1 if pos + 1 < len(ranked) else pos - 1
-        status, (got, other) = "pass", ranked[nb]
+    if below + above == size - 1:
+        status, got = "pass", pos + 1 if pos + 1 < size else pos - 1
     else:
-        status, (got, other) = "indistinguishable", min(
-            ((lab, res) for lab, res in ranked if lab != label and decide_order(res, x) is None),
-            key=lambda t: (abs(t[1].radius - x.radius), t[0]))
-    return Verdict(claim, status, f"{name} vs {got} gap {abs(other.radius - x.radius):.3e}")
+        x = Interval(ranked.lo[k], ranked.hi[k])
+        status, got = "indistinguishable", min(
+            (j for j in range(size) if labels[j] != label
+             and decide_order(Interval(ranked.lo[j], ranked.hi[j]), x) is None),
+            key=lambda j: (abs(radius[j] - radius[k]), labels[j]))
+    return Verdict(claim, status, f"{name} vs {labels[got]} gap {abs(radius[got] - radius[k]):.3e}")
 
 
-def _item(label: str, alpha: float, res: SpectralResult) -> ReportItem:
-    return ReportItem(label, alpha, res.radius, res.enclosure.lo, res.enclosure.hi)
-
-
-def _rank(report: VerificationReport, labels: list[str], members, alpha: float) -> list[tuple[str, SpectralResult]]:
-    """``(label, result)`` of each label and member, sorted by ``(radius,
-    label)``; the members go to :func:`spectral_radii` as they are, and the
-    ranked items are appended to the report."""
-    ranked = sorted(zip(labels, spectral_radii(members, alpha)), key=lambda t: (t[1].radius, t[0]))
-    report.items += [_item(label, alpha, res) for label, res in ranked]
-    return ranked
+def _rank(report: VerificationReport, labels: list[str], members, alpha: float) -> tuple[list[str], SpectralResults]:
+    """The labels and :func:`spectral_radii` results of the members, which
+    go to it as they are, sorted by ``(radius, label)``; the ranked items
+    are appended to the report."""
+    res = spectral_radii(members, alpha)
+    order = [k for _, _, k in sorted(zip(res.radius, labels, range(len(labels))))]
+    labels, ranked = [labels[k] for k in order], res.take(order)
+    report.items += map(ReportItem, labels, repeat(alpha), ranked.radius, ranked.lo, ranked.hi)
+    return labels, ranked
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,7 @@ def verify_family_extremes(family: str, n: int, s: int, alpha: float) -> Verific
 
     alpha = check_alpha(alpha)
     report = VerificationReport(f"family-extremes:{family}", [alpha])
-    results = _rank(report, [format_spec(spec) for spec in specs], [generate(spec) for spec in specs], alpha)
+    labels, ranked = _rank(report, [format_spec(spec) for spec in specs], [generate(spec) for spec in specs], alpha)
 
     a_str = f"alpha={alpha}"
     if family == "bicyclic":
@@ -293,10 +290,10 @@ def verify_family_extremes(family: str, n: int, s: int, alpha: float) -> Verific
         mx, _ = _expected_extremes("infty" if family == "combined" else family, n, s)
         _, mn = _expected_extremes("theta" if family == "combined" else family, n, s)
         at = f"at (n={n}, s={s}, {a_str})"
-        checks = [(len(results) - 1, mx, f"{family} maximum {at}"), (0, mn, f"{family} minimum {at}")]
+        checks = [(len(labels) - 1, mx, f"{family} maximum {at}"), (0, mn, f"{family} minimum {at}")]
     for pos, spec, claim in checks:
         name = format_spec(spec)
-        report.verdicts.append(judge_rank(claim, results, pos, name, name))
+        report.verdicts.append(judge_rank(claim, labels, ranked, pos, name, name))
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -327,7 +324,7 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
     # asarray: a sequence of masks, such as a sample of the classes, ranks too
     masks = np.asarray(enumerate_sc_digraphs(n), dtype=np.int64)
     labels = [CanonicalKey.from_mask(n, m).hex() for m in masks.tolist()]
-    results = _rank(report, labels, adjacency_stack_from_masks(masks, n), alpha)
+    labels, ranked = _rank(report, labels, adjacency_stack_from_masks(masks, n), alpha)
 
     expected = [
         ("rank 1 is the directed cycle", FamilySpec.cycle(n)),
@@ -338,16 +335,15 @@ def verify_global_minima(n: int, alpha: float) -> VerificationReport:
     for pos, (name, spec) in enumerate(expected):
         claim = f"{name} (n={n}, alpha={alpha})"
         label = canonical_key(generate(spec)).hex()
-        v = judge_rank(claim, results, pos, label, format_spec(spec))
-        radius = results[pos][1].radius
+        v = judge_rank(claim, labels, ranked, pos, label, format_spec(spec))
+        radius = ranked.radius[pos]
         if pos == 0 and v.status != "fail":
             # the directed cycle's radius is exactly 1 at every alpha
-            lo, hi = results[0][1].enclosure
-            if not lo <= 1.0 <= hi:
+            if not ranked.lo[0] <= 1.0 <= ranked.hi[0]:
                 v = Verdict(claim, "fail", f"radius {radius!r} is not 1, gap {abs(radius - 1.0):.3e}")
         if alpha > 0.5:
             word = "differs from" if v.status == "fail" else "matches"
-            gap = abs(radius - results[pos + 1][1].radius)
+            gap = abs(radius - ranked.radius[pos + 1])
             v = Verdict(claim, "exploratory", f"{word} the conjectured digraph; gap to next {gap:.3e}")
         report.verdicts.append(v)
 
@@ -402,7 +398,7 @@ def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> Verificati
             ("B1 at n-1 >= B5 at n", bip(1, n - 1), bip(5), ">="),
         ]
     radii = dict(zip(items, spectral_radii([generate(spec) for spec in items], alpha)))
-    report.items = [_item(format_spec(spec), alpha, radii[spec]) for spec in items]
+    report.items = [ReportItem(format_spec(spec), alpha, radii[spec].radius, *radii[spec].enclosure) for spec in items]
     for claim, big, small, relation in rows:
         claim = f"{claim} {loc}"
         if big is None:
@@ -416,11 +412,11 @@ def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> Verificati
         kept = [(CanonicalKey.from_mask(n, m).hex(), d)
                 for m, d in zip(masks.tolist(), digraphs_from_masks(masks, n))
                 if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)]
-        results = _rank(report, [label for label, _ in kept], [d for _, d in kept], alpha)
+        labels, ranked = _rank(report, [label for label, _ in kept], [d for _, d in kept], alpha)
         want = bip(1 if rem % 2 == 1 else 5)
         label = canonical_key(generate(want)).hex()
         claim = f"unique bipartite minimum by enumeration {loc}"
-        report.verdicts.append(judge_rank(claim, results, 0, label, format_spec(want)))
+        report.verdicts.append(judge_rank(claim, labels, ranked, 0, label, format_spec(want)))
 
     report.runtime_s = time.perf_counter() - t0
     return report
@@ -449,9 +445,10 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
     """Rejection-sampled strongly connected digraph with i.i.d. arcs.
 
     Each attempt draws one coin per ordered pair (i, j), i != j, in
-    row-major order into out-neighbour masks, and the first Digraph of
-    them (built without :func:`~alphaspectra.digraph.make_digraph`) that
-    is strongly connected is returned.
+    row-major order into out-neighbour masks, and the first masks that are
+    strongly connected become the Digraph returned (built without
+    :func:`~alphaspectra.digraph.make_digraph`); a rejected attempt builds
+    none.
     """
     pairs = _ordered_pairs(n)
     for _ in range(100_000):
@@ -459,18 +456,18 @@ def random_sc_digraph(rng: np.random.Generator, n: int) -> Digraph:
         for (i, j), coin in zip(pairs, rng.random(len(pairs)).tolist()):
             if coin < ARC_DENSITY:
                 out_masks[i] |= 1 << j
-        d = Digraph(n, tuple(out_masks))
-        if is_strongly_connected(d):
-            return d
+        if masks_strongly_connected(n, out_masks):
+            return Digraph(n, tuple(out_masks))
     raise RuntimeError("rejection sampling failed to find a strongly connected digraph")
 
 
 def _base_facts(
     bases: list[tuple[Digraph, float, str]],
-) -> tuple[list[tuple[SpectralResult, list[Arc], list[Arc]]], int, list[str]]:
-    """Per ``(digraph, alpha, label)`` base, in input order, its result, its
-    arcs and the arcs whose deletion keeps it strongly connected, both in
-    arc order as tuples of Python ints; then the perron-order lemma on every
+) -> tuple[SpectralResults, list[list[Arc]], list[list[Arc]], int, list[str]]:
+    """Per ``(digraph, alpha, label)`` base, in input order, its result,
+    as one :class:`~alphaspectra.spectral.SpectralResults` table, its arcs
+    and the arcs whose deletion keeps it strongly connected, both in arc
+    order as tuples of Python ints; then the perron-order lemma on every
     base: the number of nested pairs, and the violation texts in (base, i,
     j) order.
 
@@ -482,13 +479,14 @@ def _base_facts(
     i->j nor j->i exists and N+(i) is a subset of N+(j).  It is a violation
     when the sets are equal and ``|x_j - x_i| > DECISION_MARGIN``, or when
     they differ and ``x_j < x_i - DECISION_MARGIN``.  Nothing is drawn."""
-    facts: list = [None] * len(bases)
+    parts, arcs_of, deletable = [], [None] * len(bases), [None] * len(bases)
     count, found = 0, []
     for n in {d.n for d, _, _ in bases}:
         members = [k for k, (d, _, _) in enumerate(bases) if d.n == n]
         masks = np.array([bases[k][0].out_masks for k in members], dtype=np.int64)
         arc = (masks[:, :, None] >> np.arange(n)) & 1  # arc[b, i, j]: arc i -> j
         results = spectral_radii(arc, [bases[k][1] for k in members])
+        parts.append((members, results))
         owners, tails, heads = np.nonzero(arc)
         rows = masks[owners]
         rows[np.arange(len(rows)), tails] ^= 1 << heads
@@ -497,16 +495,17 @@ def _base_facts(
         ends = np.searchsorted(owners, np.arange(len(members) + 1)).tolist()
         for b, k in enumerate(members):
             lo, hi = ends[b], ends[b + 1]
-            facts[k] = (results[b], arcs[lo:hi], list(compress(arcs[lo:hi], strong[lo:hi])))
-        x = np.array([r.perron for r in results])
+            arcs_of[k], deletable[k] = arcs[lo:hi], list(compress(arcs[lo:hi], strong[lo:hi]))
+        x = np.asarray(results.perron)
         mi, mj, xi, xj = masks[:, :, None], masks[:, None, :], x[:, :, None], x[:, None, :]
         nested = (arc | arc.transpose(0, 2, 1) == 0) & (mi & ~mj == 0) & ~np.eye(n, dtype=bool)
         equal = mi == mj
         bad = nested & np.where(equal, np.abs(xj - xi) > DECISION_MARGIN, xj < xi - DECISION_MARGIN)
         count += int(nested.sum())
         found += [(members[b], i, j, bool(equal[b, i, j])) for b, i, j in np.argwhere(bad).tolist()]
-    return facts, count, [f"{bases[k][2]} {'equal' if eq else 'nested'}-nbhd {i},{j} alpha={bases[k][1]}"
-                          for k, i, j, eq in sorted(found)]
+    texts = [f"{bases[k][2]} {'equal' if eq else 'nested'}-nbhd {i},{j} alpha={bases[k][1]}"
+             for k, i, j, eq in sorted(found)]
+    return SpectralResults.gather(parts), arcs_of, deletable, count, texts
 
 
 def _lemma_fleet() -> list[FamilySpec]:
@@ -581,14 +580,12 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     skips = dict.fromkeys(counts, 0)
     violations: dict[str, list[str]] = {k: [] for k in counts}
 
-    # derived radius claims (lemma, digraph, alpha, base result, label and
+    # derived radius claims (lemma, digraph, alpha, base index, label and
     # two violation-text parts), solved in one batch once every base is done
-    queued: list[tuple[str, Digraph, float, SpectralResult, str, str, object]] = []
+    queued: list[tuple[str, Digraph, float, int, str, str, object]] = []
 
-    def check_base(d: Digraph, alpha: float, label: str, base: SpectralResult, arcs: list[Arc],
-                   candidates: list[Arc]):
-        report.items.append(_item(label, alpha, base))
-        x = base.perron.tolist()
+    def check_base(base: int, d: Digraph, alpha: float, label: str, arcs: list[Arc], candidates: list[Arc]):
+        x = results.perron[base].tolist()
         n, out_masks = d.n, d.out_masks
 
         # subdigraph lemma: strict decrease when an arc can go
@@ -623,20 +620,23 @@ def verify_transform_lemmas(trials: int, seed: int) -> VerificationReport:
     bases: list[tuple[Digraph, float, str]] = []
     for t in range(trials):
         n = int(rng.integers(2, 9))
-        alpha = float(rng.choice(ALPHA_CHOICES))
+        alpha = ALPHA_CHOICES[int(rng.integers(len(ALPHA_CHOICES)))]
         bases.append((random_sc_digraph(rng, n), alpha, f"random-n{n}-t{t}"))
     for spec in _lemma_fleet():
         d, label = generate(spec), format_spec(spec)
         bases += [(d, 0.0, label), (d, 0.5, label)]
 
     report = VerificationReport("transform-lemmas", sorted({alpha for _, alpha, _ in bases}))
-    facts, counts["perron-order"], violations["perron-order"] = _base_facts(bases)
-    for (d, alpha, label), (base, arcs, candidates) in zip(bases, facts):
-        check_base(d, alpha, label, base, arcs, candidates)
+    results, arcs, deletable, counts["perron-order"], violations["perron-order"] = _base_facts(bases)
+    report.items += map(ReportItem, [label for _, _, label in bases], [alpha for _, alpha, _ in bases],
+                        results.radius, results.lo, results.hi)
+    for k, (d, alpha, label) in enumerate(bases):
+        check_base(k, d, alpha, label, arcs[k], deletable[k])
 
     derived = spectral_radii([q[1] for q in queued], [q[2] for q in queued])
-    for (lemma, _, alpha, base, label, what, arg), res in zip(queued, derived):
+    for (lemma, _, alpha, k, label, what, arg), lo, hi in zip(queued, derived.lo, derived.hi):
         counts[lemma] += 1
+        base, res = Interval(results.lo[k], results.hi[k]), Interval(lo, hi)
         a, b = (res, base) if lemma == "retarget" else (base, res)
         if claim_status(a, RADIUS_LEMMAS[lemma], b) != "pass":
             violations[lemma].append(f"{label} {what}{arg} alpha={alpha}")

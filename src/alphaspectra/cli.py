@@ -256,8 +256,8 @@ def _cmd_sweep(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["spec", "alpha", "radius"])
-        for (spec, _, alpha), res in zip(rows, results):
-            writer.writerow([format_spec(spec), repr(alpha), repr(res.radius)])
+        for (spec, _, alpha), radius in zip(rows, results.radius):
+            writer.writerow([format_spec(spec), repr(alpha), repr(radius)])
     finally:
         if args.out:
             out.close()

@@ -125,18 +125,23 @@ def out_degrees(d: Digraph) -> tuple[int, ...]:
 
 
 def is_strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path.
+    """True iff every ordered vertex pair is joined by a directed path."""
+    return masks_strongly_connected(d.n, d.out_masks)
 
-    From the out-masks alone.  A vertex with no out-arc, or one with no
-    in-arc (the masks' OR is not all), decides it at once: only the
-    one-vertex digraph is strong then.  Otherwise sweeps over the
-    vertices, until one changes neither set, grow the vertices vertex 0
-    reaches (``fwd``) and those that reach it (``back``); both must be all.
+
+def masks_strongly_connected(n: int, outs) -> bool:
+    """:func:`is_strongly_connected` of the n-vertex digraph with the
+    out-masks outs, a sequence of Python ints, without building it.
+
+    A vertex with no out-arc, or one with no in-arc (the masks' OR is not
+    all), decides it at once: only the one-vertex digraph is strong then.
+    Otherwise sweeps over the vertices, until one changes neither set, grow
+    the vertices vertex 0 reaches (``fwd``) and those that reach it
+    (``back``); both must be all.
     """
-    outs = d.out_masks
-    full = (1 << d.n) - 1
+    full = (1 << n) - 1
     if 0 in outs or reduce(operator.or_, outs, 0) != full:
-        return d.n == 1
+        return n == 1
     fwd = back = 1
     while True:
         seen = fwd, back

@@ -19,8 +19,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +53,6 @@ class Interval(NamedTuple):
     def width(self) -> float:
         return self.hi - self.lo
 
-    def disjoint_below(self, other: "Interval") -> bool:
-        """True iff every point of self lies strictly below all of other."""
-        return self.hi < other.lo
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
@@ -70,6 +67,53 @@ class SpectralResult:
     perron: np.ndarray
     iterations: int
     residual: float
+
+
+@dataclass(eq=False, slots=True)
+class SpectralResults(Sequence):
+    """What :func:`spectral_radii` returns: its results as columns, in
+    input order.
+
+    ``lo`` and ``hi`` are the widened enclosure ends, ``radius``,
+    ``iterations`` and ``residual`` the other fields, all lists of Python
+    numbers; ``perron`` holds the Perron rows, the (N, n) kernel array when
+    every digraph has n vertices.  Indexing or iterating builds each
+    :class:`SpectralResult` from its row of the columns.
+    """
+
+    lo: list[float]
+    hi: list[float]
+    radius: list[float]
+    iterations: list[int]
+    residual: list[float]
+    perron: Sequence[np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.radius)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        return SpectralResult(self.radius[k], Interval(self.lo[k], self.hi[k]), self.perron[k], self.iterations[k],
+                              self.residual[k])
+
+    def take(self, order: list[int]) -> "SpectralResults":
+        """The results at the positions in order, in that order."""
+        perron = self.perron
+        perron = perron[order] if isinstance(perron, np.ndarray) else [perron[k] for k in order]
+        return SpectralResults(*[[col[k] for k in order] for col in
+                                 (self.lo, self.hi, self.radius, self.iterations, self.residual)], perron)
+
+    @staticmethod
+    def gather(parts: list[tuple[list[int], "SpectralResults"]]) -> "SpectralResults":
+        """One input-order table from ``(positions, results)`` parts: each
+        part's positions ascending, all of them together 0..N-1."""
+        if len(parts) == 1:
+            return parts[0][1]
+        flat = list(chain.from_iterable(positions for positions, _ in parts))
+        cols = [list(chain.from_iterable(getattr(res, f) for _, res in parts))
+                for f in ("lo", "hi", "radius", "iterations", "residual", "perron")]
+        return SpectralResults(*cols).take(sorted(range(len(flat)), key=flat.__getitem__))
 
 
 def _matrix_stack(adj: np.ndarray, alphas: list[float]):
@@ -140,17 +184,26 @@ def rounding_factor(n: int) -> float:
     return ((n + 2) // 2 + 1) * 2.0**-52
 
 
+def _widen(lo: list[float], hi: list[float], n: int) -> tuple[list[float], list[float]]:
+    """Each lo times 1-g and each hi times 1+g, g = rounding_factor(n),
+    moved one ulp outward to cover the rounding of the product."""
+    g = rounding_factor(n)
+    down, up = 1.0 - g, 1.0 + g
+    return [math.nextafter(v * down, -math.inf) for v in lo], [math.nextafter(v * up, math.inf) for v in hi]
+
+
 def rounding_safe(lo: float, hi: float, n: int) -> Interval:
     """[lo*(1-g), hi*(1+g)] with g = rounding_factor(n), each end moved one
     ulp outward to cover the rounding of the product."""
-    g = rounding_factor(n)
-    return Interval(math.nextafter(lo * (1.0 - g), -math.inf), math.nextafter(hi * (1.0 + g), math.inf))
+    (lo,), (hi,) = _widen([lo], [hi], n)
+    return Interval(lo, hi)
 
 
 def spectral_radii(
     digraphs: Iterable[Digraph] | np.ndarray, alphas: float | Iterable[float], tol: float = DEFAULT_TOL
-) -> list[SpectralResult]:
-    """:func:`spectral_radius` of every digraph, in input order.
+) -> SpectralResults:
+    """:func:`spectral_radius` of every digraph, in input order, as one
+    :class:`SpectralResults` table.
 
     ``alphas`` is one alpha for all or one per digraph.  The digraphs are
     grouped by vertex count, or come as one group: a 0/1 adjacency stack,
@@ -188,25 +241,23 @@ def spectral_radii(
     stacks = [(n, members, m, tops, *_backend._squared_start(m)) for n, members, m, tops in stacks]
     if not all(strong.all() or _reach_strong(m[~strong]).all() for _, _, m, _, _, strong in stacks):
         raise NotStronglyConnectedError("spectral radius defined here for strongly connected digraphs")
-    results = [None] * len(digraphs)
+    parts = []
     for n, members, m, tops, x, _ in stacks:
         raw_tol = np.array([tol - _top_margin(top, n) for top in tops])
         x, lo, hi, iters = _backend.power_iteration(m, x, raw_tol, ITERATION_CAP)
-        for k, xk, lok, hik, it in zip(members, x, lo.tolist(), hi.tolist(), iters.tolist()):
-            enclosure = rounding_safe(lok, hik, n)
-            if enclosure.width > tol:
-                raise ConvergenceError(
-                    f"Noda iteration failed to reach tol={tol} in {it} iterations "
-                    f"(enclosure width {enclosure.width:.3e})"
-                )
-            results[k] = SpectralResult(
-                radius=0.5 * (lok + hik),
-                enclosure=enclosure,
-                perron=xk,
-                iterations=it,
-                residual=(hik - lok) / hik if hik else 0.0,
+        lo, hi, iters = lo.tolist(), hi.tolist(), iters.tolist()
+        wlo, whi = _widen(lo, hi, n)
+        wide = [b for b, (l, h) in enumerate(zip(wlo, whi)) if h - l > tol]
+        if wide:
+            b = wide[0]
+            raise ConvergenceError(
+                f"Noda iteration failed to reach tol={tol} in {iters[b]} iterations "
+                f"(enclosure width {whi[b] - wlo[b]:.3e})"
             )
-    return results
+        radius = [0.5 * (l + h) for l, h in zip(lo, hi)]
+        residual = [(h - l) / h if h else 0.0 for l, h in zip(lo, hi)]
+        parts.append((members, SpectralResults(wlo, whi, radius, iters, residual, x)))
+    return SpectralResults.gather(parts)
 
 
 def spectral_radius(d: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:

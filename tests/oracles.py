@@ -1,13 +1,17 @@
 """Test-only oracles: independent strong-connectivity and labeled-mask
-references, the per-pair Perron-order and rank checks, and frozen class
-counts.  Nothing in the package uses them."""
+references, the per-pair Perron-order and rank checks, a per-member
+assembly of solve results, and frozen class counts.  Nothing in the
+package uses them."""
 
+import math
 from collections import deque
 
 import numpy as np
 
+from alphaspectra import _backend
 from alphaspectra.campaigns import DECISION_MARGIN, Verdict
-from alphaspectra.digraph import Digraph, _cell_bit
+from alphaspectra.digraph import Digraph, _cell_bit, out_degrees
+from alphaspectra.spectral import ITERATION_CAP, Interval, SpectralResult, build_alpha_matrix, rounding_factor
 
 #: isomorphism-class counts of strongly connected digraphs; the n = 5 value
 #: was computed once with an independent labeled-enumeration/dedup oracle
@@ -102,3 +106,27 @@ def judge_rank_per_pair(claim, ranked, pos, label, name):
             (k for k, lab in enumerate(labels) if lab != label and k not in decided),
             key=lambda k: (abs(ranked[k][1].radius - radius), labels[k]))
     return Verdict(claim, status, f"{name} vs {labels[k]} gap {abs(ranked[k][1].radius - radius):.3e}")
+
+
+def widen_one(lo, hi, n):
+    """[lo*(1-g), hi*(1+g)], g = rounding_factor(n), one ulp further out on
+    each side: the widening rule written out for one pair."""
+    g = rounding_factor(n)
+    return Interval(math.nextafter(lo * (1.0 - g), -math.inf), math.nextafter(hi * (1.0 + g), math.inf))
+
+
+def solve_one_by_one(d, alpha, tol):
+    """Per-member oracle for ``spectral_radii``'s results: the digraph's
+    matrix, start and Noda kernel on a stack of one, then its own
+    widening and :class:`SpectralResult`.  Returns the result, or the
+    ``ConvergenceError`` message a miss of tol raises."""
+    m, top = build_alpha_matrix(d, alpha)[None], max(out_degrees(d))
+    x, _ = _backend._squared_start(m)
+    raw_tol = tol - 2.0 * widen_one(top, top, d.n).width
+    x, lo, hi, iters = _backend.power_iteration(m, x, np.array([raw_tol]), ITERATION_CAP)
+    lo, hi, it = float(lo[0]), float(hi[0]), int(iters[0])
+    enclosure = widen_one(lo, hi, d.n)
+    if enclosure.width > tol:
+        return (f"Noda iteration failed to reach tol={tol} in {it} iterations "
+                f"(enclosure width {enclosure.width:.3e})")
+    return SpectralResult(0.5 * (lo + hi), enclosure, x[0], it, (hi - lo) / hi if hi else 0.0)

@@ -37,7 +37,7 @@ from alphaspectra.digraph import (
 )
 from alphaspectra.errors import InfeasibleError, InvalidParamsError, MissingArcError, TooLargeError
 from alphaspectra.families import FamilySpec, format_spec, generate, list_bicyclic
-from alphaspectra.spectral import Interval, SpectralResult, spectral_radius
+from alphaspectra.spectral import Interval, SpectralResult, SpectralResults, spectral_radius
 from oracles import (
     SC_CLASS_COUNTS,
     SC_LABELED_COUNTS,
@@ -219,11 +219,9 @@ class TestGlobalMinima:
         real = campaigns.spectral_radii
 
         def lifted(digraphs, alphas, *args):
-            return [
-                SpectralResult(r.radius + 1e-6, Interval(r.enclosure.lo + 1e-6, r.enclosure.hi + 1e-6),
-                               r.perron, r.iterations, r.residual)
-                for r in real(digraphs, alphas, *args)
-            ]
+            res = real(digraphs, alphas, *args)
+            return dataclasses.replace(res, radius=[r + 1e-6 for r in res.radius], lo=[v + 1e-6 for v in res.lo],
+                                       hi=[v + 1e-6 for v in res.hi])
 
         monkeypatch.setattr(campaigns, "spectral_radii", lifted)
         v = verify_global_minima(5, 0.3).verdicts[0]
@@ -429,10 +427,10 @@ class TestTransformLemmas:
 
         def radii(digraphs, alphas, *args):
             real = real_radii(digraphs, alphas, *args)
-            return [
+            return results_table([
                 lifted(d, alpha, *args) if id(d) in subdivided else res
                 for d, alpha, res in zip(digraphs, alphas, real)
-            ]
+            ])
 
         monkeypatch.setattr(campaigns, "subdivide_arc", subdivide)
         monkeypatch.setattr(campaigns, "spectral_radii", radii)
@@ -498,11 +496,18 @@ def as_bases(digraphs):
 
 def deletable_arcs(digraphs):
     """The deletable arcs ``campaigns._base_facts`` gives each digraph."""
-    return [deletable for _, _, deletable in campaigns._base_facts(as_bases(digraphs))[0]]
+    return campaigns._base_facts(as_bases(digraphs))[2]
 
 
 def result_bits(r):
     return (r.radius, *r.enclosure, r.iterations, r.residual, r.perron.tobytes())
+
+
+def results_table(results):
+    """The :class:`SpectralResults` table of a list of results."""
+    return SpectralResults([r.enclosure.lo for r in results], [r.enclosure.hi for r in results],
+                           [r.radius for r in results], [r.iterations for r in results],
+                           [r.residual for r in results], [r.perron for r in results])
 
 
 class TestDeletableArcs:
@@ -512,21 +517,20 @@ class TestDeletableArcs:
             # the same masks in fresh values, whose arcs were never read
             fresh = [digraph.Digraph(d.n, d.out_masks) for d in bases]
             assert not any("arcs" in vars(d) for d in fresh)
-            facts = campaigns._base_facts(as_bases(fresh))[0]
+            results, arcs, got = campaigns._base_facts(as_bases(fresh))[:3]
             assert not any("arcs" in vars(d) for d in fresh)
-            got = [deletable for _, _, deletable in facts]
             want = [toggle_deletable_arcs(d) for d in bases]
             assert got == want, seed
             assert deletable_arcs(bases) == want, seed
             assert any(want) and not all(want)
-            assert [tuple(arcs) for _, arcs, _ in facts] == [d.arcs for d in bases], seed
+            assert [tuple(a) for a in arcs] == [d.arcs for d in bases], seed
             # bit-identical to a solve of the digraphs as a list
             alphas = [alpha for _, alpha, _ in as_bases(bases)]
             solved = spectral.spectral_radii(bases, alphas)
-            assert [result_bits(r) for r, _, _ in facts] == [result_bits(r) for r in solved], seed
+            assert [result_bits(r) for r in results] == [result_bits(r) for r in solved], seed
             # violation texts format them as arc (i, j)
             assert all(type(arc) is tuple and [type(v) for v in arc] == [int, int]
-                       for _, arcs, deletable in facts for arc in arcs + deletable)
+                       for a, deletable in zip(arcs, got) for arc in a + deletable)
 
     def test_cycles_keep_none_complete_digraphs_every_arc(self):
         cycles = [generate(FamilySpec.cycle(n)) for n in range(2, 9)]
@@ -550,8 +554,7 @@ def lemma_base_triples(seed):
 def forced_perron(results, degrees):
     """The results with Perron vectors that fall by 1 per out-arc and rise
     by 1e-3 per label, from each digraph's outdegrees."""
-    return [dataclasses.replace(r, perron=1e-3 * np.arange(len(deg)) - np.asarray(deg))
-            for r, deg in zip(results, degrees)]
+    return dataclasses.replace(results, perron=[1e-3 * np.arange(len(deg)) - np.asarray(deg) for deg in degrees])
 
 
 def force_stacked_perron(monkeypatch):
@@ -575,9 +578,9 @@ class TestPerronOrder:
         for seed in range(4):
             bases, results = lemma_base_triples(seed)
             want = perron_order_per_pair(bases, results)
-            facts, count, texts = campaigns._base_facts(bases)
+            facts, _, _, count, texts = campaigns._base_facts(bases)
             assert (count, texts) == want, seed
-            assert [result_bits(r) for r, _, _ in facts] == [result_bits(r) for r in results], seed
+            assert [result_bits(r) for r in facts] == [result_bits(r) for r in results], seed
             assert want[0] > 0
 
     def test_forced_violations_match_oracle_in_base_order(self, monkeypatch):
@@ -586,7 +589,7 @@ class TestPerronOrder:
             bases, results = lemma_base_triples(seed)
             forced = forced_perron(results, [[m.bit_count() for m in d.out_masks] for d, _, _ in bases])
             count, texts = perron_order_per_pair(bases, forced)
-            assert campaigns._base_facts(bases)[1:] == (count, texts), seed
+            assert campaigns._base_facts(bases)[3:] == (count, texts), seed
             assert any(" equal-nbhd " in t for t in texts) and any(" nested-nbhd " in t for t in texts)
             # the bases come in a shuffled vertex-count order and a later
             # base has an earlier pair, so neither a per-count concatenation
@@ -783,15 +786,15 @@ class TestReports:
 
 class TestDecideOrder:
     def test_certified_and_margin(self):
-        a = spectral_radius(generate(FamilySpec.cycle(5)), 0.0)
-        b = spectral_radius(generate(FamilySpec.complete(4)), 0.0)
+        a = spectral_radius(generate(FamilySpec.cycle(5)), 0.0).enclosure
+        b = spectral_radius(generate(FamilySpec.complete(4)), 0.0).enclosure
         assert decide_order(a, b) == -1
         assert decide_order(b, a) == 1
         assert decide_order(a, a) is None
 
     def test_overlap_is_unordered_whatever_the_midpoints(self):
         # midpoints 2e-9 apart, but the enclosures overlap: no order
-        a, b = fake(1.0, 2e-9), fake(1.0 + 2e-9, 2e-9)
+        a, b = fake(1.0, 2e-9).enclosure, fake(1.0 + 2e-9, 2e-9).enclosure
         assert decide_order(a, b) is None
         assert decide_order(b, a) is None
 
@@ -832,7 +835,7 @@ class TestJudgeClaim:
     def test_disjoint_enclosures_refute_equality(self):
         # zero-width enclosures 5e-11 apart: a is certified below b
         a, b = fake(1.0), fake(1.0 + 5e-11)
-        assert decide_order(a, b) == -1
+        assert decide_order(a.enclosure, b.enclosure) == -1
         assert judge_claim("c", a, ">=", b).status == "fail"
         assert judge_claim("c", a, "=", b).status == "fail"
         assert judge_claim("c", a, ">", b).status == "fail"
@@ -847,58 +850,63 @@ class TestClaimStatus:
     @pytest.mark.parametrize("pair", [ABOVE, BELOW, CLOSE], ids=["above", "below", "close"])
     def test_is_judge_claim_status(self, relation, pair):
         a, b = pair
-        assert claim_status(a, relation, b) == judge_claim("c", a, relation, b).status
+        assert claim_status(a.enclosure, relation, b.enclosure) == judge_claim("c", a, relation, b).status
 
     @pytest.mark.parametrize("relation", ["<", "<=", "==", ""])
     def test_unknown_relation(self, relation):
         with pytest.raises(InvalidParamsError, match=re.escape(f"unknown relation {relation!r}")):
-            claim_status(fake(2.0), relation, fake(1.0))
+            claim_status(fake(2.0).enclosure, relation, fake(1.0).enclosure)
+
+
+def judge(claim, ranked, pos, label, name):
+    """:func:`judge_rank` of a list of ``(label, result)`` pairs."""
+    return judge_rank(claim, [lab for lab, _ in ranked], results_table([res for _, res in ranked]), pos, label, name)
 
 
 class TestJudgeRank:
     RANKED = [("a", fake(1.0)), ("b", fake(1.5)), ("c", fake(1.5 + 5e-10, 1e-9))]
 
     def test_pass_against_next_rank(self):
-        v = judge_rank("claim", self.RANKED, 0, "a", "A")
+        v = judge("claim", self.RANKED, 0, "a", "A")
         assert (v.claim, v.status, v.detail) == ("claim", "pass", "A vs b gap 5.000e-01")
 
     def test_wrong_label(self):
-        v = judge_rank("claim", self.RANKED, 0, "b", "B")
+        v = judge("claim", self.RANKED, 0, "b", "B")
         assert (v.status, v.detail) == ("fail", "expected B, found a")
 
     def test_single_member(self):
-        v = judge_rank("claim", self.RANKED[:1], 0, "a", "A")
+        v = judge("claim", self.RANKED[:1], 0, "a", "A")
         assert (v.status, v.detail) == ("pass", "single member, trivially extremal")
 
     def test_overlapping_neighbour(self):
-        v = judge_rank("claim", self.RANKED, 1, "b", "B")
+        v = judge("claim", self.RANKED, 1, "b", "B")
         assert v.status == "indistinguishable"
         assert v.detail == "B vs c gap 5.000e-10"
 
     def test_last_rank_uses_previous_neighbour(self):
-        assert judge_rank("claim", self.RANKED, 2, "c", "C").status == "indistinguishable"
-        assert judge_rank("claim", self.RANKED[:2], 1, "b", "B").detail == "B vs a gap 5.000e-01"
+        assert judge("claim", self.RANKED, 2, "c", "C").status == "indistinguishable"
+        assert judge("claim", self.RANKED[:2], 1, "b", "B").detail == "B vs a gap 5.000e-01"
 
     # a and b overlap, c is certified above both
     TIED = [("a", fake(1.0, 1e-9)), ("b", fake(1.0 + 5e-10, 1e-9)), ("c", fake(2.0))]
 
     def test_overlap_only_misorder_is_indistinguishable(self):
         # the midpoints put a at rank 0, but nothing is certified below b
-        v = judge_rank("claim", self.TIED, 0, "b", "B")
+        v = judge("claim", self.TIED, 0, "b", "B")
         assert (v.status, v.detail) == ("indistinguishable", "B vs a gap 5.000e-10")
-        assert judge_rank("claim", self.TIED, 1, "a", "A").status == "indistinguishable"
+        assert judge("claim", self.TIED, 1, "a", "A").status == "indistinguishable"
 
     def test_certified_counter_member_fails(self):
         # two members certified below c, which cannot then be rank 0 or 1
-        v = judge_rank("claim", self.TIED, 0, "c", "C")
+        v = judge("claim", self.TIED, 0, "c", "C")
         assert (v.status, v.detail) == ("fail", "expected C, found b")
-        assert judge_rank("claim", self.TIED, 1, "c", "C").status == "fail"
+        assert judge("claim", self.TIED, 1, "c", "C").status == "fail"
         # c is certified above a, which cannot then be the maximum
-        v = judge_rank("claim", self.TIED, 2, "a", "A")
+        v = judge("claim", self.TIED, 2, "a", "A")
         assert (v.status, v.detail) == ("fail", "expected A, found c")
 
     def test_unranked_label_fails(self):
-        v = judge_rank("claim", self.TIED, 0, "d", "D")
+        v = judge("claim", self.TIED, 0, "d", "D")
         assert (v.status, v.detail) == ("fail", "expected D, not among the ranked members")
 
     def test_matches_per_pair_oracle(self):
@@ -914,7 +922,7 @@ class TestJudgeRank:
             ranked = sorted(members, key=lambda t: (t[1].radius, t[0]))
             for pos in range(len(ranked)):
                 for label in [lab for lab, _ in members] + ["absent"]:
-                    v = judge_rank("claim", ranked, pos, label, label.upper())
+                    v = judge("claim", ranked, pos, label, label.upper())
                     assert v == judge_rank_per_pair("claim", ranked, pos, label, label.upper()), (seed, pos, label)
                     statuses.add(v.status)
         assert statuses == {"pass", "fail", "indistinguishable"}

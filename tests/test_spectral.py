@@ -38,7 +38,11 @@ from alphaspectra.spectral import (
     spectral_radii,
     spectral_radius,
 )
-from oracles import is_strongly_connected_bfs
+from oracles import is_strongly_connected_bfs, solve_one_by_one
+
+
+def result_bits(r):
+    return (repr(r.radius), repr(r.enclosure), r.iterations, repr(r.residual), r.perron.tobytes())
 
 
 def cycle(n):
@@ -203,7 +207,7 @@ class TestMaskStack:
             spectral_radii(adj, 0.5)
         with pytest.raises(ValueError):
             spectral_radii(adj, [0.5])
-        assert spectral_radii(adj[:0], 0.5) == []
+        assert list(spectral_radii(adj[:0], 0.5)) == []
         # a loop counts toward the outdegree and an entry 2 is not an arc:
         # both gave a radius, of another matrix, before the check
         with pytest.raises(LoopArcError):
@@ -420,8 +424,8 @@ class TestSpectralRadii:
         assert [r.radius for r in shared] == [spectral_radius(d, 0.4).radius for d in digraphs]
 
     def test_empty(self):
-        assert spectral_radii([], 0.5) == []
-        assert spectral_radii([], []) == []
+        assert list(spectral_radii([], 0.5)) == []
+        assert list(spectral_radii([], [])) == []
 
     def test_rejects_bad_members(self):
         good, bad = cycle(3), make_digraph(3, [(0, 1), (1, 2)])
@@ -460,6 +464,46 @@ class TestSpectralRadii:
         monkeypatch.setattr(_backend, "power_iteration", counted)
         verify_global_minima(5, 0.5)
         assert calls == [(5048, 5, 5)]
+
+    def test_columns_and_members_match_per_member_oracle(self):
+        # mixed vertex counts in a shuffled order, n = 1 among them, and an
+        # adjacency stack: every column, and every member built from them,
+        # has the bits of a solve and widening of that digraph alone
+        rng = np.random.default_rng(36)
+        mixed = [generate(FamilySpec.infty(1, 2)), make_digraph(1, []), generate(FamilySpec.gprime(6))]
+        mixed += [random_sc_digraph(rng, int(n)) for n in rng.integers(2, 9, 30)] + [make_digraph(1, [])]
+        masks = enumerate_sc_digraphs(4)
+        cases = [(mixed, [0.1 * (k % 10) for k in range(len(mixed))]),
+                 (adjacency_stack_from_masks(masks, 4), [0.95] * len(masks))]
+        for digraphs, alphas in cases:
+            got = spectral_radii(digraphs, alphas)
+            members = digraphs if isinstance(digraphs, list) else digraphs_from_masks(masks, 4)
+            want = [solve_one_by_one(d, alpha, 1e-12) for d, alpha in zip(members, alphas)]
+            columns = (got.radius, got.lo, got.hi, got.iterations, got.residual)
+            assert all(type(v) is (int if col is got.iterations else float) for col in columns for v in col)
+            assert [list(map(repr, col)) for col in columns] == [
+                [repr(w.radius) for w in want], [repr(w.enclosure.lo) for w in want],
+                [repr(w.enclosure.hi) for w in want], [repr(w.iterations) for w in want],
+                [repr(w.residual) for w in want]]
+            assert [row.tobytes() for row in got.perron] == [w.perron.tobytes() for w in want]
+            assert len(got) == len(want)
+            for k, (a, w) in enumerate(zip(got, want, strict=True)):
+                assert result_bits(a) == result_bits(w) == result_bits(got[k]), k
+            assert [result_bits(a) for a in got[1:4]] == [result_bits(w) for w in want[1:4]]
+
+    def test_convergence_error_message_matches_oracle(self):
+        # at tol 3e-15 complete(5), infty(1, 2) and complete(6) miss, the
+        # others certify; the error names the first miss of the first
+        # vertex-count group in input order, complete(5), not infty(1, 2)
+        specs = [FamilySpec.cycle(5), FamilySpec.infty(1, 2), FamilySpec.cycle(3), FamilySpec.complete(5),
+                 FamilySpec.complete(6)]
+        digraphs = [generate(spec) for spec in specs] + [make_digraph(1, [])]
+        want = [solve_one_by_one(d, 0.5, 3e-15) for d in digraphs]
+        misses = [k for k, w in enumerate(want) if isinstance(w, str)]
+        assert misses == [1, 3, 4]
+        with pytest.raises(ConvergenceError) as err:
+            spectral_radii(digraphs, 0.5, tol=3e-15)
+        assert str(err.value) == want[3]
 
 
 class TestCwEnclosure:

@@ -15,8 +15,13 @@ writes no bytecode.
 
 Writes ``BENCH_<label>.json``: per workload the seeds, every run's value of
 every end-to-end metric, their median and quartiles (inclusive method), all
-to 4 decimals, and how many pairs the change wins on ``wall_s``.  A run
-that is not ``correct`` or has ``failed`` operations is listed under
+to 4 decimals, and per end-to-end metric of ``BENCHMARK.json`` how many
+pairs each side wins in its ``better`` direction, a tie counting for
+neither (``wins``).  ``wall_s_claim`` says whether a claimed ``wall_s``
+gain holds: at least 10 pairs, the change wins at least 9 in 10 of them,
+and the parent's median exceeds the change's by more than the parent's
+interquartile range.
+A run that is not ``correct`` or has ``failed`` operations is listed under
 ``bad_runs``; if there is one on either side, the file is still written,
 the runs are named on stderr and the exit status is 1.
 """
@@ -75,7 +80,26 @@ def summary(runs: list[float]) -> dict:
         "runs": [round(v, 4) for v in runs]}
 
 
-def compare(workload: str, pairs: int, seeds: list[int], seconds: float, trees: dict) -> dict:
+def wins(parent: list[float], change: list[float], better: str) -> dict:
+    """Pairs won by each side in the better direction; a tie counts for neither."""
+    sign = 1 if better == "lower" else -1
+    change_wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    parent_wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return {"change": change_wins, "parent": parent_wins, "ties": len(parent) - change_wins - parent_wins}
+
+
+def wall_claim(parent: list[float], change: list[float]) -> dict:
+    """Whether a lower ``wall_s`` holds: at least 10 pairs, the change wins
+    at least 9 in 10 of them, and the median gap exceeds the parent's
+    interquartile range."""
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    won, gap = wins(parent, change, "lower")["change"], statistics.median(parent) - statistics.median(change)
+    holds = len(parent) >= 10 and 10 * won >= 9 * len(parent) and gap > q3 - q1
+    return {"holds": holds, "change_wins": won, "pairs": len(parent),
+            "median_gap": round(gap, 4), "parent_iqr": round(q3 - q1, 4)}
+
+
+def compare(workload: str, pairs: int, seeds: list[int], seconds: float, trees: dict, end_to_end: list) -> dict:
     results = {side: [] for side in SIDES}
     for k, seed in enumerate(seeds):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
@@ -88,8 +112,10 @@ def compare(workload: str, pairs: int, seeds: list[int], seconds: float, trees: 
         row[f"{side}_failed"] = sum(r["failed"] for r in results[side])
     row["bad_runs"] = [f"{workload} {side} seed {seed}" for side in SIDES for seed, r in zip(seeds, results[side])
                        if not r["correct"] or r["failed"]]
-    walls = [[r["metrics"]["wall_s"]["value"] for r in results[side]] for side in SIDES]
-    row["wall_s_change_wins"] = f"{sum(c < p for p, c in zip(*walls))} of {pairs}"
+    values = {m["name"]: [[r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES]
+              for m in end_to_end}
+    row["wins"] = {m["name"]: wins(*values[m["name"]], m["better"]) for m in end_to_end}
+    row["wall_s_claim"] = wall_claim(*values["wall_s"])
     row["metrics"] = {
         name: {
             **{side: summary([r["metrics"][name]["value"] for r in results[side]]) for side in SIDES},
@@ -113,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     if any(pairs < 2 for _, pairs in plan):
         parser.error("quartiles need at least 2 pairs per workload")
     shas = {side: git("rev-parse", f"{ref}^{{commit}}") for side, ref in zip(SIDES, (args.parent, args.change))}
-    seconds = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))["run_seconds"]
+    benchmark = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))
+    seconds = benchmark["run_seconds"]
     record = {
         "what": f"perfbench/run.py --seconds {seconds:g} --trace 0, untraced; parent and change run alternately, "
                 "the side that runs first alternating with the seed, each from its own copy of the tree "
@@ -134,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, pairs in plan:
             seeds = list(range(seed, seed + pairs))
             seed += pairs
-            record["workloads"][name] = compare(name, pairs, seeds, seconds, trees)
+            record["workloads"][name] = compare(name, pairs, seeds, seconds, trees, benchmark["end_to_end"])
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)

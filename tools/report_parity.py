@@ -22,9 +22,11 @@ these catch a change in the deleted arcs, subdivisions or retarget moves.  Last 
 (``SOLVER_SETS``): the ``radius``, enclosure, ``iterations`` and Perron
 vector bytes of every result of one ``spectral_radii`` call over the
 n = 5 classes per alpha, of one-at-a-time ``spectral_radius`` calls
-over the criterion-1 grid at the oracle-grid workload's alphas, and of
+over the criterion-1 grid at the oracle-grid workload's alphas, of
 cycle(200), which takes more arcs than the start's squarings cover, and
-complete(40) at alpha 0 and 0.99, which reports do not carry.  The
+complete(40) at alpha 0 and 0.99, which reports do not carry, and of the
+lemma fleet, each member at alpha 0 and 0.5, in one call over several
+vertex counts, so the results must come back in input order.  The
 family campaigns also run theta at (40, 4) and infty at (35, 4), alpha
 0.5 and 0.95: large stacks near the float start's limits.  The oracle set
 (``ORACLE_SETS``) holds both root oracles' values, ``largest_root`` and
@@ -96,6 +98,9 @@ solvers = {
         spectral_radius(generate(spec), alpha) for spec in criterion1_grid() for alpha in ORACLE_ALPHAS],
     "spectral_radii_cycle200_complete40": lambda alpha: spectral_radii(
         [generate(FamilySpec.cycle(200)), generate(FamilySpec.complete(40))], alpha),
+    "spectral_radii_lemma_fleet": lambda: spectral_radii(
+        [d for d in map(generate, campaigns._lemma_fleet()) for _ in (0.0, 0.5)],
+        [0.0, 0.5] * len(campaigns._lemma_fleet())),
 }
 def oracle_roots(*extra_alphas):
     from alphaspectra.chareq import char_equation_for, largest_root
@@ -138,7 +143,9 @@ def deletable_arcs(trials, seed):
     rng = np.random.default_rng(seed)
     bases = [campaigns.random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(trials)]
     bases += [generate(spec) for spec in campaigns._lemma_fleet()]
-    return [arcs for _, _, arcs in campaigns._base_facts([(d, 0.0, "") for d in bases])[0]]
+    facts = campaigns._base_facts([(d, 0.0, "") for d in bases])
+    # a tree whose _base_facts returns per-base (result, arcs, deletable) triples
+    return [arcs for _, _, arcs in facts[0]] if len(facts) == 3 else facts[2]
 kernels = {"sc_filter_flags": sc_filter_flags, "deletable_arcs": deletable_arcs}
 # every kind: infty and theta for s = 2..4 up to n = 15, cycle and complete
 # for n = 2..11, kpq for p, q = 1..5, bip1-6 for 2 <= q <= p <= 5 up to
@@ -197,7 +204,8 @@ LEMMA_SETS = [("lemma_derived", [100, seed]) for seed in range(8)] + [("lemma_de
 #: solver results compared field by field, Perron vectors to the byte
 SOLVER_SETS = [("spectral_radii_n5", [alpha]) for alpha in (0.0, 0.5, 0.9, 0.99)] + [
     ("spectral_radius_oracle_grid", [])] + [
-    ("spectral_radii_cycle200_complete40", [alpha]) for alpha in (0.0, 0.99)]
+    ("spectral_radii_cycle200_complete40", [alpha]) for alpha in (0.0, 0.99)] + [
+    ("spectral_radii_lemma_fleet", [])]
 
 #: both oracles' roots (``largest_root`` and ``det_scan_largest_real_root``)
 #: over the criterion-1 grid at the oracle-grid alphas plus these, each
