@@ -184,19 +184,16 @@ def rounding_factor(n: int) -> float:
     return ((n + 2) // 2 + 1) * 2.0**-52
 
 
-def _widen(lo: list[float], hi: list[float], n: int) -> tuple[list[float], list[float]]:
-    """Each lo times 1-g and each hi times 1+g, g = rounding_factor(n),
-    moved one ulp outward to cover the rounding of the product."""
-    g = rounding_factor(n)
-    down, up = 1.0 - g, 1.0 + g
-    return [math.nextafter(v * down, -math.inf) for v in lo], [math.nextafter(v * up, math.inf) for v in hi]
+def _widen(lo: float, hi: float, g: float) -> tuple[float, float]:
+    """lo*(1-g) and hi*(1+g), each moved one ulp outward to cover the
+    rounding of the product."""
+    return math.nextafter(lo * (1.0 - g), -math.inf), math.nextafter(hi * (1.0 + g), math.inf)
 
 
 def rounding_safe(lo: float, hi: float, n: int) -> Interval:
     """[lo*(1-g), hi*(1+g)] with g = rounding_factor(n), each end moved one
     ulp outward to cover the rounding of the product."""
-    (lo,), (hi,) = _widen([lo], [hi], n)
-    return Interval(lo, hi)
+    return Interval(*_widen(lo, hi, rounding_factor(n)))
 
 
 def spectral_radii(
@@ -245,17 +242,18 @@ def spectral_radii(
     for n, members, m, tops, x, _ in stacks:
         raw_tol = np.array([tol - _top_margin(top, n) for top in tops])
         x, lo, hi, iters = _backend.power_iteration(m, x, raw_tol, ITERATION_CAP)
-        lo, hi, iters = lo.tolist(), hi.tolist(), iters.tolist()
-        wlo, whi = _widen(lo, hi, n)
-        wide = [b for b, (l, h) in enumerate(zip(wlo, whi)) if h - l > tol]
-        if wide:
-            b = wide[0]
-            raise ConvergenceError(
-                f"Noda iteration failed to reach tol={tol} in {iters[b]} iterations "
-                f"(enclosure width {whi[b] - wlo[b]:.3e})"
-            )
-        radius = [0.5 * (l + h) for l, h in zip(lo, hi)]
-        residual = [(h - l) / h if h else 0.0 for l, h in zip(lo, hi)]
+        g, iters = rounding_factor(n), iters.tolist()
+        wlo, whi, radius, residual = [], [], [], []
+        for l, h, it in zip(lo.tolist(), hi.tolist(), iters):
+            wl, wh = _widen(l, h, g)
+            if wh - wl > tol:
+                raise ConvergenceError(
+                    f"Noda iteration failed to reach tol={tol} in {it} iterations (enclosure width {wh - wl:.3e})"
+                )
+            wlo.append(wl)
+            whi.append(wh)
+            radius.append(0.5 * (l + h))
+            residual.append((h - l) / h if h else 0.0)
         parts.append((members, SpectralResults(wlo, whi, radius, iters, residual, x)))
     return SpectralResults.gather(parts)
 
