@@ -17,9 +17,7 @@ from .chareq import CharEquation, char_equation_for, eval_char, kpq_radius, larg
 from .digraph import (
     CanonicalKey,
     Digraph,
-    bipartition,
     canonical_key,
-    contains_bidirected_kpq,
     from_dgr1,
     is_strongly_connected,
     make_digraph,

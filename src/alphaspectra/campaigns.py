@@ -31,13 +31,11 @@ from .digraph import (
     Digraph,
     adjacency_rows_from_masks,
     adjacency_stack_from_masks,
-    bipartition,
     canonical_key,
     canonical_masks,
-    contains_bidirected_kpq,
     delete_arc,
-    digraphs_from_masks,
     is_strongly_connected,
+    masks_bipartite_kpq,
     masks_strongly_connected,
     retarget_in_arcs,
     subdivide_arc,
@@ -358,7 +356,9 @@ def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> Verificati
     """Check the attached-path family inequality chain at (n, p, q, alpha),
     and at (5, 2, 2) additionally confirm the claimed unique minimizer over
     every strongly connected bipartite digraph containing the bidirected
-    K_{p,q}, by exhaustive enumeration."""
+    K_{p,q}, by exhaustive enumeration.  That branch ranks the masks
+    :func:`masks_bipartite_kpq` keeps as global-min ranks its classes, so
+    no class becomes a :class:`Digraph`."""
     if not (p >= q >= 2 and p + q <= n - 1):
         raise InvalidParamsError(f"need p >= q >= 2 and p + q <= n - 1, got {(n, p, q)}")
     t0 = time.perf_counter()
@@ -409,10 +409,9 @@ def verify_bipartite_minimum(n: int, p: int, q: int, alpha: float) -> Verificati
     # exhaustive branch: only reachable enumeration size is (5, 2, 2)
     if n <= ENUMERATION_MAX_N:
         masks = enumerate_sc_digraphs(n)
-        kept = [(CanonicalKey.from_mask(n, m).hex(), d)
-                for m, d in zip(masks.tolist(), digraphs_from_masks(masks, n))
-                if bipartition(d) is not None and contains_bidirected_kpq(d, p, q)]
-        labels, ranked = _rank(report, [label for label, _ in kept], [d for _, d in kept], alpha)
+        masks = masks[masks_bipartite_kpq(masks, n, p, q)]
+        labels = [CanonicalKey.from_mask(n, m).hex() for m in masks.tolist()]
+        labels, ranked = _rank(report, labels, adjacency_stack_from_masks(masks, n), alpha)
         want = bip(1 if rem % 2 == 1 else 5)
         label = canonical_key(generate(want)).hex()
         claim = f"unique bipartite minimum by enumeration {loc}"

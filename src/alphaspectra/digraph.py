@@ -3,7 +3,7 @@
 Vertices are 0-indexed.  A :class:`Digraph` is immutable, and every
 transform returns a fresh value, so everything here is safe to use
 concurrently.  It stores one out-neighbour mask per vertex, an unbounded
-Python int; its arcs, in-neighbour masks and predicates derive from those.
+Python int; its arcs and strong connectivity derive from those.
 
 Batch code packs an adjacency into one integer, the *mask*: the n x n
 matrix row-major, cell (i, j) at bit ``n*n-1-(i*n+j)``, so integer order is
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -31,7 +30,6 @@ from .errors import (
     DuplicateArcError,
     LoopArcError,
     MissingArcError,
-    NotStronglyConnectedError,
     OutOfRangeError,
     ParseError,
     PreconditionError,
@@ -39,7 +37,6 @@ from .errors import (
 )
 
 CANONICAL_MAX_N = 8
-KPQ_SEARCH_MAX_N = 10
 
 Arc = tuple[int, int]
 
@@ -66,13 +63,6 @@ class Digraph:
                 arcs.append((i, low.bit_length() - 1))
                 m ^= low
         return tuple(arcs)
-
-    @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for i, j in self.arcs:
-            masks[j] |= 1 << i
-        return tuple(masks)
 
     def has_arc(self, i: int, j: int) -> bool:
         return (self.out_masks[i] >> j) & 1 == 1
@@ -247,10 +237,10 @@ def canonical_masks(n: int) -> np.ndarray:
 
 
 def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:
-    """The digraph of each packed mask, in order, for the bipartite
-    minimum's exhaustive branch and ``spectra enumerate``: vertex i's
-    out-neighbour mask is row i of :func:`adjacency_stack_from_masks`, bit j
-    for column j.  A diagonal bit raises :class:`LoopArcError`."""
+    """The digraph of each packed mask, in order, for ``spectra enumerate``:
+    vertex i's out-neighbour mask is row i of
+    :func:`adjacency_stack_from_masks`, bit j for column j.  A diagonal bit
+    raises :class:`LoopArcError`."""
     adj = adjacency_stack_from_masks(np.asarray(masks, dtype=np.int64), n)
     if adj.diagonal(axis1=1, axis2=2).any():
         raise LoopArcError("mask with a diagonal bit set")
@@ -260,6 +250,27 @@ def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:
 def adjacency_stack_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
     """The 0/1 adjacency matrix of each packed mask, uint8, shape (N, n, n)."""
     return ((masks[:, None] >> np.arange(n * n - 1, -1, -1)) & 1).astype(np.uint8).reshape(len(masks), n, n)
+
+
+def masks_bipartite_kpq(masks: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """Flags of the strongly connected int64 masks that are bipartite and
+    contain the bidirected K_{p,q}.  Bipartite: for some even ``split``
+    (vertex 0 on side 0) no cell has both ends on one side.  K_{p,q}: for
+    some disjoint P, Q of sizes p and q every cell of P x Q and Q x P is
+    set.  Each cell set ORs into one flag array, so memory stays
+    O(len(masks))."""
+    def cells(pairs) -> int:
+        return sum(1 << _cell_bit(n, i, j) for i, j in pairs)
+
+    bipartite, kpq = np.zeros((2, len(masks)), dtype=bool)
+    for split in range(0, 1 << n, 2):
+        inner = cells((i, j) for i in range(n) for j in range(n) if (split >> i ^ split >> j) & 1 == 0)
+        bipartite |= masks & inner == 0
+    for part_p in itertools.combinations(range(n), p):
+        for part_q in itertools.combinations([v for v in range(n) if v not in part_p], q):
+            cross = cells(pair for i in part_p for j in part_q for pair in ((i, j), (j, i)))
+            kpq |= masks & cross == cross
+    return bipartite & kpq
 
 
 @lru_cache(maxsize=1 << 16)
@@ -326,60 +337,6 @@ def retarget_in_arcs(d: Digraph, sources, p: int, q: int) -> Digraph:
     for s in srcs:
         masks[s] ^= 1 << p | 1 << q
     return Digraph(d.n, tuple(masks))
-
-
-# ---------------------------------------------------------------------------
-# bipartite structure
-
-def bipartition(d: Digraph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two-coloring of the underlying undirected graph, or None.
-
-    Requires strong connectivity (so the coloring is unique up to swapping
-    sides); part 0 is the side containing vertex 0.  The search from vertex
-    0 reaches every vertex and so tests every arc: None as soon as one joins
-    two vertices of the same color.
-    """
-    if not is_strongly_connected(d):
-        raise NotStronglyConnectedError("bipartition needs a strongly connected digraph")
-    n = d.n
-    und = [d.out_masks[v] | d.in_masks[v] for v in range(n)]
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in range(n):
-            if (und[v] >> w) & 1:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    part0 = frozenset(v for v in range(n) if color[v] == 0)
-    part1 = frozenset(v for v in range(n) if color[v] == 1)
-    return part0, part1
-
-
-def contains_bidirected_kpq(d: Digraph, p: int, q: int) -> bool:
-    """True iff disjoint vertex sets of sizes p and q exist with all 2pq
-    crossing arcs present.  Subset search over the p-sets, so n is capped at
-    10: a p-set works when its common bidirected neighbours number at least
-    q, and they lie outside it because no vertex is its own neighbour."""
-    if p < 1 or q < 1:
-        raise OutOfRangeError("part sizes must be at least 1")
-    if d.n > KPQ_SEARCH_MAX_N:
-        raise TooLargeError(f"subset search capped at n={KPQ_SEARCH_MAX_N}, got {d.n}")
-    if p + q > d.n:
-        return False
-    bidir = [d.out_masks[v] & d.in_masks[v] for v in range(d.n)]
-    cand = [v for v in range(d.n) if bidir[v].bit_count() >= q]
-    for chosen in itertools.combinations(cand, p):
-        common = ~0
-        for v in chosen:
-            common &= bidir[v]
-        if common.bit_count() >= q:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

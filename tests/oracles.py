@@ -1,8 +1,9 @@
 """Test-only oracles: independent strong-connectivity and labeled-mask
 references, the per-pair Perron-order and rank checks, a per-member
-assembly of solve results, and frozen class counts.  Nothing in the
-package uses them."""
+assembly of solve results, the per-digraph bipartite and K_{p,q}
+predicates, and frozen class counts.  Nothing in the package uses them."""
 
+import itertools
 import math
 from collections import deque
 
@@ -10,7 +11,8 @@ import numpy as np
 
 from alphaspectra import _backend
 from alphaspectra.campaigns import DECISION_MARGIN, Verdict
-from alphaspectra.digraph import Digraph, _cell_bit, out_degrees
+from alphaspectra.digraph import Digraph, _cell_bit, is_strongly_connected, out_degrees
+from alphaspectra.errors import NotStronglyConnectedError, OutOfRangeError, TooLargeError
 from alphaspectra.spectral import ITERATION_CAP, Interval, SpectralResult, build_alpha_matrix, rounding_factor
 
 #: isomorphism-class counts of strongly connected digraphs; the n = 5 value
@@ -22,6 +24,8 @@ SC_CLASS_COUNTS = {2: 1, 3: 5, 4: 83, 5: 5048}
 #: frozen from the same oracle run.  Enumeration never builds the labeled
 #: set, so these are only a fixture for the tests' oracles.
 SC_LABELED_COUNTS = {2: 1, 3: 18, 4: 1606, 5: 565080}
+
+KPQ_SEARCH_MAX_N = 10
 
 
 def _reachable_from(d: Digraph, start: int) -> int:
@@ -130,3 +134,66 @@ def solve_one_by_one(d, alpha, tol):
         return (f"Noda iteration failed to reach tol={tol} in {it} iterations "
                 f"(enclosure width {enclosure.width:.3e})")
     return SpectralResult(0.5 * (lo + hi), enclosure, x[0], it, (hi - lo) / hi if hi else 0.0)
+
+
+def in_masks(d: Digraph) -> tuple[int, ...]:
+    """In-neighbour mask of every vertex: bit i of entry j for the arc (i, j)."""
+    masks = [0] * d.n
+    for i, j in d.arcs:
+        masks[j] |= 1 << i
+    return tuple(masks)
+
+
+def bipartition(d: Digraph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Two-coloring of the underlying undirected graph, or None.
+
+    Requires strong connectivity (so the coloring is unique up to swapping
+    sides); part 0 is the side containing vertex 0.  The search from vertex
+    0 reaches every vertex and so tests every arc: None as soon as one joins
+    two vertices of the same color.  Oracle for
+    ``digraph.masks_bipartite_kpq``.
+    """
+    if not is_strongly_connected(d):
+        raise NotStronglyConnectedError("bipartition needs a strongly connected digraph")
+    n = d.n
+    ins = in_masks(d)
+    und = [d.out_masks[v] | ins[v] for v in range(n)]
+    color = [-1] * n
+    color[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in range(n):
+            if (und[v] >> w) & 1:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    part0 = frozenset(v for v in range(n) if color[v] == 0)
+    part1 = frozenset(v for v in range(n) if color[v] == 1)
+    return part0, part1
+
+
+def contains_bidirected_kpq(d: Digraph, p: int, q: int) -> bool:
+    """True iff disjoint vertex sets of sizes p and q exist with all 2pq
+    crossing arcs present.  Subset search over the p-sets, so n is capped at
+    10: a p-set works when its common bidirected neighbours number at least
+    q, and they lie outside it because no vertex is its own neighbour.
+    Oracle for ``digraph.masks_bipartite_kpq``."""
+    if p < 1 or q < 1:
+        raise OutOfRangeError("part sizes must be at least 1")
+    if d.n > KPQ_SEARCH_MAX_N:
+        raise TooLargeError(f"subset search capped at n={KPQ_SEARCH_MAX_N}, got {d.n}")
+    if p + q > d.n:
+        return False
+    ins = in_masks(d)
+    bidir = [d.out_masks[v] & ins[v] for v in range(d.n)]
+    cand = [v for v in range(d.n) if bidir[v].bit_count() >= q]
+    for chosen in itertools.combinations(cand, p):
+        common = ~0
+        for v in chosen:
+            common &= bidir[v]
+        if common.bit_count() >= q:
+            return True
+    return False

@@ -233,7 +233,7 @@ class TestGlobalMinima:
         # claimed members (through generate, for their keys); the one
         # (5048, 5, 5) kernel call is pinned in test_spectral
         built = []
-        for mod, name in ((campaigns, "digraphs_from_masks"), (digraph, "make_digraph"), (families, "make_digraph")):
+        for mod, name in ((digraph, "digraphs_from_masks"), (digraph, "make_digraph"), (families, "make_digraph")):
             def counting(*args, fn=getattr(mod, name), name=name):
                 built.append(name)
                 return fn(*args)
@@ -258,6 +258,22 @@ class TestBipartiteMinimum:
         assert report.passed()
         uniq = [v for v in report.verdicts if "unique bipartite minimum" in v.claim]
         assert len(uniq) == 1 and uniq[0].status == "pass"
+
+    def test_enumeration_branch_from_masks(self, monkeypatch):
+        # no class becomes a Digraph: only the four chain members and the
+        # claimed minimizer are built
+        built = []
+        init = digraph.Digraph.__init__
+
+        def counting(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(digraph.Digraph, "__init__", counting)
+        report = verify_bipartite_minimum(5, 2, 2, 0.5)
+        assert report.passed()
+        assert built == [5] * 5
+        assert len(report.items) == 4 + 5
 
     def test_even_tie_at_alpha_zero(self):
         report = verify_bipartite_minimum(8, 2, 2, 0.0)

@@ -4,14 +4,15 @@ import time
 import numpy as np
 import pytest
 
+from alphaspectra.campaigns import enumerate_sc_digraphs
 from alphaspectra.digraph import (
     canonical_key,
-    bipartition,
-    contains_bidirected_kpq,
     delete_arc,
+    digraphs_from_masks,
     from_dgr1,
     is_strongly_connected,
     make_digraph,
+    masks_bipartite_kpq,
     out_degrees,
     read_dgr1,
     retarget_in_arcs,
@@ -29,7 +30,7 @@ from alphaspectra.errors import (
     TooLargeError,
 )
 from alphaspectra.families import FamilySpec, generate
-from oracles import is_strongly_connected_bfs
+from oracles import bipartition, contains_bidirected_kpq, is_strongly_connected_bfs
 
 
 def cycle(n):
@@ -352,6 +353,20 @@ class TestContainsKpq:
         for p, q in ((0, 2), (2, 0)):
             with pytest.raises(OutOfRangeError, match="part sizes must be at least 1"):
                 contains_bidirected_kpq(cycle(4), p, q)
+
+
+class TestMasksBipartiteKpq:
+    def test_matches_oracles_on_every_class(self):
+        # both directions of every cross cell, all of them, and the split
+        # test: a filter missing any of the three disagrees somewhere here
+        for n in range(2, 6):
+            masks = enumerate_sc_digraphs(n)
+            digraphs = digraphs_from_masks(masks, n)
+            bipartite = [bipartition(d) is not None for d in digraphs]
+            for p in range(1, n):
+                for q in range(1, n - p + 1):
+                    want = [b and contains_bidirected_kpq(d, p, q) for b, d in zip(bipartite, digraphs)]
+                    assert masks_bipartite_kpq(masks, n, p, q).tolist() == want, (n, p, q)
 
 
 class TestDgr1:

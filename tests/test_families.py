@@ -1,9 +1,7 @@
 import pytest
 
 from alphaspectra.digraph import (
-    bipartition,
     canonical_key,
-    contains_bidirected_kpq,
     is_strongly_connected,
     out_degrees,
 )
@@ -16,6 +14,7 @@ from alphaspectra.families import (
     list_compositions,
     parse_spec,
 )
+from oracles import bipartition, contains_bidirected_kpq
 
 
 def all_small_specs():

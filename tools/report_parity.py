@@ -28,7 +28,9 @@ complete(40) at alpha 0 and 0.99, which reports do not carry, and of the
 lemma fleet, each member at alpha 0 and 0.5, in one call over several
 vertex counts, so the results must come back in input order.  The
 family campaigns also run theta at (40, 4) and infty at (35, 4), alpha
-0.5 and 0.95: large stacks near the float start's limits.  The oracle set
+0.5 and 0.95: large stacks near the float start's limits, and the
+bipartite minimum's exhaustive branch at (5, 2, 2) runs at three more
+alphas (``BIPARTITE_ALPHAS``).  The oracle set
 (``ORACLE_SETS``) holds both root oracles' values, ``largest_root`` and
 ``det_scan_largest_real_root``, over the criterion-1 grid at the
 oracle-grid alphas plus 0.99.  One line per report or set says whether the
@@ -75,6 +77,9 @@ from pathlib import Path
 from bench_ab import export, git
 
 ALPHAS = (0.0, 0.5, 0.9)
+#: more alphas for the bipartite minimum's exhaustive branch, the only
+#: other campaign that filters and ranks the enumerated classes
+BIPARTITE_ALPHAS = (0.25, 0.75, 0.99)
 
 #: run in each tree: the campaign calls, digraph sets and solver sets come
 #: on stdin; one JSON object per line out, the hash and, for a report, its
@@ -237,6 +242,7 @@ def campaign_set() -> list[tuple[str, list]]:
         runs += [("verify_bipartite_minimum", [n, 2, 2, alpha]) for n in (5, 7)]
     runs += [("verify_family_extremes", [family, n, 4, alpha])
              for family, n in (("theta", 40), ("infty", 35)) for alpha in (0.5, 0.95)]
+    runs += [("verify_bipartite_minimum", [5, 2, 2, alpha]) for alpha in BIPARTITE_ALPHAS]
     return runs + DIGRAPH_SETS + LEMMA_SETS + SOLVER_SETS + ORACLE_SETS + SIEVE_SETS + KERNEL_SETS
 
 
