@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AlphaRangeError, InvalidSpecError, NoSignChangeError
-from .families import FamilySpec, validate_spec
+from .families import FamilySpec
 
 DEFAULT_TOL = 1e-12
 
@@ -50,7 +50,6 @@ class CharEquation:
         spec = self.spec
         if spec.kind not in _EQ_KINDS:
             raise InvalidSpecError(f"no scalar characteristic function for {spec.kind!r}")
-        validate_spec(spec)
         check_alpha(self.alpha)
         terms = None
         if spec.kind in ("infty", "theta"):

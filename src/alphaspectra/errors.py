@@ -42,7 +42,8 @@ class NonpositiveVectorError(SpectraError):
 
 
 class ConvergenceError(SpectraError):
-    """Iteration cap hit; signals a bug, not a valid outcome."""
+    """Iteration cap hit before the enclosure met tol: valid dense inputs
+    raise it when tol lies below the widening floor, about 2*gamma_{n+2}*rho."""
 
 
 class InvalidSpecError(SpectraError):

@@ -50,11 +50,57 @@ class FamilySpec:
 
     ``params`` holds, per kind: (n,) for cycle/complete/gprime/g1/g2,
     (p, q) for kpq, the cycle-length list for infty, the path-length list
-    plus trailing l1 for theta, and (n, p, q) for bip1..bip6.
+    plus trailing l1 for theta, and (n, p, q) for bip1..bip6.  A spec is
+    valid once made: building one that breaks an invariant, by any route,
+    raises :class:`InvalidSpecError` naming it, so consumers trust a spec.
     """
 
     kind: str
     params: tuple[int, ...]
+
+    def __post_init__(self):
+        k, ps = self.kind, self.params
+        if k not in _KINDS:
+            raise InvalidSpecError(f"unknown family kind {k!r}")
+        if k in ("cycle", "complete"):
+            if len(ps) != 1 or ps[0] < 2:
+                raise InvalidSpecError(f"{k} needs a single n >= 2, got {ps}")
+        elif k == "kpq":
+            if len(ps) != 2 or min(ps) < 1:
+                raise InvalidSpecError(f"kpq needs p, q >= 1, got {ps}")
+        elif k == "infty":
+            if len(ps) < 2:
+                raise InvalidSpecError("infty needs s >= 2 cycles")
+            if min(ps) < 1:
+                raise InvalidSpecError("infty cycle lengths must be >= 1")
+            if any(ps[i] > ps[i + 1] for i in range(len(ps) - 1)):
+                raise InvalidSpecError("infty cycle lengths must be nondecreasing")
+        elif k == "theta":
+            if len(ps) < 3:
+                raise InvalidSpecError("theta needs s >= 2 forward paths plus l1")
+            ks, l1 = ps[:-1], ps[-1]
+            if min(ks) < 0 or l1 < 0:
+                raise InvalidSpecError("theta path lengths must be >= 0")
+            if any(ks[i] > ks[i + 1] for i in range(len(ks) - 1)):
+                raise InvalidSpecError("theta path lengths must be nondecreasing")
+            if ks[1] == 0:
+                raise InvalidSpecError("at most one zero-length path (no duplicate arc u->v)")
+        elif k in _BIP_KINDS:
+            if len(ps) != 3:
+                raise InvalidSpecError(f"{k} needs (n, p, q), got {ps}")
+            n, p, q = ps
+            if not (p >= q >= 2):
+                raise InvalidSpecError(f"{k} needs p >= q >= 2, got p={p}, q={q}")
+            if p + q > n - 1:
+                raise InvalidSpecError(f"{k} needs p + q <= n - 1, got n={n}, p={p}, q={q}")
+            rem = n - p - q
+            if k in ("bip1", "bip2", "bip3", "bip4") and rem % 2 == 0:
+                raise InvalidSpecError(f"{k} needs n - p - q odd, got {rem}")
+            if k in ("bip5", "bip6") and rem % 2 == 1:
+                raise InvalidSpecError(f"{k} needs n - p - q even, got {rem}")
+        else:  # gprime / g1 / g2
+            if len(ps) != 1 or ps[0] < 5:
+                raise InvalidSpecError(f"{k} needs a single n >= 5, got {ps}")
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -130,58 +176,11 @@ class FamilySpec:
         return self.params  # type: ignore[return-value]
 
 
-def validate_spec(spec: FamilySpec) -> None:
-    """Raise InvalidSpecError naming the violated invariant."""
-    k, ps = spec.kind, spec.params
-    if k not in _KINDS:
-        raise InvalidSpecError(f"unknown family kind {k!r}")
-    if k in ("cycle", "complete"):
-        if len(ps) != 1 or ps[0] < 2:
-            raise InvalidSpecError(f"{k} needs a single n >= 2, got {ps}")
-    elif k == "kpq":
-        if len(ps) != 2 or min(ps) < 1:
-            raise InvalidSpecError(f"kpq needs p, q >= 1, got {ps}")
-    elif k == "infty":
-        if len(ps) < 2:
-            raise InvalidSpecError("infty needs s >= 2 cycles")
-        if min(ps) < 1:
-            raise InvalidSpecError("infty cycle lengths must be >= 1")
-        if any(ps[i] > ps[i + 1] for i in range(len(ps) - 1)):
-            raise InvalidSpecError("infty cycle lengths must be nondecreasing")
-    elif k == "theta":
-        if len(ps) < 3:
-            raise InvalidSpecError("theta needs s >= 2 forward paths plus l1")
-        ks, l1 = ps[:-1], ps[-1]
-        if min(ks) < 0 or l1 < 0:
-            raise InvalidSpecError("theta path lengths must be >= 0")
-        if any(ks[i] > ks[i + 1] for i in range(len(ks) - 1)):
-            raise InvalidSpecError("theta path lengths must be nondecreasing")
-        if ks[1] == 0:
-            raise InvalidSpecError("at most one zero-length path (no duplicate arc u->v)")
-    elif k in _BIP_KINDS:
-        if len(ps) != 3:
-            raise InvalidSpecError(f"{k} needs (n, p, q), got {ps}")
-        n, p, q = ps
-        if not (p >= q >= 2):
-            raise InvalidSpecError(f"{k} needs p >= q >= 2, got p={p}, q={q}")
-        if p + q > n - 1:
-            raise InvalidSpecError(f"{k} needs p + q <= n - 1, got n={n}, p={p}, q={q}")
-        rem = n - p - q
-        if k in ("bip1", "bip2", "bip3", "bip4") and rem % 2 == 0:
-            raise InvalidSpecError(f"{k} needs n - p - q odd, got {rem}")
-        if k in ("bip5", "bip6") and rem % 2 == 1:
-            raise InvalidSpecError(f"{k} needs n - p - q even, got {rem}")
-    else:  # gprime / g1 / g2
-        if len(ps) != 1 or ps[0] < 5:
-            raise InvalidSpecError(f"{k} needs a single n >= 5, got {ps}")
-
-
 # ---------------------------------------------------------------------------
 # generation
 
 def generate(spec: FamilySpec) -> Digraph:
     """Build the labeled digraph for a family descriptor."""
-    validate_spec(spec)
     k, n = spec.kind, spec.n_vertices
     if k == "cycle":
         arcs = _path(0, 1, n, 0)
@@ -267,7 +266,8 @@ def format_spec(spec: FamilySpec) -> str:
 
 
 def parse_spec(text: str) -> FamilySpec:
-    """Parse the CLI family syntax; validates invariants after parsing."""
+    """Parse the CLI family syntax; :class:`ParseError` comes before any
+    spec is made, which then checks its own invariants."""
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError(f"missing ':' in {text!r}", pos=len(text), expected="':'")
@@ -294,9 +294,6 @@ def parse_spec(text: str) -> FamilySpec:
         l1 = ints(l1_part, pos + len(ks_part) + 1)
         if len(l1) != 1:
             raise ParseError("theta takes a single l1", pos=pos + len(ks_part) + 1, expected="one integer")
-        spec = FamilySpec.theta(ks, l1[0])
-    else:
-        vals = ints(tail, pos)
-        spec = FamilySpec.infty(*vals) if kind == "infty" else FamilySpec(kind, vals)
-    validate_spec(spec)
-    return spec
+        return FamilySpec.theta(ks, l1[0])
+    vals = ints(tail, pos)
+    return FamilySpec.infty(*vals) if kind == "infty" else FamilySpec(kind, vals)

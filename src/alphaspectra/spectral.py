@@ -215,9 +215,8 @@ def spectral_radii(
     one that misses tol raises :class:`ConvergenceError` for the whole call.
     """
     digraphs = digraphs if isinstance(digraphs, np.ndarray) else list(digraphs)
-    if isinstance(alphas, numbers.Real):
-        alphas = [alphas] * len(digraphs)
-    alphas = [check_alpha(a) for a in alphas]
+    shared = isinstance(alphas, numbers.Real)
+    alphas = [check_alpha(alphas)] * len(digraphs) if shared else [check_alpha(a) for a in alphas]
     if len(alphas) != len(digraphs):
         raise ValueError(f"{len(alphas)} alphas for {len(digraphs)} digraphs")
     if not tol > 0:

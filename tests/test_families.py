@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from alphaspectra.digraph import (
@@ -123,31 +125,39 @@ class TestGenerate:
 
 
 class TestInvalidSpecs:
+    # each case is a (kind, params) pair, built inside the test
     @pytest.mark.parametrize(
         "bad",
         [
-            FamilySpec("cycle", (1,)),
-            FamilySpec("complete", (1,)),
-            FamilySpec("kpq", (0, 2)),
-            FamilySpec("infty", (1,)),
-            FamilySpec("infty", (0, 1)),
-            FamilySpec("infty", (2, 1)),
-            FamilySpec("theta", (0, 0, 1)),  # duplicate u->v arc
-            FamilySpec("theta", (1, 0)),
-            FamilySpec("bip1", (8, 2, 2)),  # even remainder
-            FamilySpec("bip5", (7, 2, 2)),  # odd remainder
-            FamilySpec("bip1", (6, 2, 1)),
-            FamilySpec("bip1", (5, 3, 2)),
-            FamilySpec("gprime", (4,)),
-            FamilySpec("g1", (4,)),
-            FamilySpec("nope", (3,)),
-            FamilySpec("theta", (-1, 1, 0)),
-            FamilySpec("theta", (2, 1, 0)),
+            ("cycle", (1,)),
+            ("complete", (1,)),
+            ("kpq", (0, 2)),
+            ("infty", (1,)),
+            ("infty", (0, 1)),
+            ("infty", (2, 1)),
+            ("theta", (0, 0, 1)),  # duplicate u->v arc
+            ("theta", (1, 0)),
+            ("bip1", (8, 2, 2)),  # even remainder
+            ("bip5", (7, 2, 2)),  # odd remainder
+            ("bip1", (6, 2, 1)),
+            ("bip1", (5, 3, 2)),
+            ("gprime", (4,)),
+            ("g1", (4,)),
+            ("nope", (3,)),
+            ("theta", (-1, 1, 0)),
+            ("theta", (2, 1, 0)),
         ],
     )
     def test_rejected(self, bad):
         with pytest.raises(InvalidSpecError):
-            generate(bad)
+            FamilySpec(*bad)
+
+    def test_no_invalid_spec_can_be_made(self):
+        # every route to a spec checks it, so consumers never re-check
+        with pytest.raises(InvalidSpecError, match="bip1 needs n - p - q odd, got 4"):
+            FamilySpec.bip(1, 8, 2, 2)
+        with pytest.raises(InvalidSpecError, match="cycle needs a single n >= 2"):
+            dataclasses.replace(FamilySpec.cycle(3), params=(1,))
 
 
 class TestCompositions:
@@ -264,4 +274,5 @@ class TestSpecSyntax:
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_spec("nope:3")
-        assert err.value.expected is not None
+        # the unknown kind is caught at position 0, before any spec is made
+        assert err.value.pos == 0 and err.value.expected is not None

@@ -426,6 +426,9 @@ class TestSpectralRadii:
     def test_empty(self):
         assert list(spectral_radii([], 0.5)) == []
         assert list(spectral_radii([], [])) == []
+        # a shared alpha is checked once, even with no digraph to solve
+        with pytest.raises(AlphaRangeError):
+            spectral_radii([], 1.0)
 
     def test_rejects_bad_members(self):
         good, bad = cycle(3), make_digraph(3, [(0, 1), (1, 2)])

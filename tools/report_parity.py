@@ -148,9 +148,7 @@ def deletable_arcs(trials, seed):
     rng = np.random.default_rng(seed)
     bases = [campaigns.random_sc_digraph(rng, int(rng.integers(2, 9))) for _ in range(trials)]
     bases += [generate(spec) for spec in campaigns._lemma_fleet()]
-    facts = campaigns._base_facts([(d, 0.0, "") for d in bases])
-    # a tree whose _base_facts returns per-base (result, arcs, deletable) triples
-    return [arcs for _, _, arcs in facts[0]] if len(facts) == 3 else facts[2]
+    return campaigns._base_facts([(d, 0.0, "") for d in bases])[2]
 kernels = {"sc_filter_flags": sc_filter_flags, "deletable_arcs": deletable_arcs}
 # every kind: infty and theta for s = 2..4 up to n = 15, cycle and complete
 # for n = 2..11, kpq for p, q = 1..5, bip1-6 for 2 <= q <= p <= 5 up to
