@@ -266,8 +266,8 @@ def format_spec(spec: FamilySpec) -> str:
 
 
 def parse_spec(text: str) -> FamilySpec:
-    """Parse the CLI family syntax; :class:`ParseError` comes before any
-    spec is made, which then checks its own invariants."""
+    """Parse the CLI family syntax.  Syntax errors raise :class:`ParseError`
+    before any spec is made; the spec then checks its own invariants."""
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError(f"missing ':' in {text!r}", pos=len(text), expected="':'")

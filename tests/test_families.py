@@ -110,7 +110,7 @@ class TestGenerate:
                 ok = rem % 2 == (1 if kind <= 4 else 0)
                 if not ok:
                     with pytest.raises(InvalidSpecError):
-                        generate(FamilySpec.bip(kind, n, p, q))
+                        FamilySpec.bip(kind, n, p, q)
                     continue
                 d = generate(FamilySpec.bip(kind, n, p, q))
                 assert bipartition(d) is not None
