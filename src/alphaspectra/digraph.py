@@ -185,22 +185,22 @@ def _perm_bit_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _perm_moves(n: int) -> tuple:
-    """Each relabeling sigma after the identity (itertools order) as a step
-    moving column v to sigma v, then one moving row v to sigma v: one pair
-    (shift, group) per displacement sigma v - v, the group's bits shifted
-    left by shift (right if negative).  Row groups are whole rows, since the
-    column step can fill the diagonal."""
+def _swap_chain(n: int) -> tuple:
+    """Heap's n! - 1 interchanges (Comput. J. 6, 1963), which reach every
+    relabeling once from the identity, each a transposition of vertices a <
+    b as two delta swaps, ``((d, column-b bits), (n*d, row-b bits))`` with
+    d = b - a: each group's bits trade places with those d (n*d) above."""
     rows = [((1 << n) - 1) << _cell_bit(n, v, n - 1) for v in range(n)]
     cols = [sum(1 << _cell_bit(n, i, v) for i in range(n)) for v in range(n)]
-    moves = []
-    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
-        col_step, row_step = {}, {}
-        for v, w in enumerate(perm):
-            col_step[v - w] = col_step.get(v - w, 0) | cols[v]
-            row_step[n * (v - w)] = row_step.get(n * (v - w), 0) | rows[v]
-        moves.append((tuple(col_step.items()), tuple(row_step.items())))
-    return tuple(moves)
+    swaps, c, i = [], [0] * n, 1
+    while i < n:
+        if c[i] < i:
+            a = 0 if i % 2 == 0 else c[i]
+            swaps.append(((i - a, cols[i]), (n * (i - a), rows[i])))
+            c[i], i = c[i] + 1, 1
+        else:
+            c[i], i = 0, i + 1
+    return tuple(swaps)
 
 
 def min_relabeled_mask(masks: np.ndarray, n: int) -> np.ndarray:
@@ -220,7 +220,7 @@ def canonical_masks(n: int) -> np.ndarray:
     every row with more ones, so moving a vertex of smaller outdegree to
     label 0 lowers row 0 too.  k = 0 is left out, since a vertex with no
     out-arc rules out strong connectivity.  They are np.int32 words while
-    n*n <= 32 and int64 above, sieved by :func:`_perm_moves`; int64 out.
+    n*n <= 32 and int64 above, sieved along :func:`_swap_chain`; int64 out.
     """
     word = np.int32 if n * n <= 32 else np.int64
     blocks = []
@@ -233,7 +233,7 @@ def canonical_masks(n: int) -> np.ndarray:
         blocks.append(masks)
     masks = np.concatenate(blocks)
     del blocks  # freed before the sieve allocates its buffers, which would raise the peak RSS
-    return _backend.perm_sieve(masks, _perm_moves(n)).astype(np.int64)
+    return _backend.perm_sieve(masks, _swap_chain(n)).astype(np.int64)
 
 
 def digraphs_from_masks(masks: np.ndarray, n: int) -> list[Digraph]:

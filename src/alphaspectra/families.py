@@ -35,6 +35,7 @@ digraphs:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .digraph import Digraph, make_digraph
@@ -50,18 +51,22 @@ class FamilySpec:
 
     ``params`` holds, per kind: (n,) for cycle/complete/gprime/g1/g2,
     (p, q) for kpq, the cycle-length list for infty, the path-length list
-    plus trailing l1 for theta, and (n, p, q) for bip1..bip6.  A spec is
-    valid once made: building one that breaks an invariant, by any route,
-    raises :class:`InvalidSpecError` naming it, so consumers trust a spec.
+    plus trailing l1 for theta, and (n, p, q) for bip1..bip6, as Python
+    ints.  A spec is valid once made: building one with a non-integer param
+    or a broken invariant, by any route, raises :class:`InvalidSpecError`.
     """
 
     kind: str
     params: tuple[int, ...]
 
     def __post_init__(self):
-        k, ps = self.kind, self.params
+        k = self.kind
         if k not in _KINDS:
             raise InvalidSpecError(f"unknown family kind {k!r}")
+        try:
+            object.__setattr__(self, "params", ps := tuple(map(operator.index, self.params)))
+        except TypeError:
+            raise InvalidSpecError(f"{k} params must be integers, got {self.params!r}") from None
         if k in ("cycle", "complete"):
             if len(ps) != 1 or ps[0] < 2:
                 raise InvalidSpecError(f"{k} needs a single n >= 2, got {ps}")

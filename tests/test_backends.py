@@ -14,7 +14,7 @@ from alphaspectra.digraph import (
     CanonicalKey,
     _cell_bit,
     _perm_bit_table,
-    _perm_moves,
+    _swap_chain,
     adjacency_rows_from_masks,
     canonical_masks,
     digraphs_from_masks,
@@ -260,39 +260,39 @@ class TestNumpyKernels:
             one = _backend.perm_min(masks[:1], _perm_bit_table(n))
             assert one.tolist() == [brute_min_mask(int(masks[0]), n)]
 
-    def test_perm_moves_match_bit_table(self):
-        # the column step then the row step of relabeling p move every bit
-        # where the bit table sends it, and no group or image leaves the n*n
-        # bits, so int32 candidates cannot overflow at n <= 5
+    def test_swap_chain_matches_bit_table(self):
+        # the chain's delta swaps, composed from the identity, reach every
+        # relabeling of the bit table exactly once; each trades a group with
+        # the disjoint bits shift places above it, and no group or shifted
+        # group leaves the n*n bits, so int32 candidates cannot overflow at
+        # n <= 5
         for n in (2, 3, 4, 5, 6):
             rng = np.random.default_rng(n)
             masks = rng.choice(loop_free_masks(n), size=200) if n < 6 else sampled_loop_free_masks(6, 100, seed=6)
             bits = (masks[:, None] >> np.arange(n * n)) & 1
-            moves, table = _perm_moves(n), _perm_bit_table(n)
-            assert len(moves) == len(table) - 1
-            for p, steps in enumerate(moves, start=1):
-                image = masks
-                for step in steps:
-                    assert len(step) <= n
-                    out = np.zeros_like(image)
-                    for shift, group in step:
-                        moved = group << shift if shift >= 0 else group >> -shift
-                        assert 0 < group < 1 << (n * n) and moved < 1 << (n * n), (n, p)
-                        assert moved.bit_count() == group.bit_count(), (n, p)
-                        part = image & group
-                        out |= part << shift if shift >= 0 else part >> -shift
-                    image = out
-                want = (bits << table[p].astype(np.int64)).sum(axis=1)
-                assert image.tolist() == want.tolist(), (n, p)
+            swaps, table = _swap_chain(n), _perm_bit_table(n)
+            want = {(bits << row.astype(np.int64)).sum(axis=1).tobytes(): p for p, row in enumerate(table)}
+            assert len(want) == len(table) == len(swaps) + 1, n
+            image, reached = masks, [want[masks.tobytes()]]
+            for swap in swaps:
+                assert len(swap) == 2, n
+                for shift, group in swap:
+                    assert shift > 0 and group > 0 and group & group << shift == 0, (n, swap)
+                    assert group << shift < 1 << (n * n), (n, swap)
+                    t = (image >> shift ^ image) & group
+                    image = image ^ t ^ t << shift
+                reached.append(want.get(image.tobytes()))
+            assert len(reached) == len(set(reached)) == len(table) and None not in reached, n
 
     def test_perm_sieve_matches_perm_min(self):
         samples = [(n, loop_free_masks(n)) for n in (2, 3, 4)]
         samples += [(5, sampled_loop_free_masks(5, 3000, seed=5)), (6, sampled_loop_free_masks(6, 500, seed=6))]
         for n, masks in samples:
             want = masks[masks == _backend.perm_min(masks, _perm_bit_table(n))]
-            got = _backend.perm_sieve(masks, _perm_moves(n))
+            got = _backend.perm_sieve(masks, _swap_chain(n))
             assert got.dtype == masks.dtype
             assert got.tolist() == want.tolist(), n
+            assert _backend.perm_sieve(masks[:0], _swap_chain(n)).shape == (0,), n
 
     def test_canonical_masks_match_sieved_loop_free_masks(self):
         # the candidates built by the min-outdegree rule sieve to the
@@ -356,9 +356,9 @@ class TestNumpyKernels:
         sieved = []
         perm_sieve = _backend.perm_sieve
 
-        def counting_sieve(masks, table):
+        def counting_sieve(masks, swaps):
             sieved.append(len(masks))
-            return perm_sieve(masks, table)
+            return perm_sieve(masks, swaps)
 
         monkeypatch.setattr(_backend, "perm_sieve", counting_sieve)
         decoded = []
@@ -395,16 +395,16 @@ class TestNumpyKernels:
         seen = []
         perm_sieve = _backend.perm_sieve
 
-        def recording(masks, table):
-            seen.append((masks, table))
-            return perm_sieve(masks, table)
+        def recording(masks, swaps):
+            seen.append((masks, swaps))
+            return perm_sieve(masks, swaps)
 
         monkeypatch.setattr(_backend, "perm_sieve", recording)
         for n in (2, 3, 4, 5):
             got = canonical_masks(n)
-            masks, table = seen[-1]
+            masks, swaps = seen[-1]
             assert masks.dtype == np.int32 and got.dtype == np.int64, n
-            assert np.array_equal(got, perm_sieve(masks.astype(np.int64), table)), n
+            assert np.array_equal(got, perm_sieve(masks.astype(np.int64), swaps)), n
 
 
 def test_single_numpy_backend():

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from alphaspectra.digraph import (
@@ -158,6 +159,24 @@ class TestInvalidSpecs:
             FamilySpec.bip(1, 8, 2, 2)
         with pytest.raises(InvalidSpecError, match="cycle needs a single n >= 2"):
             dataclasses.replace(FamilySpec.cycle(3), params=(1,))
+
+    @pytest.mark.parametrize("make", [
+        lambda: FamilySpec.cycle(3.5),
+        lambda: FamilySpec.kpq(2.0, 2),
+        lambda: FamilySpec("theta", (1, "2", 0)),
+        lambda: FamilySpec("cycle", 4),
+    ], ids=["float", "float_pair", "string", "bare_int"])
+    def test_non_integer_params_rejected(self, make):
+        # a float, a string or a bare number is not a params tuple
+        with pytest.raises(InvalidSpecError, match="params must be integers"):
+            make()
+
+    def test_params_stored_as_int_tuple(self):
+        # a list or numpy ints make the same, hashable spec as the constructor
+        assert FamilySpec("cycle", [4]) == FamilySpec.cycle(4)
+        assert hash(FamilySpec("cycle", [4])) == hash(FamilySpec.cycle(4))
+        spec = FamilySpec.kpq(np.int64(2), np.int32(3))
+        assert spec == FamilySpec.kpq(2, 3) and all(type(p) is int for p in spec.params)
 
 
 class TestCompositions:

@@ -42,8 +42,9 @@ The sieve sets (``SIEVE_SETS``) hash ``canonical_masks(n)`` for n = 2..5,
 which holds masks of digraphs that are not strongly connected, and the
 ``perm_sieve`` survivors of a seeded sample of n = 6 candidates: the
 k = 2 block of ``canonical_masks``, row 0 ``000011`` and every other row
-drawn from the loop-free rows with at least two ones, sieved by
-``digraph._perm_moves``.  The kernel sets (``KERNEL_SETS``) hash the
+drawn from the loop-free rows with at least two ones, sieved along
+``digraph._swap_chain``, or by ``digraph._perm_moves`` on a tree from
+before the chain.  The kernel sets (``KERNEL_SETS``) hash the
 ``_backend.sc_filter`` flags of seeded rows for n = 2..12, each row at
 its own arc density, and the deletable arcs of seeded lemma bases, from
 ``campaigns._base_facts``, so the strong-connectivity kernel is pinned beyond the n = 5 enumeration.
@@ -135,7 +136,8 @@ def sieve_sample(n, k, count, seed):
         rows = np.arange(1 << n, dtype=np.int64)
         rows = rows[((rows >> (n - 1 - i)) & 1 == 0) & (np.bitwise_count(rows) >= k)]
         masks |= rng.choice(rows, size=count) << digraph._cell_bit(n, i, n - 1)
-    return _backend.perm_sieve(masks, digraph._perm_moves(n))
+    chain = digraph._swap_chain if hasattr(digraph, "_swap_chain") else digraph._perm_moves
+    return _backend.perm_sieve(masks, chain(n))
 sieves = {"canonical_masks": canonical_masks, "sieve_sample": sieve_sample}
 # count seeded n-vertex rows, each at an arc density drawn from 0.1..0.6
 def sc_filter_flags(n, count, seed):
