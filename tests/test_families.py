@@ -147,6 +147,10 @@ class TestInvalidSpecs:
             ("nope", (3,)),
             ("theta", (-1, 1, 0)),
             ("theta", (2, 1, 0)),
+            ("cycle", (3.5,)),  # a float, a string, a bare number: not integer params
+            ("kpq", (2.0, 2)),
+            ("theta", (1, "2", 0)),
+            ("cycle", 4),
         ],
     )
     def test_rejected(self, bad):
@@ -159,17 +163,8 @@ class TestInvalidSpecs:
             FamilySpec.bip(1, 8, 2, 2)
         with pytest.raises(InvalidSpecError, match="cycle needs a single n >= 2"):
             dataclasses.replace(FamilySpec.cycle(3), params=(1,))
-
-    @pytest.mark.parametrize("make", [
-        lambda: FamilySpec.cycle(3.5),
-        lambda: FamilySpec.kpq(2.0, 2),
-        lambda: FamilySpec("theta", (1, "2", 0)),
-        lambda: FamilySpec("cycle", 4),
-    ], ids=["float", "float_pair", "string", "bare_int"])
-    def test_non_integer_params_rejected(self, make):
-        # a float, a string or a bare number is not a params tuple
-        with pytest.raises(InvalidSpecError, match="params must be integers"):
-            make()
+        with pytest.raises(InvalidSpecError, match="cycle params must be integers, got \\(3.5,\\)"):
+            FamilySpec.cycle(3.5)
 
     def test_params_stored_as_int_tuple(self):
         # a list or numpy ints make the same, hashable spec as the constructor
